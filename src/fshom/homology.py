@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactMatrix, block_diag, snf
+from .exact import ExactMatrix, snf
 from .modules import HomologyAmbient, ModuleStructure
 from .simplicial import SimplicialComplex
 
@@ -96,19 +96,17 @@ class ReducedChainComplex:
         for d in range(t, -1, -1):
             r_up = self.rank[d + 1]
             N = self.boundary[d] @ P_inv
-            for i in range(N.rows):
-                for j in range(r_up):
-                    if not ring.is_zero(N.data[i][j]):
-                        raise AssertionError("boundary columns expected to vanish did not")
+            if any(any(row[:r_up]) for row in N.data):
+                raise AssertionError("boundary columns expected to vanish did not")
             N_prime = N.column_block(range(r_up, N.cols))
             s = snf(N_prime)
-            Q = block_diag(ExactMatrix.identity(ring, r_up), s.Q)
-            Q_inv = block_diag(ExactMatrix.identity(ring, r_up), s.Q_inv)
             zero_left = ExactMatrix.zeros(ring, N.rows, r_up)
             self.D[d] = zero_left.hstack(s.D)
             self.rank[d] = s.rank
-            self.to_delta[d] = P_inv @ Q
-            self.from_delta[d] = Q_inv @ P
+            # the column transform is diag(I_{r_up}, s.Q), composed block by block
+            kept, rest = range(r_up), range(r_up, n[d])
+            self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
+            self.from_delta[d] = P.take_rows(kept).vstack(s.Q_inv @ P.take_rows(rest))
             P, P_inv = s.P, s.P_inv
 
         for d in range(t + 1):

@@ -1,11 +1,13 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fshom
 from fshom.cli import main
 
 
@@ -57,6 +59,11 @@ class TestHomology:
         code, _, err = run(capsys, "homology", "--degree", "9",
                            fixture_path("reference.json"))
         assert code == 2 and "--degree" in err
+
+    def test_huge_modulus_exits_two(self, capsys, fixture_path):
+        code, _, err = run(capsys, "homology", "--ring", f"zmod:{10 ** 400 + 1}",
+                           fixture_path("reference.json"))
+        assert code == 2 and "too large" in err
 
 
 class TestEta:
@@ -199,8 +206,11 @@ class TestErrorsAndDeterminism:
         assert json.loads(target.read_text())["ring"] == "z"
 
     def test_module_entry_point(self, fixture_path):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(fshom.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "fshom.cli", "validate",
              fixture_path("reference.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0 and "valid" in proc.stdout

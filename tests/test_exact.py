@@ -1,6 +1,7 @@
 """Exact linear algebra: rings, Smith normal form, Diophantine systems."""
 
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from fshom.exact import (
     ExactMatrix,
     PrimeField,
     ZZ,
-    block_diag,
+    _is_prime,
     format_ring,
     kernel,
     parse_ring,
@@ -49,6 +50,23 @@ class TestRings:
             PrimeField(6)
         with pytest.raises(ValueError):
             PrimeField(1)
+
+    def test_primality_is_exact(self):
+        # 561 is a Carmichael number; 2^61 + 1 is divisible by 3
+        for composite in (561, 2 ** 61 + 1, 3215031751, 3825123056546413051):
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(composite)
+        sieve = [k for k in range(2, 2000) if all(k % q for q in range(2, k))]
+        assert [k for k in range(2000) if _is_prime(k)] == sieve
+
+    def test_large_prime_modulus_is_fast(self):
+        started = time.perf_counter()
+        assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - started < 0.1
+
+    def test_modulus_beyond_primality_bound_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            parse_ring(f"zmod:{10 ** 400 + 1}")
 
     def test_ring_spec_round_trip(self):
         assert parse_ring("z") is ZZ
@@ -101,12 +119,6 @@ class TestSmithNormalForm:
         for _ in range(150):
             S = self.check(rand_matrix(rng, F, lo=0, hi=1))
             assert all(x == 1 for x in S.invariant_factors)
-
-    def test_block_diag(self):
-        A = mat([[1, 2]])
-        B = mat([[3], [4]])
-        C = block_diag(A, B)
-        assert C.to_int_rows() == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
 
 
 class TestDiophantine:

@@ -1,5 +1,8 @@
 """Basis reduction of chain complexes and homology structure."""
 
+import hashlib
+import importlib
+import json
 import random
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import from_maximal
-from randgen import random_complex
+from randgen import random_complex, random_torsion_complex, rips_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
 
@@ -61,6 +64,126 @@ class TestReduction:
         from fshom.simplicial import EMPTY_COMPLEX
         with pytest.raises(ValueError):
             ReducedChainComplex(EMPTY_COMPLEX, ZZ)
+
+
+def dense_product(A, B):
+    """Reference product: the dense triple loop, zero terms included.
+
+    Independent of ExactMatrix.__matmul__. Ring elements are ints and both
+    rings add and multiply as integers before reducing, so one reduction at
+    the end of each sum gives the ring's value.
+    """
+    assert A.ring == B.ring and A.cols == B.rows
+    cols = [[B.data[k][j] for k in range(B.rows)] for j in range(B.cols)]
+    rows = [[A.ring.of(sum(a * b for a, b in zip(row, col))) for col in cols]
+            for row in A.data]
+    return ExactMatrix.from_rows(A.ring, rows, cols=B.cols)
+
+
+def is_identity(M):
+    return M.rows == M.cols and M.to_int_rows() == [
+        [int(i == j) for j in range(M.cols)] for i in range(M.rows)]
+
+
+def reduction_digest(R):
+    blob = json.dumps({"to_delta": [m.to_int_rows() for m in R.to_delta],
+                       "from_delta": [m.to_int_rows() for m in R.from_delta],
+                       "D": [m.to_int_rows() for m in R.D]}, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+ORACLE_COMPLEXES = {
+    # the 40-point cloud of the ROADMAP baseline: 40/111/142 simplices
+    "rips40": lambda: rips_complex(random.Random(0), 40),
+    # H_1 = Z/2 + Z/5, so the transforms carry coefficients up to 16
+    "torsion": lambda: random_torsion_complex(random.Random(0)),
+}
+ORACLE_RINGS = {"z": ZZ, "gf2": PrimeField(2), "gf3": PrimeField(3)}
+
+# reduction_digest as the dense reduction core (zero terms included)
+# computed it; a change of pivot rule or operation order changes the bases
+# and fails here.
+PINNED_REDUCTIONS = {
+    ("rips40", "z"):
+        "2905925d2ae6963d6faf46161d59112b8334e1705aa37d17b484a993d41c1466",
+    ("rips40", "gf2"):
+        "0bbf5ceb311535d86b86bc7023b6300c3b9f9e1541cd6753e1aaa431891fec95",
+    ("rips40", "gf3"):
+        "625bd1dd1dafa2e4f2e30fa2edee9225cd5c2e1c5611e4ac2d1770add6440c11",
+    ("torsion", "z"):
+        "286b677857d88f4aa99c7b016fdd674500ba9f31ffb3f6eadbb7bc255b92f837",
+    ("torsion", "gf2"):
+        "e9bf8eda61ffb9168625c0f940170207d0fbab9f6e2b8525e18eb66a6582c9b5",
+    ("torsion", "gf3"):
+        "78be9453eb0fc43b72a65807089c5c3c792c6a3339fc2118116d61ac2033fc1e",
+}
+
+
+class TestReductionOracle:
+    """The reduction core at bench scale against the dense reference product."""
+
+    @pytest.mark.parametrize("ring_name", ORACLE_RINGS)
+    @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+    def test_against_dense_product(self, name, ring_name, monkeypatch):
+        homology_module = importlib.import_module("fshom.homology")
+        smith = []
+
+        def recording_snf(A):
+            s = snf(A)
+            smith.append((A, s))
+            return s
+
+        monkeypatch.setattr(homology_module, "snf", recording_snf)
+        K = ORACLE_COMPLEXES[name]()
+        R = ReducedChainComplex(K, ORACLE_RINGS[ring_name])
+        assert len(smith) == R.top + 1
+        for A, s in smith:
+            assert dense_product(dense_product(s.P, A), s.Q) == s.D
+            assert is_identity(dense_product(s.P, s.P_inv))
+            assert is_identity(dense_product(s.Q, s.Q_inv))
+        for d in range(R.top + 1):
+            assert is_identity(dense_product(R.to_delta[d], R.from_delta[d]))
+        for d in range(1, R.top + 1):
+            M = dense_product(R.from_delta[d - 1], R.boundary[d])
+            assert dense_product(M, R.to_delta[d]) == R.D[d]
+        for d in range(R.top):
+            assert dense_product(R.D[d], R.D[d + 1]).is_zero_matrix()
+        if name == "torsion" and ring_name == "z":
+            assert max(abs(x) for M in R.to_delta for row in M.data for x in row) > 1
+        assert reduction_digest(R) == PINNED_REDUCTIONS[name, ring_name]
+
+
+UCT_COMPLEXES = {"rp2": lambda: from_maximal(RP2)}
+UCT_COMPLEXES.update({f"torsion-{seed}": (lambda seed=seed: random_torsion_complex(random.Random(seed)))
+                      for seed in range(8)})
+UCT_PRIMES = (2, 3, 5)
+
+
+def torsion_count(R, d, p):
+    """t_d(p): the torsion coefficients of H_d(K; Z) that p divides."""
+    if d < 0:
+        return 0
+    return sum(1 for a in R.torsion[d] if a % p == 0)
+
+
+class TestUniversalCoefficients:
+    """dim H_d(K; F_p) = beta_d + t_d(p) + t_{d-1}(p) (Hatcher, section 3.A)."""
+
+    @pytest.mark.parametrize("name", UCT_COMPLEXES)
+    def test_field_betti_from_integer_reduction(self, name):
+        K = UCT_COMPLEXES[name]()
+        RZ = ReducedChainComplex(K, ZZ)
+        for p in UCT_PRIMES:
+            Rp = ReducedChainComplex(K, PrimeField(p))
+            for d in range(K.dim + 1):
+                assert Rp.torsion[d] == ()
+                expected = RZ.partition[d].n_F + torsion_count(RZ, d, p) + torsion_count(RZ, d - 1, p)
+                assert Rp.homology(d).structure.betti == expected, (p, d)
+
+    def test_fixtures_have_torsion_for_every_prime(self):
+        reductions = [ReducedChainComplex(make(), ZZ) for make in UCT_COMPLEXES.values()]
+        for p in UCT_PRIMES:
+            assert any(torsion_count(R, 1, p) for R in reductions), p
 
 
 class TestHomologyStructure:
