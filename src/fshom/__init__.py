@@ -19,13 +19,8 @@ from .fuzzy import (
     Violation,
     chromatic,
     complete_values,
-    core,
-    cut,
     explicit_violations,
     from_filtration,
-    restrict_to_support,
-    support,
-    validate,
     vietoris_rips,
 )
 from .fuzzyhomology import (
@@ -38,7 +33,6 @@ from .homology import (
     DegreePartition,
     ReducedChainComplex,
     homology,
-    reduce,
 )
 from .lattice import (
     CdlLattice,
@@ -60,9 +54,6 @@ from .modules import (
     ModuleStructure,
     SubmoduleOfHomology,
     module_structure,
-    submodule_intersect,
-    submodule_member,
-    submodule_sum,
 )
 from .project import (
     LoadedProject,
@@ -77,8 +68,6 @@ from .simplicial import (
     EMPTY_COMPLEX,
     Simplex,
     SimplicialComplex,
-    boundary_matrix,
-    faces,
     from_maximal,
 )
 

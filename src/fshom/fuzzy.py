@@ -110,26 +110,6 @@ class FuzzySubcomplex:
         return f"FuzzySubcomplex({self.complex!r} over {self.lattice!r})"
 
 
-def validate(mu: FuzzySubcomplex) -> list:
-    return mu.validate()
-
-
-def cut(mu: FuzzySubcomplex, level: LatticeValue) -> SimplicialComplex:
-    return mu.cut(level)
-
-
-def support(mu: FuzzySubcomplex) -> SimplicialComplex:
-    return mu.support()
-
-
-def core(mu: FuzzySubcomplex) -> SimplicialComplex:
-    return mu.core()
-
-
-def restrict_to_support(mu: FuzzySubcomplex) -> FuzzySubcomplex:
-    return mu.restrict_to_support()
-
-
 def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -> dict:
     """Extend a partial assignment to all simplices.
 

@@ -1,12 +1,20 @@
 """Lattice-valued fuzzy homology of a fuzzy subcomplex.
 
 Built on the reduced chain complex: the value of a chain is the meet of the
-values of its supporting simplices, and the value eta_d of a homology class
-is the join, over levels in the meet-closed value set L(kappa_d), of those
-levels whose constraint system is solvable. The constraint system at level l
-asks whether some boundary pushes a representative cycle off every simplex
-whose value fails to dominate l; it is a linear Diophantine system in the
-boundary coefficients.
+values of its supporting simplices. Everything else is read off one cached
+primitive, the level submodule H_d(l) of the classes that have a
+representative cycle supported on the cut complex at level l:
+
+- eta_d of a class h is the join of the levels l in the meet-closed value set
+  L(kappa_d) with h in H_d(l);
+- the cut {h : eta_d(h) >= l} is the intersection of H_d(m_j) over the
+  join-irreducible parts j of l, where m_j is the meet of the values of
+  L(kappa_d) above j, and the whole group when l = 0. Every supported
+  lattice is finite and distributive, so a join-irreducible j is join-prime
+  (Birkhoff's representation theorem; Davey-Priestley, *Introduction to
+  Lattices and Order*, ch. 5): eta_d(h) >= j exactly when some level s >= j
+  of L(kappa_d) has h in H_d(s), and as H_d is antitone and L(kappa_d) is
+  meet-closed, exactly when h is in H_d(m_j).
 
 Two standing assumptions are enforced at construction: the support of the
 subcomplex is the whole complex (arranged by restriction), and 0 is
@@ -17,9 +25,10 @@ refused.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
 
-from .exact import ExactMatrix, kernel, solve, ZZ
+# `solve` stays bound: bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
+from .exact import kernel, solve, ZZ  # noqa: F401
 from .fuzzy import FuzzySubcomplex
 from .homology import ClassCoordinates, ReducedChainComplex
 from .lattice import LatticeValue, format_value
@@ -30,14 +39,10 @@ class NotComputableError(RuntimeError):
     """A capability refusal: the inputs are valid but outside what we compute."""
 
 
-DEFAULT_SUBSET_CAP = 16
-DEFAULT_BRUTE_FORCE_CAP = 1 << 20
-
-
 class FuzzyHomologyContext:
     """Shared state for fuzzy homology queries over one subcomplex and ring."""
 
-    def __init__(self, mu: FuzzySubcomplex, ring=ZZ, subset_cap: int = DEFAULT_SUBSET_CAP):
+    def __init__(self, mu: FuzzySubcomplex, ring=ZZ):
         if not mu.lattice.zero_is_meet_prime:
             raise NotComputableError(
                 "0 is not meet-prime in the value lattice; fuzzy homology is "
@@ -45,7 +50,6 @@ class FuzzyHomologyContext:
         self.mu = mu.restrict_to_support()
         self.lattice = mu.lattice
         self.ring = ring
-        self.subset_cap = subset_cap
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._values = [
@@ -88,35 +92,13 @@ class FuzzyHomologyContext:
             frontier = fresh
         return sorted(closed, key=format_value)
 
-    # -- constraint systems and level submodules ----------------------
+    # -- level submodules ----------------------------------------------
 
     def index_set(self, d: int, level: LatticeValue) -> tuple:
         """0-based indices of d-simplices whose value does not dominate level."""
         self.lattice._check(level)
         vals = self._values[d] if 0 <= d <= self.reduced.top else []
         return tuple(i for i, v in enumerate(vals) if not self.lattice.leq(level, v))
-
-    def _boundary_block(self, d: int) -> ExactMatrix:
-        """(U_d | T_d A_d): the columns spanning the boundaries in degree d."""
-        U, T, _, _ = self.reduced.blocks(d)
-        ring = self.ring
-        scaled = [[ring.mul(T.data[i][j], a) for j, a in enumerate(self.reduced.torsion[d])]
-                  for i in range(T.rows)]
-        TA = ExactMatrix(ring, T.rows, T.cols, scaled)
-        return U.hstack(TA)
-
-    def constraint_system(self, d: int, chain, level: LatticeValue):
-        """Matrix and right-hand side of S(chain, I(level))."""
-        idx = self.index_set(d, level)
-        mat = self._boundary_block(d).take_rows(idx)
-        rhs = [self.ring.neg(self.ring.of(chain[i])) for i in idx]
-        return mat, rhs
-
-    def is_level_solvable(self, d: int, chain, level: LatticeValue) -> bool:
-        mat, rhs = self.constraint_system(d, chain, level)
-        if mat.rows == 0:
-            return True
-        return solve(mat, rhs).solvable
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.
@@ -142,103 +124,35 @@ class FuzzyHomologyContext:
         self._hdl_cache[key] = result
         return result
 
+    def is_level_solvable(self, d: int, h: ClassCoordinates, level: LatticeValue) -> bool:
+        """Whether the class has a representative supported on the cut at level."""
+        return self.hdl_submodule(d, level).member(h.vector())
+
     # -- eta values and cuts -------------------------------------------
 
     def eta_solvable_levels(self, d: int, h: ClassCoordinates) -> list:
-        """Levels of L(kappa_d) whose constraint system the class satisfies."""
-        z = self.reduced.cycle_of_class(d, h)
-        return [lv for lv in self.kappa_value_set(d) if self.is_level_solvable(d, z, lv)]
+        """Levels l of L(kappa_d) with the class in H_d(l)."""
+        return [lv for lv in self.kappa_value_set(d) if self.is_level_solvable(d, h, lv)]
 
     def eta_value(self, d: int, h: ClassCoordinates) -> LatticeValue:
         """eta_d of the class: the join of its solvable levels."""
         return self.lattice.join(self.eta_solvable_levels(d, h))
 
     def eta_cut(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
-        """The cut of eta_d at the level, as a submodule of H_d.
+        """The cut of eta_d at the level, {h : eta_d(h) >= level}, in H_d.
 
-        Union over subsets S of L(kappa_d) with join(S) >= level of the
-        intersections of the H_d(s). When the relevant values form a chain
-        this collapses to H_d at the smallest value above the level.
+        The intersection over the join-irreducible parts j of the level of
+        H_d at the meet of the values of L(kappa_d) above j (see the module
+        docstring); the whole group at level 0.
         """
-        self.lattice._check(level)
-        ambient = self.reduced.ambient(d)
         values = self.kappa_value_set(d)
-        chain = all(self.lattice.leq(a, b) or self.lattice.leq(b, a)
-                    for a, b in combinations(values, 2))
-        if chain:
-            above = [v for v in values if self.lattice.leq(level, v)]
-            if not above:
-                return SubmoduleOfHomology.zero(ambient)
-            t = above[0]
-            for v in above[1:]:
-                if self.lattice.leq(v, t):
-                    t = v
-            return self.hdl_submodule(d, t)
-        if len(values) > self.subset_cap:
-            raise NotComputableError(
-                f"L(kappa_{d}) has {len(values)} values, above the cut cap of "
-                f"{self.subset_cap}; query levels individually instead")
-        result = SubmoduleOfHomology.zero(ambient)
-        for S in self._antichains(values):
-            if not self.lattice.leq(level, self.lattice.join(S)):
-                continue
-            if S:
-                inter = self.hdl_submodule(d, S[0])
-                for s in S[1:]:
-                    inter = inter.intersect(self.hdl_submodule(d, s))
-            else:
-                inter = SubmoduleOfHomology.full(ambient)
-            result = result.add(inter)
-        return result
-
-    def _antichains(self, values):
-        """All antichain subsets of the values (larger comparable elements
-        only shrink an intersection, so they never enlarge the union)."""
-        out = [()]
-        for i, v in enumerate(values):
-            extended = []
-            for S in out:
-                if all(not self.lattice.leq(v, s) and not self.lattice.leq(s, v) for s in S):
-                    extended.append(S + (v,))
-            out.extend(extended)
-        return out
+        least_above = dict.fromkeys(self.lattice.meet([s for s in values if self.lattice.leq(j, s)])
+                                    for j in self.lattice.join_irreducibles(level))
+        parts = [self.hdl_submodule(d, m) for m in least_above]
+        if not parts:
+            return SubmoduleOfHomology.full(self.reduced.ambient(d))
+        return reduce(lambda a, b: a.intersect(b), parts)
 
     def rank_cut_table(self, d: int, levels) -> dict:
         """Betti number of the eta cut at each requested level."""
         return {lv: self.eta_cut(d, lv).structure.betti for lv in levels}
-
-    # -- brute-force oracle (field coefficients) -----------------------
-
-    def brute_force_eta(self, d: int, h: ClassCoordinates,
-                        cap: int = DEFAULT_BRUTE_FORCE_CAP) -> LatticeValue:
-        """Join of kappa over every representative of the class.
-
-        Enumerates the whole boundary space, so the coefficient ring must be
-        a field with p^rank below the cap. Intended as a test oracle.
-        """
-        if not self.ring.is_field:
-            raise NotComputableError("brute-force enumeration needs field coefficients")
-        p = self.ring.p
-        U, _, _, _ = self.reduced.blocks(d)
-        if p ** U.cols > cap:
-            raise NotComputableError(f"boundary space {p}^{U.cols} exceeds the cap {cap}")
-        z = self.reduced.cycle_of_class(d, h)
-        basis = [U.col(j) for j in range(U.cols)]
-        best = []
-        coeffs = [0] * len(basis)
-        ring = self.ring
-        while True:
-            b = list(z)
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for i, x in enumerate(vec):
-                        b[i] = ring.add(b[i], ring.mul(c, x))
-            best.append(self.kappa(d, b))
-            i = 0
-            while i < len(coeffs) and coeffs[i] == p - 1:
-                coeffs[i] = 0
-                i += 1
-            if i == len(coeffs):
-                break
-            coeffs[i] += 1
-        return self.lattice.join(best)

@@ -195,10 +195,6 @@ class ReducedChainComplex:
         return ClassCoordinates(d, reduced[:m], reduced[m:])
 
 
-def reduce(K: SimplicialComplex, ring) -> ReducedChainComplex:
-    return ReducedChainComplex(K, ring)
-
-
 def homology(K: SimplicialComplex, ring) -> list:
     """Per-degree homology of the complex, degrees 0..dim."""
     R = ReducedChainComplex(K, ring)

@@ -11,7 +11,9 @@ Three families are implemented, each with a canonical element form:
   inclusion; joins are unions and meets are intersections.
 
 Values are immutable and compare by canonical payload within a lattice of
-the same structure.
+the same structure. Every family is finite and distributive, and lists the
+join-irreducible parts of a value (`join_irreducibles`), which join back to
+it and are join-prime.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ class TotalOrder(CdlLattice):
     def _format(self, payload):
         return self.levels[payload]
 
+    def join_irreducibles(self, v: LatticeValue) -> list:
+        """The join-irreducible parts of v, which join back to v: v itself above 0."""
+        self._check(v)
+        return [v] if v.payload else []
+
     def _atom(self, name):
         if name in self._index:
             return LatticeValue(self, self._index[name])
@@ -208,6 +215,11 @@ class FreeDistributiveLattice(CdlLattice):
             return "1"
         terms = sorted(tuple(sorted(term)) for term in payload)
         return " | ".join(" & ".join(term) for term in terms)
+
+    def join_irreducibles(self, v: LatticeValue) -> list:
+        """The join-irreducible parts of v: its meet-terms (the empty term is 1)."""
+        self._check(v)
+        return [LatticeValue(self, frozenset([term])) for term in sorted(v.payload, key=sorted)]
 
     def _atom(self, name):
         if name in self.generators:
@@ -334,6 +346,12 @@ class UpSetLattice(CdlLattice):
     def _format(self, payload):
         names = [x for x in self.poset.elements if x in payload]
         return "{" + ",".join(names) + "}"
+
+    def join_irreducibles(self, v: LatticeValue) -> list:
+        """The join-irreducible parts of v: the principal up-sets of its minimal elements."""
+        self._check(v)
+        return [LatticeValue(self, self.poset.up(p)) for p in self.poset.elements
+                if p in v.payload and not any(q != p and p in self.poset.up(q) for q in v.payload)]
 
     def _atom(self, name):
         if name in self.poset.elements:

@@ -193,15 +193,3 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     sy = snf(Y)
     torsion = tuple(a for a in sy.invariant_factors if not ring.is_unit(a))
     return ModuleStructure(r - sy.rank, torsion)
-
-
-def submodule_intersect(S1: SubmoduleOfHomology, S2: SubmoduleOfHomology) -> SubmoduleOfHomology:
-    return S1.intersect(S2)
-
-
-def submodule_member(S: SubmoduleOfHomology, vec) -> bool:
-    return S.member(vec)
-
-
-def submodule_sum(S1: SubmoduleOfHomology, S2: SubmoduleOfHomology) -> SubmoduleOfHomology:
-    return S1.add(S2)

@@ -144,12 +144,9 @@ class SimplicialComplex:
         return len(self._all)
 
     def maximal_simplices(self) -> list:
-        out = []
-        for s in self.all_simplices():
-            if not any(s != t and s in t for t in self.all_simplices()):
-                out.append(s)
-        out.sort(key=lambda s: (s.dim, s.vertices))
-        return out
+        """Simplices that are not a facet of any simplex one dimension up, in (dim, vertices) order."""
+        facets = {face for s in self.all_simplices() for _, face in s.boundary()}
+        return [s for s in self.all_simplices() if s not in facets]
 
     def boundary_matrix(self, d: int) -> list:
         """The matrix of the boundary map in the lexicographic bases.
@@ -190,13 +187,5 @@ class SimplicialComplex:
 EMPTY_COMPLEX = SimplicialComplex(())
 
 
-def faces(s: Simplex) -> list:
-    return s.faces()
-
-
 def from_maximal(simplices) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(simplices)
-
-
-def boundary_matrix(K: SimplicialComplex, d: int) -> list:
-    return K.boundary_matrix(d)

@@ -12,12 +12,11 @@ import time
 import pytest
 
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf, solve
-from fshom.fuzzy import cut
-from fshom.fuzzyhomology import FuzzyHomologyContext, NotComputableError
+from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
 from fshom.lattice import FreeDistributiveLattice, enumerate_fdl, format_value
-from fshom.modules import submodule_intersect
 from fshom.simplicial import from_maximal
+from oracles import brute_force_eta
 from randgen import lattice_family, random_complex, random_fdl, random_mu
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -137,7 +136,7 @@ def test_criterion_07_oracle_equivalence_over_gf2():
             ambient = ctx.reduced.ambient(d)
             for k in range(ambient.free_rank):
                 h = free_class(ctx, d, k)
-                assert ctx.eta_value(d, h) == ctx.brute_force_eta(d, h)
+                assert ctx.eta_value(d, h) == brute_force_eta(ctx, d, h)
                 checked += 1
     assert checked >= 200
     watch.check()
@@ -163,12 +162,12 @@ def test_criterion_08_level_submodule_properties():
             S = [rng.choice(values) for _ in range(rng.randint(1, 3))]
 
             # cut monotonicity on the fuzzy complex itself
-            c1, c2 = cut(ctx.mu, l1), cut(ctx.mu, l2)
+            c1, c2 = ctx.mu.cut(l1), ctx.mu.cut(l2)
             assert c2.is_subcomplex_of(c1)
-            joined = cut(ctx.mu, lattice.join(S))
-            inter = set(cut(ctx.mu, S[0]).all_simplices())
+            joined = ctx.mu.cut(lattice.join(S))
+            inter = set(ctx.mu.cut(S[0]).all_simplices())
             for s in S[1:]:
-                inter &= set(cut(ctx.mu, s).all_simplices())
+                inter &= set(ctx.mu.cut(s).all_simplices())
             assert set(joined.all_simplices()) == inter
 
             # (i) closure under addition of members
@@ -183,19 +182,14 @@ def test_criterion_08_level_submodule_properties():
             hs = [ctx.hdl_submodule(d, s) for s in S]
             cap = hs[0]
             for other in hs[1:]:
-                cap = submodule_intersect(cap, other)
+                cap = cap.intersect(other)
             assert cap.contains(hj)
             # (iv) meet level contains the intersection
             hm = ctx.hdl_submodule(d, lattice.meet(S))
             assert hm.contains(cap)
             # (vi) level submodule sits inside the eta cut
             h2 = ctx.hdl_submodule(d, l2)
-            try:
-                assert ctx.eta_cut(d, l2).contains(h2)
-            except NotComputableError:
-                for g in h2.generators:
-                    cls = ctx.reduced.class_from_vector(d, list(g))
-                    assert lattice.leq(l2, ctx.eta_value(d, cls))
+            assert ctx.eta_cut(d, l2).contains(h2)
             instances += 1
     watch.check()
 

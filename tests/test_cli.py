@@ -135,6 +135,12 @@ class TestCutsAndRanks:
         assert report["reports"][0]["ranks"] == \
             {"1": 0, "x": 1, "x & y": 2, "y": 2}
 
+    def test_wide_value_set_is_not_refused(self, capsys, fixture_path):
+        # L(kappa_0) has 19 values and is no chain
+        code, out, err = run(capsys, "cuts", fixture_path("wide_kappa.json"))
+        assert code == 0 and err == ""
+        assert "eta_1 cut at x & y & z = Z/2^5" in out and "eta_1 cut at x | y = 0" in out
+
 
 class TestProjectBuilders:
     def test_build_chromatic(self, capsys, fixture_path):

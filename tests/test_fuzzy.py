@@ -10,13 +10,8 @@ from fshom.fuzzy import (
     FuzzySubcomplex,
     chromatic,
     complete_values,
-    core,
-    cut,
     explicit_violations,
     from_filtration,
-    restrict_to_support,
-    support,
-    validate,
     vietoris_rips,
 )
 from fshom.lattice import (
@@ -39,7 +34,7 @@ def vertex_names(K):
 
 class TestValidation:
     def test_reference_is_monotone(self, reference_mu):
-        assert validate(reference_mu) == []
+        assert reference_mu.validate() == []
 
     def test_smaller_face_value_flagged(self):
         L = fdl2()
@@ -49,7 +44,7 @@ class TestValidation:
             Simplex((1,)): L.parse("1"),
             Simplex((0, 1)): L.parse("x"),
         })
-        bad = validate(mu)
+        bad = mu.validate()
         assert len(bad) == 1
         v = bad[0]
         assert v.face == Simplex((0,)) and v.coface == Simplex((0, 1))
@@ -59,7 +54,7 @@ class TestValidation:
         L = fdl2()
         K = from_maximal([[0, 1, 2]])
         mu = FuzzySubcomplex(K, L, {s: L.parse("1") for s in K.all_simplices()})
-        assert validate(mu) == []
+        assert mu.validate() == []
 
     def test_values_must_cover_every_simplex(self):
         L = fdl2()
@@ -81,12 +76,12 @@ class TestValidation:
 class TestCuts:
     def test_reference_cut_family(self, reference_mu):
         L = reference_mu.lattice
-        at_x = cut(reference_mu, L.parse("x"))
+        at_x = reference_mu.cut(L.parse("x"))
         assert vertex_names(at_x) == {(0,), (1,), (3,), (0, 1), (0, 3), (1, 3)}
-        assert cut(reference_mu, L.parse("1")).is_empty
-        assert cut(reference_mu, L.parse("0")) == reference_mu.complex
-        assert cut(reference_mu, L.parse("x & y")) == reference_mu.complex
-        at_y = cut(reference_mu, L.parse("y"))
+        assert reference_mu.cut(L.parse("1")).is_empty
+        assert reference_mu.cut(L.parse("0")) == reference_mu.complex
+        assert reference_mu.cut(L.parse("x & y")) == reference_mu.complex
+        at_y = reference_mu.cut(L.parse("y"))
         assert vertex_names(at_y) == {(2,), (4,)}
 
     def test_cut_monotone_and_join_rule(self, reference_mu):
@@ -94,18 +89,18 @@ class TestCuts:
         values = list(L.carrier())
         for a in values:
             for b in values:
-                ca, cb = cut(reference_mu, a), cut(reference_mu, b)
+                ca, cb = reference_mu.cut(a), reference_mu.cut(b)
                 if L.leq(a, b):
                     assert cb.is_subcomplex_of(ca)
-                cj = cut(reference_mu, a | b)
+                cj = reference_mu.cut(a | b)
                 expected = {s for s in ca.all_simplices()} & \
                            {s for s in cb.all_simplices()}
                 assert set(cj.all_simplices()) == expected
 
     def test_support_and_core(self, reference_mu):
-        assert support(reference_mu) == reference_mu.complex
-        assert core(reference_mu).is_empty
-        assert restrict_to_support(reference_mu).complex == reference_mu.complex
+        assert reference_mu.support() == reference_mu.complex
+        assert reference_mu.core().is_empty
+        assert reference_mu.restrict_to_support().complex == reference_mu.complex
 
     def test_zero_vertex_dropped(self):
         L = fdl2()
@@ -116,22 +111,22 @@ class TestCuts:
             Simplex((0, 1)): L.parse("x"),
             Simplex((2,)): L.parse("0"),
         })
-        restricted = restrict_to_support(mu)
+        restricted = mu.restrict_to_support()
         assert vertex_names(restricted.complex) == {(0,), (1,), (0, 1)}
 
     def test_all_zero_support_empty(self):
         L = fdl2()
         K = from_maximal([[0]])
         mu = FuzzySubcomplex(K, L, {Simplex((0,)): L.parse("0")})
-        assert support(mu).is_empty
+        assert mu.support().is_empty
         with pytest.raises(FuzzyError):
-            restrict_to_support(mu)
+            mu.restrict_to_support()
 
     def test_value_recoverable_from_cuts(self, reference_mu):
         L = reference_mu.lattice
         grid = list(L.carrier())
         for s, v in reference_mu.items():
-            hits = [lv for lv in grid if s in set(cut(reference_mu, lv).all_simplices())]
+            hits = [lv for lv in grid if s in set(reference_mu.cut(lv).all_simplices())]
             assert L.join(hits) == v
 
 
@@ -247,7 +242,7 @@ class TestFiltration:
         L = mu.lattice
         for p in ("a", "b"):
             level = L.value_from_set(P.up(p))
-            assert cut(mu, level) == stages[p]
+            assert mu.cut(level) == stages[p]
         assert format_value(mu.value(Simplex((1,)))) == "{a,b}"
 
     def test_non_monotone_rejected(self):

@@ -1,4 +1,7 @@
-"""Lattice-valued homology: kappa, level systems, eta values and cuts."""
+"""Lattice-valued homology: kappa, level submodules, eta values and cuts."""
+
+import itertools
+import random
 
 import pytest
 
@@ -12,8 +15,10 @@ from fshom.lattice import (
     UpSetLattice,
     format_value,
 )
-from fshom.modules import SubmoduleOfHomology, submodule_intersect
+from fshom.project import load_project_file
 from fshom.simplicial import Simplex, from_maximal
+from oracles import brute_force_eta
+from randgen import lattice_family, random_complex, random_mu
 
 
 def fmt_set(values):
@@ -132,8 +137,8 @@ class TestEtaCuts:
 
     def test_join_cut_is_intersection(self, ctx):
         L = ctx.lattice
-        byhand = submodule_intersect(ctx.hdl_submodule(0, L.parse("x")),
-                                     ctx.hdl_submodule(0, L.parse("y")))
+        byhand = ctx.hdl_submodule(0, L.parse("x")).intersect(
+            ctx.hdl_submodule(0, L.parse("y")))
         assert ctx.eta_cut(0, L.parse("x | y")) == byhand
 
     def test_cut_contains_hdl_everywhere(self, ctx):
@@ -216,32 +221,58 @@ class TestDegenerateAndRefusals:
         with pytest.raises(NotComputableError):
             FuzzyHomologyContext(mu, ZZ)
 
-    def test_subset_cap_refusal(self, reference_mu):
-        capped = FuzzyHomologyContext(reference_mu, ZZ, subset_cap=2)
-        with pytest.raises(NotComputableError):
-            capped.eta_cut(0, capped.lattice.parse("x | y"))
-        # per-level queries and eta values stay available
-        assert capped.hdl_submodule(0, capped.lattice.parse("x")).structure.betti == 1
-        assert capped.eta_value(0, free_class(capped, 0, 1)) == capped.lattice.parse("y")
-
 
 class TestBruteForceOracle:
     def test_reference_over_gf2(self, reference_mu):
         ctx = FuzzyHomologyContext(reference_mu, PrimeField(2))
         L = ctx.lattice
         h1 = free_class(ctx, 1, 0)
-        assert ctx.brute_force_eta(1, h1) == L.parse("x")
-        assert ctx.brute_force_eta(1, h1) == ctx.eta_value(1, h1)
+        assert brute_force_eta(ctx, 1, h1) == L.parse("x")
+        assert brute_force_eta(ctx, 1, h1) == ctx.eta_value(1, h1)
         for k, text in ((0, "x | y"), (1, "y")):
             h = free_class(ctx, 0, k)
             assert ctx.eta_value(0, h) == L.parse(text)
-            assert ctx.brute_force_eta(0, h) == L.parse(text)
+            assert brute_force_eta(ctx, 0, h) == L.parse(text)
 
     def test_requires_field(self, ctx):
         with pytest.raises(NotComputableError):
-            ctx.brute_force_eta(0, free_class(ctx, 0, 0))
+            brute_force_eta(ctx, 0, free_class(ctx, 0, 0))
 
     def test_enumeration_cap(self, reference_mu):
         ctx = FuzzyHomologyContext(reference_mu, PrimeField(2))
         with pytest.raises(NotComputableError):
-            ctx.brute_force_eta(0, free_class(ctx, 0, 0), cap=1)
+            brute_force_eta(ctx, 0, free_class(ctx, 0, 0), cap=1)
+
+    @staticmethod
+    def assert_cuts_match_oracle(ctx):
+        """For every class h and every carrier level l: h lies in the cut at l
+        exactly when the brute-force eta(h) dominates l."""
+        L = ctx.lattice
+        levels = L.carrier()
+        for d in range(ctx.reduced.top + 1):
+            cuts = [ctx.eta_cut(d, lv) for lv in levels]
+            for vec in itertools.product((0, 1), repeat=ctx.reduced.ambient(d).length):
+                h = ctx.reduced.class_from_vector(d, vec)
+                eta = brute_force_eta(ctx, d, h)
+                for lv, cut in zip(levels, cuts):
+                    assert cut.member(vec) == L.leq(lv, eta), (d, vec, lv)
+
+    @pytest.mark.parametrize("index", range(len(lattice_family())),
+                             ids=["total", "fdl1", "fdl2", "fdl3", "upset-diamond", "upset-chain"])
+    def test_cuts_over_gf2_every_family(self, index):
+        lattice = lattice_family()[index]
+        rng = random.Random(4000 + index)
+        for _ in range(20):
+            K = random_complex(rng)
+            ctx = FuzzyHomologyContext(random_mu(rng, K, lattice), PrimeField(2))
+            self.assert_cuts_match_oracle(ctx)
+
+    def test_cuts_over_gf2_wide_non_chain_value_set(self, fixture_path):
+        ctx = FuzzyHomologyContext(load_project_file(fixture_path("wide_kappa.json")).mu,
+                                   PrimeField(2))
+        L = ctx.lattice
+        values = ctx.kappa_value_set(0)
+        assert len(values) > 16
+        assert any(not L.leq(a, b) and not L.leq(b, a) for a in values for b in values)
+        assert len(ctx.kappa_value_set(1)) < len(L.carrier())
+        self.assert_cuts_match_oracle(ctx)

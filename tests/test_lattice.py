@@ -189,3 +189,32 @@ class TestLatticeLaws:
             values = list(L.carrier())
             for _ in range(1000):
                 self.check_triple(L, *(rng.choice(values) for _ in range(3)))
+
+
+class TestJoinIrreducibles:
+    def test_parts_join_back_and_are_join_prime(self):
+        for L in lattice_family():
+            values = list(L.carrier())
+            for v in values:
+                parts = L.join_irreducibles(v)
+                assert L.join(parts) == v
+                for j in parts:
+                    assert j != L.bottom
+                    for a, b in itertools.product(values, repeat=2):
+                        if L.leq(j, a | b):
+                            assert L.leq(j, a) or L.leq(j, b), (v, j, a, b)
+
+    def test_examples(self):
+        T = TotalOrder(("a", "b", "c"))
+        assert T.join_irreducibles(T.parse("b")) == [T.parse("b")]
+        assert T.join_irreducibles(T.bottom) == []
+        F = fdl("x", "y", "z")
+        assert [format_value(j) for j in F.join_irreducibles(F.parse("x | y & z"))] == \
+            ["x", "y & z"]
+        assert F.join_irreducibles(F.top) == [F.top]
+        assert F.join_irreducibles(F.bottom) == []
+        U = UpSetLattice(Poset(("a", "b", "c", "d"),
+                               (("a", "c"), ("b", "c"), ("c", "d"))))
+        assert [format_value(j) for j in U.join_irreducibles(U.parse("{a,b,c,d}"))] == \
+            ["{a,c,d}", "{b,c,d}"]
+        assert U.join_irreducibles(U.parse("{c,d}")) == [U.parse("c")]

@@ -8,9 +8,6 @@ from fshom.modules import (
     ModuleStructure,
     SubmoduleOfHomology,
     module_structure,
-    submodule_intersect,
-    submodule_member,
-    submodule_sum,
 )
 
 
@@ -57,14 +54,14 @@ class TestMembership:
     def test_mixed_ambient(self):
         amb = ambient((4,), 1)
         S = SubmoduleOfHomology(amb, [(2, 1)])
-        assert submodule_member(S, (2, 1))
-        assert submodule_member(S, (0, 2))   # 2*(2,1) = (4,2) = (0,2) mod 4
-        assert not submodule_member(S, (1, 1))
-        assert not submodule_member(S, (2, 0))
+        assert S.member((2, 1))
+        assert S.member((0, 2))   # 2*(2,1) = (4,2) = (0,2) mod 4
+        assert not S.member((1, 1))
+        assert not S.member((2, 0))
 
     def test_zero_always_member(self):
         amb = ambient((3,), 2)
-        assert submodule_member(SubmoduleOfHomology.zero(amb), (0, 0, 0))
+        assert SubmoduleOfHomology.zero(amb).member((0, 0, 0))
 
 
 class TestLatticeOfSubmodules:
@@ -72,26 +69,26 @@ class TestLatticeOfSubmodules:
         amb = ambient((), 2)
         a = SubmoduleOfHomology(amb, [(2, 0)])
         b = SubmoduleOfHomology(amb, [(3, 0)])
-        c = submodule_intersect(a, b)
-        assert submodule_member(c, (6, 0))
-        assert not submodule_member(c, (2, 0))
-        assert not submodule_member(c, (3, 0))
+        c = a.intersect(b)
+        assert c.member((6, 0))
+        assert not c.member((2, 0))
+        assert not c.member((3, 0))
         assert c.structure.betti == 1
 
     def test_sum_of_free_lines(self):
         amb = ambient((), 2)
         a = SubmoduleOfHomology(amb, [(2, 0)])
         b = SubmoduleOfHomology(amb, [(3, 0)])
-        c = submodule_sum(a, b)
-        assert submodule_member(c, (1, 0))
-        assert not submodule_member(c, (0, 1))
+        c = a.add(b)
+        assert c.member((1, 0))
+        assert not c.member((0, 1))
 
     def test_intersection_with_torsion(self):
         amb = ambient((4,), 0)
         a = SubmoduleOfHomology(amb, [(1,)])
         b = SubmoduleOfHomology(amb, [(2,)])
-        c = submodule_intersect(a, b)
-        assert submodule_member(c, (2,)) and not submodule_member(c, (1,))
+        c = a.intersect(b)
+        assert c.member((2,)) and not c.member((1,))
 
     def test_equality_by_mutual_membership(self):
         amb = ambient((), 2)
@@ -119,13 +116,13 @@ class TestLatticeOfSubmodules:
                 return SubmoduleOfHomology(amb, gens)
 
             a, b = rand_sub(), rand_sub()
-            inter = submodule_intersect(a, b)
-            total = submodule_sum(a, b)
+            inter = a.intersect(b)
+            total = a.add(b)
             assert a.contains(inter) and b.contains(inter)
             assert total.contains(a) and total.contains(b)
             # generators of the sum are sums of members
             for g in a.generators:
-                assert submodule_member(total, g)
+                assert total.member(g)
             # intersection members must sit in both
             for g in inter.generators:
-                assert submodule_member(a, g) and submodule_member(b, g)
+                assert a.member(g) and b.member(g)

@@ -71,6 +71,16 @@ class TestComplexConstruction:
         assert [s.vertices for s in K.maximal_simplices()] == \
             [(4,), (0, 1), (0, 3), (1, 2, 3)]
 
+    def test_maximal_simplices_match_the_quadratic_definition(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            K = random_complex(rng)
+            quadratic = sorted((s for s in K.all_simplices()
+                                if not any(s != t and s in t for t in K.all_simplices())),
+                               key=lambda s: (s.dim, s.vertices))
+            assert K.maximal_simplices() == quadratic
+            assert from_maximal(quadratic) == K
+
     def test_face_closure_required(self):
         with pytest.raises(ValueError):
             SimplicialComplex([Simplex((0, 1))])

@@ -1,0 +1,57 @@
+"""The benchmark's layer tracer (bench/tracing.py) installs on the package and
+comes off again, so a renamed traced name fails here and not only in traced
+benchmark runs."""
+
+import importlib.util
+import os
+import sys
+
+from fshom.exact import ZZ
+from fshom.fuzzyhomology import FuzzyHomologyContext
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "bench", "tracing.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def snapshot():
+    """Every module-level binding and class attribute of the loaded package."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "fshom" and not name.startswith("fshom."):
+            continue
+        for attr, value in vars(mod).items():
+            out[(name, attr)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for cattr, cvalue in vars(value).items():
+                    out[(name, attr, cattr)] = cvalue
+    return out
+
+
+def test_tracer_installs_and_uninstalls(reference_mu):
+    import fshom.cli  # noqa: F401  (the tracer wraps every module it loads)
+
+    before = snapshot()
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert tracer._restore
+        for owner, attr, original in tracer._restore:
+            assert vars(owner)[attr] is not original, (owner, attr)
+        ctx = FuzzyHomologyContext(reference_mu, ZZ)
+        ctx.eta_value(0, ctx.reduced.class_from_vector(0, [1, 0]))
+        ctx.eta_cut(0, ctx.lattice.parse("x | y"))
+        names = {span[0] for span in tracer.spans}
+        assert {"fuzzyhomology.eta", "fuzzyhomology.level_solve", "fuzzyhomology.hdl",
+                "fuzzyhomology.cut", "exact.kernel", "exact.solve"} <= names
+    finally:
+        tracer.uninstall()
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
