@@ -44,7 +44,6 @@ from .lattice import (
     UpSetLattice,
     enumerate_fdl,
     format_value,
-    is_zero_meet_prime,
     lattice_from_spec,
     lattice_to_spec,
     parse_value,

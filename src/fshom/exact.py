@@ -362,6 +362,27 @@ class SmithDecomposition:
     rank: int
     invariant_factors: tuple
 
+    def solve(self, b) -> DiophantineSolution:
+        """Solve A x = b for the factored A.
+
+        With c = P b, the system is solvable exactly when d_i | c_i for every
+        i below the rank and c_i = 0 past it; then x = Q y with y_i = c_i / d_i.
+        """
+        ring = self.ring
+        pb = self.P.apply(b)
+        cols = self.Q.rows
+        y = [ring.of(0)] * cols
+        hom = tuple(tuple(self.Q.col(j)) for j in range(self.rank, cols))
+        for i in range(self.rank):
+            d = self.D.data[i][i]
+            if not ring.divides(d, pb[i]):
+                return DiophantineSolution(False, None, hom, certificate_row=i)
+            y[i] = ring.exact_div(pb[i], d)
+        for i in range(self.rank, self.P.rows):
+            if not ring.is_zero(pb[i]):
+                return DiophantineSolution(False, None, hom, certificate_row=i)
+        return DiophantineSolution(True, tuple(self.Q.apply(y)), hom)
+
 
 class _Worker:
     """Mutable state for one Smith reduction.
@@ -561,18 +582,4 @@ def solve(A: ExactMatrix, b) -> DiophantineSolution:
     """Solve the linear system A x = b exactly via the Smith form."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length does not match row count")
-    ring = A.ring
-    s = snf(A)
-    pb = s.P.apply(b)
-    y = [ring.of(0)] * A.cols
-    hom = tuple(tuple(s.Q.col(j)) for j in range(s.rank, A.cols))
-    for i in range(s.rank):
-        d = s.D.data[i][i]
-        if not ring.divides(d, pb[i]):
-            return DiophantineSolution(False, None, hom, certificate_row=i)
-        y[i] = ring.exact_div(pb[i], d)
-    for i in range(s.rank, A.rows):
-        if not ring.is_zero(pb[i]):
-            return DiophantineSolution(False, None, hom, certificate_row=i)
-    x = tuple(s.Q.apply(y))
-    return DiophantineSolution(True, x, hom)
+    return snf(A).solve(b)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .lattice import CdlLattice, LatticeValue, Poset, UpSetLattice, FreeDistributiveLattice
 from .simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
@@ -95,11 +94,6 @@ class FuzzySubcomplex:
         return FuzzySubcomplex(sup, self.lattice,
                                {s: self._values[s] for s in sup.all_simplices()})
 
-    def value_set(self) -> list:
-        """The distinct values taken by the subcomplex, deterministically ordered."""
-        from .lattice import format_value
-        return sorted(set(self._values.values()), key=format_value)
-
     def __eq__(self, other):
         return (isinstance(other, FuzzySubcomplex)
                 and self.complex == other.complex
@@ -118,25 +112,31 @@ def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -
     explicit one, so values may be given on maximal simplices only; a simplex
     with no assigned coface gets 0.
     """
-    for s in explicit:
+    for s, v in explicit.items():
         if s not in complex:
             raise FuzzyError(f"value given for {s!r}, which is not in the complex")
-    values = {}
-    assigned = list(explicit.items())
-    for s in complex.all_simplices():
-        vertex_set = set(s.vertices)
-        covering = [v for t, v in assigned if vertex_set <= set(t.vertices)]
-        values[s] = lattice.join(covering)
+        lattice._check(v)
+    values = {s: explicit.get(s, lattice.bottom) for s in complex.all_simplices()}
+    # every coface reaches a simplex through a chain of facets, so joining
+    # each value into its facets from the top dimension down covers them all
+    for d in range(complex.dim, 0, -1):
+        for s in complex.simplices(d):
+            for _, face in s.boundary():
+                values[face] = lattice.join([values[face], values[s]])
     return values
 
 
 def explicit_violations(explicit, lattice: CdlLattice) -> list:
-    """Monotonicity failures among explicitly assigned simplices only."""
+    """Monotonicity failures among explicitly assigned simplices only.
+
+    Ordered by (face, coface), each in (dim, vertices) order.
+    """
     out = []
-    items = sorted(explicit.items(), key=lambda kv: (kv[0].dim, kv[0].vertices))
-    for (s1, v1), (s2, v2) in combinations(items, 2):
-        if s1 in s2 and not lattice.leq(v2, v1):
-            out.append(Violation(s1, s2, v1, v2))
+    for s2, v2 in explicit.items():
+        for s1 in s2.faces():
+            if s1 != s2 and s1 in explicit and not lattice.leq(v2, explicit[s1]):
+                out.append(Violation(s1, s2, explicit[s1], v2))
+    out.sort(key=lambda v: (v.face.dim, v.face.vertices, v.coface.dim, v.coface.vertices))
     return out
 
 

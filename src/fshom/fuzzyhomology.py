@@ -56,11 +56,9 @@ class FuzzyHomologyContext:
             [self.mu.value(s) for s in self.mu.complex.simplices(d)]
             for d in range(self.reduced.top + 1)
         ]
+        self._kappa_values = [_meet_closure(self.lattice, vals) for vals in self._values]
 
     # -- chain values -------------------------------------------------
-
-    def simplex_values(self, d: int) -> list:
-        return list(self._values[d]) if 0 <= d <= self.reduced.top else []
 
     def kappa(self, d: int, chain) -> LatticeValue:
         """Value of a chain: meet of values over its non-zero coordinates."""
@@ -76,21 +74,9 @@ class FuzzyHomologyContext:
 
     def kappa_value_set(self, d: int) -> list:
         """L(kappa_d): the meet-closure of the non-zero simplex values plus 1."""
-        bottom = self.lattice.bottom
-        seed = {v for v in self.delta_value_set(d) if v != bottom}
-        seed.add(self.lattice.top)
-        closed = set(seed)
-        frontier = set(seed)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in closed:
-                    m = self.lattice.meet([a, b])
-                    if m not in closed and m not in fresh:
-                        fresh.add(m)
-            closed |= fresh
-            frontier = fresh
-        return sorted(closed, key=format_value)
+        if 0 <= d <= self.reduced.top:
+            return list(self._kappa_values[d])
+        return [self.lattice.top]
 
     # -- level submodules ----------------------------------------------
 
@@ -104,7 +90,8 @@ class FuzzyHomologyContext:
         """H_d(level): classes with a representative supported on the cut.
 
         Computed as the projection of the kernel of (U_d | T_d | F_d)
-        restricted to the rows of the index set.
+        restricted to the rows of the index set: past the U block, a kernel
+        vector is the class coordinate (torsion, then free).
         """
         key = (d, level)
         if key in self._hdl_cache:
@@ -112,15 +99,10 @@ class FuzzyHomologyContext:
         ambient = self.reduced.ambient(d)
         if not 0 <= d <= self.reduced.top:
             return SubmoduleOfHomology.zero(ambient)
-        U, T, _, F = self.reduced.blocks(d)
-        G = U.hstack(T).hstack(F)
-        idx = self.index_set(d, level)
-        restricted = G.take_rows(idx)
-        n_U, n_T = U.cols, T.cols
-        gens = []
-        for w in kernel(restricted):
-            gens.append(tuple(w[n_U:n_U + n_T]) + tuple(w[n_U + n_T:]))
-        result = SubmoduleOfHomology(ambient, gens)
+        iu, it, _, if_ = self.reduced.block_indices(d)
+        restricted = self.reduced.to_delta[d].take_rows(self.index_set(d, level))
+        G = restricted.column_block([*iu, *it, *if_])
+        result = SubmoduleOfHomology(ambient, [w[len(iu):] for w in kernel(G)])
         self._hdl_cache[key] = result
         return result
 
@@ -156,3 +138,21 @@ class FuzzyHomologyContext:
     def rank_cut_table(self, d: int, levels) -> dict:
         """Betti number of the eta cut at each requested level."""
         return {lv: self.eta_cut(d, lv).structure.betti for lv in levels}
+
+
+def _meet_closure(lattice, values) -> list:
+    """The meet-closure of the non-zero values plus 1, deterministically ordered."""
+    seed = {v for v in values if v != lattice.bottom}
+    seed.add(lattice.top)
+    closed = set(seed)
+    frontier = set(seed)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in closed:
+                m = lattice.meet([a, b])
+                if m not in closed and m not in fresh:
+                    fresh.add(m)
+        closed |= fresh
+        frontier = fresh
+    return sorted(closed, key=format_value)

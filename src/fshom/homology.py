@@ -172,14 +172,10 @@ class ReducedChainComplex:
         if any(not self.ring.is_zero(x) for x in bd):
             raise ValueError(f"chain is not a cycle; boundary = {bd}")
         coords = self.from_delta[d].apply(chain)
-        p = self.partition[d]
-        _, _, ir, _ = self.block_indices(d)
+        _, it, ir, if_ = self.block_indices(d)
         if any(not self.ring.is_zero(coords[i]) for i in ir):
             raise AssertionError("cycle has non-zero non-cycle block")
-        alpha = tuple(coords[p.n_U + i] % a if not self.ring.is_field else coords[p.n_U + i]
-                      for i, a in enumerate(self.torsion[d]))
-        phi = tuple(coords[p.n_U + p.n_T + p.n_R:])
-        return ClassCoordinates(d, alpha, phi)
+        return self.class_from_vector(d, [coords[i] for i in (*it, *if_)])
 
     def cycle_of_class(self, d: int, coords: ClassCoordinates) -> tuple:
         """A representative cycle of the class, in the simplex basis."""

@@ -388,11 +388,6 @@ class UpSetLattice(CdlLattice):
         return out
 
 
-def is_zero_meet_prime(lattice: CdlLattice) -> bool:
-    """Whether a & b = 0 forces a = 0 or b = 0 in the lattice."""
-    return lattice.zero_is_meet_prime
-
-
 def format_value(v: LatticeValue) -> str:
     return v.lattice.format(v)
 

@@ -6,7 +6,8 @@ list of generator coordinate vectors (torsion residues first, then free
 coordinates). Structure, membership, intersection and sum all go through the
 lifted lattice in D^{m+f}: the lift of a submodule always contains the
 relation vectors a_i * e_i, which makes every question a Smith form or
-Diophantine computation.
+Diophantine computation. Each submodule factors its lifted matrix once; that
+one Smith form answers every membership test and gives the structure.
 
 Generator lists may be redundant; the derived structure is canonical, and
 submodule equality is mutual membership of generators.
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import ExactMatrix, kernel, snf, solve
+# `solve` stays bound: bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
+from .exact import ExactMatrix, SmithDecomposition, kernel, snf, solve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,6 @@ class HomologyAmbient:
             out.append(ring.of(vec[i]))
         return tuple(out)
 
-    def relation_columns(self) -> list:
-        """The lifted relation vectors a_i * e_i."""
-        cols = []
-        for i, a in enumerate(self.torsion):
-            v = [0] * self.length
-            v[i] = a
-            cols.append(v)
-        return cols
-
-    def full_structure(self) -> ModuleStructure:
-        return ModuleStructure(self.free_rank, self.torsion)
-
 
 class SubmoduleOfHomology:
     """A submodule of the ambient group, generated by coordinate vectors."""
@@ -105,11 +95,17 @@ class SubmoduleOfHomology:
         return cls(ambient, eye)
 
     def _lifted_matrix(self) -> ExactMatrix:
-        """Generators plus relation vectors, as columns over the ring."""
-        n = self.ambient.length
-        cols = [list(g) for g in self.generators] + self.ambient.relation_columns()
-        data = [[col[i] for col in cols] for i in range(n)]
-        return ExactMatrix(self.ambient.ring, n, len(cols), data)
+        """Generators plus the relation vectors a_i * e_i, as columns over the ring."""
+        torsion = self.ambient.torsion
+        data = [[g[i] for g in self.generators] + [a if j == i else 0 for j, a in enumerate(torsion)]
+                for i in range(self.ambient.length)]
+        return ExactMatrix(self.ambient.ring, self.ambient.length,
+                           len(self.generators) + len(torsion), data)
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:
+        """The one Smith form of the lifted matrix, read by `member` and `structure`."""
+        return snf(self._lifted_matrix())
 
     @cached_property
     def structure(self) -> ModuleStructure:
@@ -117,10 +113,10 @@ class SubmoduleOfHomology:
 
     def member(self, vec) -> bool:
         """Whether the class with these coordinates lies in the submodule."""
-        target = list(self.ambient.reduce_vector(vec))
+        target = self.ambient.reduce_vector(vec)
         if self.ambient.length == 0:
             return True
-        return solve(self._lifted_matrix(), target).solvable
+        return self._smith.solve(target).solvable
 
     def intersect(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:
@@ -160,8 +156,8 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
 
     Lift the generators to the free module D^{m+f}, adjoin the relation
     vectors a_i * e_i to get the lattice L, and compute L / R for R the
-    relation span: write a basis of L from the Smith form of the lifted
-    matrix, express each relation vector in that basis, and read the betti
+    relation span: write a basis of L from the submodule's Smith form of the
+    lifted matrix, express each relation vector in that basis, and read the betti
     number and invariant factors off a second Smith form.
     """
     ambient = S.ambient
@@ -170,8 +166,7 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     n = ambient.length
     if n == 0:
         return ModuleStructure(0, ())
-    G = S._lifted_matrix()
-    s = snf(G)
+    s = S._smith
     r = s.rank
     if m == 0:
         return ModuleStructure(r, ())

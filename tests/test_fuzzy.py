@@ -1,5 +1,6 @@
 """Fuzzy subcomplexes: validation, cuts, chromatic and filtration builders."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from fshom.lattice import (
     format_value,
 )
 from fshom.simplicial import EMPTY_COMPLEX, Simplex, from_maximal
+from oracles import pairwise_complete_values, pairwise_explicit_violations
+from randgen import lattice_family, random_complex
 
 
 def fdl2():
@@ -71,6 +74,23 @@ class TestValidation:
         bad = explicit_violations(explicit, L)
         assert len(bad) == 1
         assert bad[0].face == Simplex((0,)) and bad[0].coface == Simplex((0, 1, 2))
+
+    def test_completion_and_violations_match_pairwise_definitions(self):
+        """Seeded partial assignments on every lattice family: values, their
+        order, and the violations in order equal the pairwise definitions."""
+        rng = random.Random(5)
+        for _ in range(300):
+            lattice = rng.choice(lattice_family())
+            K = random_complex(rng, max_vertices=8, max_dim=4)
+            elements = list(lattice.carrier())
+            simplices = list(K.all_simplices())
+            explicit = {s: rng.choice(elements)
+                        for s in rng.sample(simplices, rng.randint(0, len(simplices)))}
+            values = complete_values(K, lattice, explicit)
+            expected = pairwise_complete_values(K, lattice, explicit)
+            assert list(values.items()) == list(expected.items())
+            bad = explicit_violations(explicit, lattice)
+            assert bad == pairwise_explicit_violations(explicit, lattice)
 
 
 class TestCuts:

@@ -52,6 +52,12 @@ class TestChainValues:
         assert fmt_set(ctx.kappa_value_set(1)) == ["1", "x", "x & y"]
         assert fmt_set(ctx.kappa_value_set(2)) == ["1", "x & y"]
 
+    def test_kappa_value_set_is_a_fresh_list(self, ctx):
+        ctx.kappa_value_set(0).clear()
+        assert fmt_set(ctx.kappa_value_set(0)) == ["1", "x", "x & y", "y"]
+        ctx.kappa_value_set(7).clear()
+        assert fmt_set(ctx.kappa_value_set(7)) == ["1"]
+
     def test_index_sets(self, ctx):
         L = ctx.lattice
         assert ctx.index_set(0, L.parse("x")) == (2, 4)

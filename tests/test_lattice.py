@@ -13,7 +13,6 @@ from fshom.lattice import (
     UpSetLattice,
     enumerate_fdl,
     format_value,
-    is_zero_meet_prime,
     lattice_from_spec,
     lattice_to_spec,
     parse_value,
@@ -128,13 +127,13 @@ class TestUpSetLattice:
 
 class TestMeetPrimeZero:
     def test_cases(self):
-        assert is_zero_meet_prime(TotalOrder(("a", "b")))
-        assert is_zero_meet_prime(fdl("x", "y", "z"))
+        assert TotalOrder(("a", "b")).zero_is_meet_prime
+        assert fdl("x", "y", "z").zero_is_meet_prime
         diamond = UpSetLattice(Poset(("a", "b", "c", "d"),
                                      (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))))
-        assert is_zero_meet_prime(diamond)
+        assert diamond.zero_is_meet_prime
         antichain = UpSetLattice(Poset(("a", "b"), ()))
-        assert not is_zero_meet_prime(antichain)
+        assert not antichain.zero_is_meet_prime
 
 
 class TestParsing:

@@ -1,8 +1,9 @@
 """Finitely generated module structure and submodule arithmetic."""
 
+import itertools
 import random
 
-from fshom.exact import PrimeField, ZZ
+from fshom.exact import PrimeField, ZZ, solve
 from fshom.modules import (
     HomologyAmbient,
     ModuleStructure,
@@ -27,8 +28,6 @@ class TestStructureDescriptions:
 class TestSubmoduleStructure:
     def test_full_and_zero(self):
         amb = ambient((4,), 1)
-        assert amb.full_structure().betti == 1
-        assert amb.full_structure().torsion == (4,)
         zero = SubmoduleOfHomology.zero(amb)
         assert zero.structure.is_zero
         full = SubmoduleOfHomology.full(amb)
@@ -62,6 +61,41 @@ class TestMembership:
     def test_zero_always_member(self):
         amb = ambient((3,), 2)
         assert SubmoduleOfHomology.zero(amb).member((0, 0, 0))
+
+    def test_member_matches_solving_the_lifted_matrix(self):
+        """Seeded submodules over Z with torsion and over GF(2), GF(3), GF(5):
+        `member` agrees with a fresh solve of the lifted matrix, whether
+        `structure` has read the cached Smith form before or not, and over
+        a field with the enumerated span."""
+        rng = random.Random(4)
+        for ring in (ZZ, PrimeField(2), PrimeField(3), PrimeField(5)):
+            for _ in range(40):
+                if ring.is_field:
+                    amb = ambient((), rng.randint(1, 3), ring)
+                else:
+                    amb = ambient(tuple(rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(1, 2))),
+                                  rng.randint(0, 2))
+                n = amb.length
+                gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+                vecs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(12)]
+                for _ in range(4):
+                    cs = [rng.randint(-2, 2) for _ in gens]
+                    vecs.append(tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)))
+                member_first = SubmoduleOfHomology(amb, gens)
+                answers = [member_first.member(v) for v in vecs]
+                member_first.structure
+                structure_first = SubmoduleOfHomology(amb, gens)
+                structure_first.structure
+                lifted = structure_first._lifted_matrix()
+                expected = [solve(lifted, v).solvable for v in vecs]
+                assert answers == expected
+                assert [member_first.member(v) for v in vecs] == expected
+                assert [structure_first.member(v) for v in vecs] == expected
+                assert any(expected)
+                if ring.is_field:
+                    span = {tuple(ring.of(sum(c * g[i] for c, g in zip(cs, gens))) for i in range(n))
+                            for cs in itertools.product(range(ring.p), repeat=len(gens))}
+                    assert expected == [tuple(map(ring.of, v)) in span for v in vecs]
 
 
 class TestLatticeOfSubmodules:

@@ -49,9 +49,40 @@ def test_tracer_installs_and_uninstalls(reference_mu):
         ctx.eta_cut(0, ctx.lattice.parse("x | y"))
         names = {span[0] for span in tracer.spans}
         assert {"fuzzyhomology.eta", "fuzzyhomology.level_solve", "fuzzyhomology.hdl",
-                "fuzzyhomology.cut", "exact.kernel", "exact.solve"} <= names
+                "fuzzyhomology.cut", "exact.kernel", "exact.snf"} <= names
     finally:
         tracer.uninstall()
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_each_submodule_is_factored_outside_membership(reference_mu):
+    """After `structure` has read every H_d(l), eta's membership tests reuse
+    the cached Smith forms: no Smith reduction runs under `member`."""
+    ctx = FuzzyHomologyContext(reference_mu, ZZ)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        for d in range(ctx.reduced.top + 1):
+            for level in ctx.lattice.carrier():
+                ctx.hdl_submodule(d, level).structure
+        for d in range(ctx.reduced.top + 1):
+            n = ctx.reduced.ambient(d).length
+            for k in range(n):
+                ctx.eta_value(d, ctx.reduced.class_from_vector(d, [int(i == k) for i in range(n)]))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+
+    def under_member(i):
+        p = spans[i][3]
+        while p >= 0:
+            if spans[p][0] == "modules.member":
+                return True
+            p = spans[p][3]
+        return False
+
+    names = [span[0] for span in spans]
+    assert names.count("modules.member") > 0 and names.count("exact.snf") > 0
+    assert not any(under_member(i) for i, name in enumerate(names) if name == "exact.snf")
