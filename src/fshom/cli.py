@@ -202,23 +202,23 @@ def cmd_eta(args) -> int:
         h = ctx.reduced.homology(d)
         ambient = ctx.reduced.ambient(d)
         generators = []
-        for i in range(len(ambient.torsion)):
+        for i, chain in enumerate(h.torsion_generators):
             vec = [0] * ambient.length
             vec[i] = 1
             cls = ctx.reduced.class_from_vector(d, vec)
             generators.append({
                 "kind": "torsion",
                 "order": int(ambient.torsion[i]),
-                "chain": _chain_map(ctx.mu.complex, d, ctx.reduced.cycle_of_class(d, cls)),
+                "chain": _chain_map(ctx.mu.complex, d, chain),
                 "eta": format_value(ctx.eta_value(d, cls)),
             })
-        for j in range(ambient.free_rank):
+        for j, chain in enumerate(h.free_generators):
             vec = [0] * ambient.length
             vec[len(ambient.torsion) + j] = 1
             cls = ctx.reduced.class_from_vector(d, vec)
             generators.append({
                 "kind": "free",
-                "chain": _chain_map(ctx.mu.complex, d, ctx.reduced.cycle_of_class(d, cls)),
+                "chain": _chain_map(ctx.mu.complex, d, chain),
                 "eta": format_value(ctx.eta_value(d, cls)),
             })
         kv = ctx.kappa_value_set(d)

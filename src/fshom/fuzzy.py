@@ -10,6 +10,7 @@ filtrations as up-set valued subcomplexes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,16 +151,20 @@ def chromatic(K: SimplicialComplex, labels, palette) -> FuzzySubcomplex:
     lattice = FreeDistributiveLattice(palette)
     gen = {c: lattice.generator(c) for c in palette}
     values = {}
+    meets = {}  # a simplex's value depends only on its set of colours
     for s in K.all_simplices():
-        vals = []
+        colors = set()
         for v in s.vertices:
             if v not in labels:
                 raise FuzzyError(f"vertex {v} has no label")
             color = str(labels[v])
             if color not in gen:
                 raise FuzzyError(f"label {color!r} of vertex {v} is outside the palette")
-            vals.append(gen[color])
-        values[s] = lattice.meet(vals)
+            colors.add(color)
+        key = frozenset(colors)
+        if key not in meets:
+            meets[key] = lattice.meet(gen[c] for c in sorted(key))
+        values[s] = meets[key]
     return FuzzySubcomplex(K, lattice, values)
 
 
@@ -200,7 +205,27 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
 
     Edges use the closed threshold: distance(i, j) <= radius. Comparisons
     are exact over rationals; if any input is a float the whole computation
-    drops to floats with exact (epsilon 0) comparison.
+    drops to floats with exact (epsilon 0) comparison, and a non-finite
+    float is refused.
+
+    On the rational path every coordinate and the radius are scaled by the
+    least common denominator of them all, so each squared distance is
+    compared with r^2 in `int` arithmetic; scaling by a positive constant
+    keeps every comparison. The float path keeps the formula
+    sum((a - b) ** 2) in coordinate order.
+
+    Neighbours are found by a sweep over the points sorted by their first
+    coordinate: the scan from a point stops at the first later point whose
+    squared first-coordinate gap exceeds r^2, since every point after it is
+    at least as far along that axis. The stop is exact on the float path
+    too: a rounded sum of non-negative terms is at least each of its terms,
+    and rounding is monotone, so the rounded squared distance is at least
+    the rounded squared gap. Cliques then grow in increasing vertex order
+    from each vertex's sorted list of higher neighbours, keeping only the
+    candidates adjacent to the vertex just added (Zomorodian, "Fast
+    construction of the Vietoris-Rips complex", 2010). The work is the
+    neighbour pairs the sweep visits plus the cliques it emits, not all
+    pairs of points.
     """
     if max_dim < 0:
         raise FuzzyError("max_dim must be >= 0")
@@ -212,28 +237,38 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
         isinstance(x, float) for p in coords for x in p)
     if use_float:
         coords = [tuple(float(x) for x in p) for p in coords]
-        rr = float(r) ** 2
+        r = float(r)
+        if not (math.isfinite(r) and all(math.isfinite(x) for p in coords for x in p)):
+            raise FuzzyError("coordinates and radius must be finite")
+        rr = r ** 2
     else:
+        scale = math.lcm(r.denominator, *(x.denominator for p in coords for x in p))
+        coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
+        r = r.numerator * (scale // r.denominator)
         rr = r * r
     n = len(coords)
-    close = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
-            close[i][j] = close[j][i] = d2 <= rr
-    simplices = [(i,) for i in range(n)]
-    frontier = simplices
+    first = [p[0] if p else 0 for p in coords]
+    order = sorted(range(n), key=first.__getitem__)
+    up = [[] for _ in range(n)]  # neighbours with a higher index
+    for a, i in enumerate(order):
+        ci, fi = coords[i], first[i]
+        for b in range(a + 1, n):
+            j = order[b]
+            if (first[j] - fi) ** 2 > rr:
+                break
+            if sum((x - y) ** 2 for x, y in zip(ci, coords[j])) <= rr:
+                up[min(i, j)].append(max(i, j))
+    adjacent = [set(u) for u in up]
+    frontier = [((i,), sorted(u)) for i, u in enumerate(up)]
+    cliques = [c for c, _ in frontier]
     for _ in range(max_dim):
-        nxt = []
-        for clique in frontier:
-            for v in range(clique[-1] + 1, n):
-                if all(close[u][v] for u in clique):
-                    nxt.append(clique + (v,))
-        if not nxt:
+        # each candidate list holds the common higher neighbours of the clique
+        frontier = [(c + (v,), [w for w in cands[k + 1:] if w in adjacent[v]])
+                    for c, cands in frontier for k, v in enumerate(cands)]
+        if not frontier:
             break
-        simplices.extend(nxt)
-        frontier = nxt
-    K = SimplicialComplex([Simplex(s) for s in simplices])
+        cliques.extend(c for c, _ in frontier)
+    K = SimplicialComplex(map(Simplex._sorted, cliques))
     labels = {i: str(data.labels[i]) for i in range(n)}
     return K, chromatic(K, labels, data.palette())
 

@@ -1,9 +1,17 @@
 """Finite abstract simplicial complexes with oriented boundary matrices.
 
 Simplices are stored with strictly increasing vertex ids, which fixes the
-positive orientation. Within each dimension d the simplices are sorted
-lexicographically; their positions define the chain basis used by every
-boundary matrix, so results are reproducible across runs.
+positive orientation. Vertex ids are non-negative `int`s (`bool` is refused).
+Within each dimension d the simplices are sorted lexicographically; their
+positions define the chain basis used by every boundary matrix, so results
+are reproducible across runs.
+
+`Simplex(vertices)` validates and sorts its input. `Simplex._sorted(t)` wraps
+a tuple that is already known to be a valid simplex (strictly increasing
+non-negative ints) without checking it again; faces, boundaries, the
+`from_maximal` closure and the Rips cliques are built that way, because
+sub-tuples of a valid simplex and cliques grown in increasing vertex order
+are valid by construction.
 """
 
 from __future__ import annotations
@@ -17,14 +25,24 @@ class Simplex:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        vs = tuple(int(v) for v in vertices)
+        vs = tuple(vertices)
         if not vs:
             raise ValueError("a simplex needs at least one vertex")
-        if any(v < 0 for v in vs):
-            raise ValueError("vertex ids must be non-negative")
+        for v in vs:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"vertex ids must be integers, not {v!r}")
+            if v < 0:
+                raise ValueError("vertex ids must be non-negative")
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate vertices in {vs}")
-        object.__setattr__(self, "vertices", tuple(sorted(vs)))
+        object.__setattr__(self, "vertices", tuple(sorted(int(v) for v in vs)))
+
+    @classmethod
+    def _sorted(cls, vertices: tuple) -> "Simplex":
+        """Wrap a strictly increasing tuple of non-negative ints, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertices", vertices)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Simplex is immutable")
@@ -37,18 +55,15 @@ class Simplex:
         """All non-empty subsimplices, including the simplex itself."""
         out = []
         for k in range(1, len(self.vertices) + 1):
-            out.extend(Simplex(c) for c in combinations(self.vertices, k))
+            out.extend(map(Simplex._sorted, combinations(self.vertices, k)))
         return out
 
     def boundary(self) -> list:
         """Signed codimension-1 faces: (sign, face) with alternating signs."""
-        if self.dim == 0:
+        vs = self.vertices
+        if len(vs) == 1:
             return []
-        out = []
-        for j in range(len(self.vertices)):
-            face = self.vertices[:j] + self.vertices[j + 1:]
-            out.append((-1 if j % 2 else 1, Simplex(face)))
-        return out
+        return [(-1 if j % 2 else 1, Simplex._sorted(vs[:j] + vs[j + 1:])) for j in range(len(vs))]
 
     def __contains__(self, other: "Simplex") -> bool:
         return set(other.vertices) <= set(self.vertices)
@@ -79,10 +94,11 @@ class SimplicialComplex:
         by_dim = {}
         for s in pool:
             by_dim.setdefault(s.dim, []).append(s)
-        for d, group in by_dim.items():
+        # every facet present implies every face present, by induction on dimension
+        for group in by_dim.values():
             group.sort()
             for s in group:
-                for face in s.faces():
+                for _, face in s.boundary():
                     if face not in pool:
                         raise ValueError(f"complex is not face-closed: missing {face!r} of {s!r}")
         dims = sorted(by_dim)
@@ -110,8 +126,9 @@ class SimplicialComplex:
         closure = set()
         for vs in listed:
             s = vs if isinstance(vs, Simplex) else Simplex(vs)
-            closure.update(s.faces())
-        return cls(closure)
+            for k in range(1, len(s.vertices) + 1):
+                closure.update(combinations(s.vertices, k))
+        return cls(map(Simplex._sorted, closure))
 
     @property
     def dim(self) -> int:

@@ -2,8 +2,10 @@
 
 from itertools import combinations
 
-from fshom.fuzzy import Violation
+from fshom.fuzzy import FuzzySubcomplex, Violation, _as_number
 from fshom.fuzzyhomology import NotComputableError
+from fshom.lattice import FreeDistributiveLattice
+from fshom.simplicial import Simplex, SimplicialComplex
 
 DEFAULT_BRUTE_FORCE_CAP = 1 << 20
 
@@ -59,3 +61,35 @@ def pairwise_explicit_violations(explicit, lattice):
     items = sorted(explicit.items(), key=lambda kv: (kv[0].dim, kv[0].vertices))
     return [Violation(s1, s2, v1, v2) for (s1, v1), (s2, v2) in combinations(items, 2)
             if s1 in s2 and not lattice.leq(v2, v1)]
+
+
+def pairwise_vietoris_rips(data, radius, max_dim):
+    """Vietoris-Rips complex by testing every pair of points and extending
+    every clique by every higher vertex, with exact Fraction distances (or
+    floats when any input is a float); each simplex's value is the meet of
+    its vertex colours, taken simplex by simplex."""
+    coords = [tuple(_as_number(x) for x in p) for p in data.points]
+    r = _as_number(radius)
+    use_float = isinstance(r, float) or any(isinstance(x, float) for p in coords for x in p)
+    if use_float:
+        coords = [tuple(float(x) for x in p) for p in coords]
+        rr = float(r) ** 2
+    else:
+        rr = r * r
+    n = len(coords)
+    close = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d2 = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
+            close[i][j] = close[j][i] = d2 <= rr
+    simplices = [(i,) for i in range(n)]
+    frontier = simplices
+    for _ in range(max_dim):
+        frontier = [clique + (v,) for clique in frontier for v in range(clique[-1] + 1, n)
+                    if all(close[u][v] for u in clique)]
+        simplices.extend(frontier)
+    K = SimplicialComplex([Simplex(s) for s in simplices])
+    lattice = FreeDistributiveLattice(data.palette())
+    values = {s: lattice.meet([lattice.generator(str(data.labels[v])) for v in s.vertices])
+              for s in K.all_simplices()}
+    return K, FuzzySubcomplex(K, lattice, values)

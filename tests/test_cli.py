@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,9 @@ import pytest
 
 import fshom
 from fshom.cli import main
+from fshom.exact import ZZ
+from fshom.homology import ReducedChainComplex
+from randgen import random_torsion_complex
 
 
 def run(capsys, *argv):
@@ -81,6 +85,36 @@ class TestEta:
         r1 = report["reports"][1]
         assert [g["eta"] for g in r1["generators"]] == ["x"]
         assert r1["generators"][0]["chain"] == {"0,1": 1, "0,3": -1, "1,3": 1}
+
+    def test_generator_chains_are_the_class_representatives(self, capsys, tmp_path):
+        # torsion and free generators in order, each the representative cycle
+        # of its unit class, on complexes with two torsion generators
+        rng = random.Random(7)
+        checked = 0
+        while checked < 3:
+            K = random_torsion_complex(rng)
+            R = ReducedChainComplex(K, ZZ)
+            if len(R.torsion[1]) < 2:
+                continue
+            checked += 1
+            project = tmp_path / "torsion.json"
+            project.write_text(json.dumps({
+                "lattice": {"kind": "fdl", "generators": ["x"]},
+                "complex": {"maximal": [list(s.vertices) for s in K.maximal_simplices()]}}))
+            code, out, _ = run(capsys, "eta", "--json", str(project))
+            assert code == 0
+            for entry in json.loads(out)["reports"]:
+                d = entry["degree"]
+                amb = R.ambient(d)
+                want = []
+                for i in range(amb.length):
+                    cycle = R.cycle_of_class(d, R.class_from_vector(
+                        d, [int(i == j) for j in range(amb.length)]))
+                    want.append({",".join(map(str, s.vertices)): c
+                                 for s, c in zip(K.simplices(d), cycle) if c})
+                assert [g["chain"] for g in entry["generators"]] == want
+                assert [g.get("order") for g in entry["generators"]] == \
+                    list(amb.torsion) + [None] * amb.free_rank
 
     def test_class_query(self, capsys, fixture_path):
         code, out, _ = run(capsys, "eta", "--degree", "0", "--class", "0,1",
@@ -190,6 +224,30 @@ class TestErrorsAndDeterminism:
         bad.write_text("{]")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("maximal", [[[0, 1.5]], [[True, 2]], [["3", 1]]])
+    def test_non_integer_vertex_ids_exit_two(self, capsys, tmp_path, maximal):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps({"lattice": {"kind": "fdl", "generators": ["x"]},
+                                       "complex": {"maximal": maximal}}))
+        code, out, err = run(capsys, "validate", str(project))
+        assert code == 2 and out == "" and "vertex ids must be integers" in err
+
+    def test_non_integer_mu_simplex_exits_two(self, capsys, tmp_path):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps({"lattice": {"kind": "fdl", "generators": ["x"]},
+                                       "complex": {"maximal": [[0, 1]]},
+                                       "mu": [{"simplex": [0, 1.0], "value": "x"}]}))
+        code, _, err = run(capsys, "validate", str(project))
+        assert code == 2 and "mu entry 0" in err
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_exits_two(self, capsys, tmp_path, fixture_path, radius):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps({"chromatic": {"csv": fixture_path("points.csv"),
+                                                     "radius": radius}}))
+        code, _, err = run(capsys, "validate", str(project))
+        assert code == 2 and "finite" in err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -23,7 +23,7 @@ from fshom.lattice import (
     format_value,
 )
 from fshom.simplicial import EMPTY_COMPLEX, Simplex, from_maximal
-from oracles import pairwise_complete_values, pairwise_explicit_violations
+from oracles import pairwise_complete_values, pairwise_explicit_violations, pairwise_vietoris_rips
 from randgen import lattice_family, random_complex
 
 
@@ -234,10 +234,78 @@ class TestVietorisRips:
         K, _ = vietoris_rips(data, 5.0, 1)
         assert K.n(1) == 1
 
+    def test_float_path_compares_the_rounded_sum_of_squares(self):
+        # (3 * 0.1) ** 2 + 0.4 ** 2 rounds above 0.5 ** 2, so no edge,
+        # although the correctly rounded distance is 0.5
+        data = ChromaticDataset(((0.0, 0.0), (3 * 0.1, 0.4)), ("r", "b"))
+        K, _ = vietoris_rips(data, 0.5, 1)
+        assert K.n(1) == 0
+        data = ChromaticDataset((("0", "0"), ("0.3", "0.4")), ("r", "b"))
+        K, _ = vietoris_rips(data, "1/2", 1)
+        assert K.n(1) == 1
+
     def test_negative_radius_rejected(self):
         data = ChromaticDataset((("0",),), ("r",))
         with pytest.raises(FuzzyError):
             vietoris_rips(data, "-1", 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, bad):
+        data = ChromaticDataset(((0.0, 0.0), (1.0, 0.0)), ("r", "b"))
+        with pytest.raises(FuzzyError):
+            vietoris_rips(data, bad, 1)
+        data = ChromaticDataset(((0.0, bad), (1.0, 0.0)), ("r", "b"))
+        with pytest.raises(FuzzyError):
+            vietoris_rips(data, 1.0, 1)
+        with pytest.raises(FuzzyError):
+            vietoris_rips(data, "1", 1)
+
+    def test_matches_pairwise_oracle(self):
+        rng = random.Random(41)
+        kinds = ("int", "rational", "decimal", "mixed", "float")
+        columns = (0, 1, 2, 3)
+        for trial in range(320):
+            kind = kinds[trial % len(kinds)]
+            cols = columns[(trial // len(kinds)) % len(columns)]
+            data, radius = random_cloud(rng, kind, cols)
+            max_dim = rng.randint(0, 3)
+            K, mu = vietoris_rips(data, radius, max_dim)
+            K_ref, mu_ref = pairwise_vietoris_rips(data, radius, max_dim)
+            assert K == K_ref, (kind, cols, data, radius, max_dim)
+            assert mu == mu_ref, (kind, cols, data, radius, max_dim)
+
+
+def random_coordinate(rng, kind):
+    """One coordinate of the given kind; ranges are small so that many pairs
+    sit at exactly the radius or straddle it."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "rational", "decimal"))
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "rational":
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 7)))
+    if kind == "decimal":
+        return f"{rng.randint(-40, 40) / 10:.1f}"
+    return rng.randint(-8, 8) * 0.1
+
+
+def random_cloud(rng, kind, cols):
+    """A labeled cloud of the given coordinate kind and width, with some
+    duplicated points, and a radius of the matching kind (sometimes 0)."""
+    points = [tuple(random_coordinate(rng, kind) for _ in range(cols))
+              for _ in range(rng.randint(1, 12))]
+    for _ in range(rng.randint(0, 3)):
+        points.append(rng.choice(points))
+    rng.shuffle(points)
+    labels = tuple(rng.choice("abc") for _ in points)
+    if rng.random() < 0.15:
+        radius = 0.0 if kind == "float" else 0
+    elif kind == "float":
+        radius = rng.randint(1, 12) * 0.1
+    else:
+        radius = rng.choice((rng.randint(1, 3), Fraction(rng.randint(1, 30), rng.choice((2, 3, 5))),
+                             f"{rng.randint(1, 30) / 10:.1f}"))
+    return ChromaticDataset(tuple(points), labels), radius
 
 
 class TestFiltration:

@@ -1,6 +1,7 @@
 """Simplices, complexes and boundary matrices."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -40,6 +41,11 @@ class TestSimplex:
             Simplex(())
         with pytest.raises(ValueError):
             Simplex((-1, 0))
+
+    @pytest.mark.parametrize("vertices", [(0, 1.5), (0, 1.0), (True, 2), (False,), ("3", 1), (None,)])
+    def test_vertex_ids_must_be_ints(self, vertices):
+        with pytest.raises(ValueError):
+            Simplex(vertices)
 
     def test_faces(self):
         assert len(Simplex((1, 2, 3)).faces()) == 7
@@ -84,6 +90,22 @@ class TestComplexConstruction:
     def test_face_closure_required(self):
         with pytest.raises(ValueError):
             SimplicialComplex([Simplex((0, 1))])
+
+    def test_closure_checked_on_every_face(self):
+        # the closure is built here from vertex lists, not by from_maximal
+        rng = random.Random(29)
+        for _ in range(60):
+            listed = [rng.sample(range(8), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+            closure = {Simplex(c) for vs in listed for k in range(1, len(vs) + 1)
+                       for c in combinations(sorted(vs), k)}
+            assert set(from_maximal(listed).all_simplices()) == closure
+            for s in closure:
+                rest = closure - {s}
+                if any(s in t for t in rest):
+                    with pytest.raises(ValueError):
+                        SimplicialComplex(rest)
+                else:
+                    assert set(SimplicialComplex(rest).all_simplices()) == rest
 
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
