@@ -1,8 +1,9 @@
 """Exact linear algebra over Z and Z/p.
 
 Smith normal form with transformation matrices, linear Diophantine systems,
-and kernel bases. All integer work uses Python's arbitrary-precision ints;
-fixed-width overflow is not a failure mode.
+and kernel bases (of a growing prefix of rows, by one column reduction).
+All integer work uses Python's arbitrary-precision ints; fixed-width
+overflow is not a failure mode.
 
 Matrices are stored dense (row-major tuples), but every product and every
 elementary row or column operation touches only non-zero entries: boundary
@@ -362,25 +363,34 @@ class SmithDecomposition:
     rank: int
     invariant_factors: tuple
 
-    def solve(self, b) -> DiophantineSolution:
-        """Solve A x = b for the factored A.
+    def failing_row(self, b):
+        """The solvability criterion of A x = b: None when solvable, else a row
+        where it fails, with c = P b.
 
-        With c = P b, the system is solvable exactly when d_i | c_i for every
-        i below the rank and c_i = 0 past it; then x = Q y with y_i = c_i / d_i.
+        A x = b is solvable exactly when d_i | c_i for every i below the rank
+        and c_i = 0 past it.
         """
         ring = self.ring
-        pb = self.P.apply(b)
-        cols = self.Q.rows
-        y = [ring.of(0)] * cols
-        hom = tuple(tuple(self.Q.col(j)) for j in range(self.rank, cols))
-        for i in range(self.rank):
-            d = self.D.data[i][i]
-            if not ring.divides(d, pb[i]):
-                return DiophantineSolution(False, None, hom, certificate_row=i)
-            y[i] = ring.exact_div(pb[i], d)
+        c = self.P.apply(b)
+        for i, d in enumerate(self.invariant_factors):
+            if not ring.divides(d, c[i]):
+                return i, c
         for i in range(self.rank, self.P.rows):
-            if not ring.is_zero(pb[i]):
-                return DiophantineSolution(False, None, hom, certificate_row=i)
+            if not ring.is_zero(c[i]):
+                return i, c
+        return None, c
+
+    def solve(self, b) -> DiophantineSolution:
+        """Solve A x = b for the factored A: x = Q y with y_i = c_i / d_i."""
+        ring = self.ring
+        row, c = self.failing_row(b)
+        cols = self.Q.rows
+        hom = tuple(tuple(self.Q.col(j)) for j in range(self.rank, cols))
+        if row is not None:
+            return DiophantineSolution(False, None, hom, certificate_row=row)
+        y = [ring.of(0)] * cols
+        for i, d in enumerate(self.invariant_factors):
+            y[i] = ring.exact_div(c[i], d)
         return DiophantineSolution(True, tuple(self.Q.apply(y)), hom)
 
 
@@ -572,10 +582,91 @@ class DiophantineSolution:
     certificate_row: int | None = None
 
 
+def nested_kernels(A: ExactMatrix, batches):
+    """Kernel bases of A restricted to a growing prefix of its rows.
+
+    `batches` is a sequence of row-index lists. The k-th basis yielded spans
+    the kernel of A restricted to the rows of batches 0..k, as dense
+    vectors. A batch is reduced only when its basis is asked for.
+
+    One column reduction serves every prefix. It keeps G = A Q on the rows
+    of the batches, and the unimodular Q, as sparse columns, and feeds the
+    rows in order. A column is active while it is zero on every processed
+    row. At a row, the active columns that are non-zero there are reduced
+    among themselves by Euclid's algorithm (pivot of least size, ties to the
+    lowest column) until one is left, and that one retires. Combinations of
+    active columns stay zero on the processed rows, and the retired columns
+    are in echelon form on them, with one pivot row each. So a kernel vector
+    Q y of the prefix has y zero on every retired column, and the active
+    columns of Q are a basis of the kernel: over a PID too, as Q is
+    unimodular. Only active columns are ever changed.
+    """
+    ring = A.ring
+    add, mul, neg, quo = ring.add, ring.mul, ring.neg, ring.quo
+    size = ring.pivot_size
+    n = A.cols
+    batches = [list(batch) for batch in batches]
+    G = [{} for _ in range(n)]
+    hits = {}  # row -> columns non-zero there (retired ones too)
+    for batch in batches:
+        for i in batch:
+            if i in hits:
+                continue  # a repeated row adds no condition
+            nonzero = [(j, x) for j, x in enumerate(A.data[i]) if x]
+            hits[i] = {j for j, _ in nonzero}
+            for j, x in nonzero:
+                G[j][i] = x
+    Q = [{j: 1} for j in range(n)]
+    active = set(range(n))
+
+    def addmul(j, k, c):
+        """col_j += c * col_k, in G and Q."""
+        g, q = G[j], Q[j]
+        for i, x in G[k].items():
+            v = add(g.get(i, 0), mul(c, x))
+            if v:
+                g[i] = v
+                hits[i].add(j)
+            elif i in g:
+                del g[i]
+                hits[i].discard(j)
+        for i, x in Q[k].items():
+            v = add(q.get(i, 0), mul(c, x))
+            if v:
+                q[i] = v
+            elif i in q:
+                del q[i]
+
+    for batch in batches:
+        for r in batch:
+            cols = sorted(hits[r] & active)
+            while len(cols) > 1:
+                p = min(cols, key=lambda j: (size(G[j][r]), j))
+                a = G[p][r]
+                left = [p]
+                for j in cols:
+                    if j != p:
+                        addmul(j, p, neg(quo(G[j][r], a)))
+                        if r in G[j]:
+                            left.append(j)
+                cols = sorted(left)
+            active.difference_update(cols)
+        basis = []
+        for j in sorted(active):
+            vec = [0] * n
+            for i, x in Q[j].items():
+                vec[i] = x
+            basis.append(vec)
+        yield basis
+
+
 def kernel(A: ExactMatrix) -> list:
-    """Basis of ker A: the columns of Q past the rank of the Smith form."""
-    s = snf(A)
-    return [s.Q.col(j) for j in range(s.rank, A.cols)]
+    """Basis of ker A: `nested_kernels` with every row in one batch.
+
+    The basis is saturated over Z: the basis vectors are columns of a
+    unimodular matrix.
+    """
+    return next(nested_kernels(A, [range(A.rows)]))
 
 
 def solve(A: ExactMatrix, b) -> DiophantineSolution:

@@ -16,6 +16,28 @@ representative cycle supported on the cut complex at level l:
   of L(kappa_d) has h in H_d(s), and as H_d is antitone and L(kappa_d) is
   meet-closed, exactly when h is in H_d(m_j).
 
+The level submodules of a degree are built along chains of index sets.
+H_d(l) is the image of H_d(cut at l) -> H_d(K): the classes c for which some
+boundary coefficients b make the cycle U_d b + (T_d | F_d) c, in the columns
+of `to_delta[d]`, vanish on the index set I(l) of the simplices whose value
+does not dominate l. So H_d(l) is the part past the U block of the kernel of
+(U_d | T_d | F_d) restricted to the rows of I(l). For l <= l' the index sets
+are nested, I(l) within I(l'), so along a chain of index sets every kernel
+is read off one column reduction that takes the rows in the order in which
+they enter (`exact.nested_kernels`): image persistence, as in Cohen-Steiner,
+Edelsbrunner, Harer and Morozov, "Persistent homology for kernels, images,
+and cokernels" (SODA 2009). It stays exact over a PID because the retired
+columns are in echelon form on the processed rows and the column transform
+is unimodular, so the still-active columns are a basis of each kernel. The
+levels of L(kappa_d) are covered greedily by chains of their index sets,
+smallest first (every chain of L(kappa_d) is such a chain), on the first
+request in degree d. A chain's sweep runs only as far as the levels asked
+for and resumes from there, so one level pivots only on the rows of its own
+index set, and all levels take one sweep per chain. Any other level l has
+the index set of m, the meet of the values of L(kappa_d) above l: every
+simplex value lies in L(kappa_d) (the support is the whole complex), and
+such a value dominates l exactly when it dominates m.
+
 Two standing assumptions are enforced at construction: the support of the
 subcomplex is the whole complex (arranged by restriction), and 0 is
 meet-prime in the value lattice. Without meet-primeness eta_d does not live
@@ -27,8 +49,9 @@ from __future__ import annotations
 
 from functools import reduce
 
-# `solve` stays bound: bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
-from .exact import kernel, solve, ZZ  # noqa: F401
+# `kernel` and `solve` are unused here but stay bound, because the benchmark's
+# bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
+from .exact import kernel, nested_kernels, solve, ZZ  # noqa: F401
 from .fuzzy import FuzzySubcomplex
 from .homology import ClassCoordinates, ReducedChainComplex
 from .lattice import LatticeValue, format_value
@@ -52,11 +75,20 @@ class FuzzyHomologyContext:
         self.ring = ring
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
+        self._sweeps = {}
         self._values = [
             [self.mu.value(s) for s in self.mu.complex.simplices(d)]
             for d in range(self.reduced.top + 1)
         ]
-        self._kappa_values = [_meet_closure(self.lattice, vals) for vals in self._values]
+        # each simplex value as a position in the distinct values of its
+        # degree, so that an index set compares each distinct value once
+        self._distinct, self._codes = [], []
+        for vals in self._values:
+            distinct = sorted(set(vals), key=format_value)
+            pos = {v: k for k, v in enumerate(distinct)}
+            self._distinct.append(distinct)
+            self._codes.append([pos[v] for v in vals])
+        self._kappa_values = [_meet_closure(self.lattice, vals) for vals in self._distinct]
 
     # -- chain values -------------------------------------------------
 
@@ -70,7 +102,7 @@ class FuzzyHomologyContext:
 
     def delta_value_set(self, d: int) -> list:
         """Distinct simplex values in degree d, deterministically ordered."""
-        return sorted(set(self._values[d]), key=format_value) if 0 <= d <= self.reduced.top else []
+        return list(self._distinct[d]) if 0 <= d <= self.reduced.top else []
 
     def kappa_value_set(self, d: int) -> list:
         """L(kappa_d): the meet-closure of the non-zero simplex values plus 1."""
@@ -83,28 +115,62 @@ class FuzzyHomologyContext:
     def index_set(self, d: int, level: LatticeValue) -> tuple:
         """0-based indices of d-simplices whose value does not dominate level."""
         self.lattice._check(level)
-        vals = self._values[d] if 0 <= d <= self.reduced.top else []
-        return tuple(i for i, v in enumerate(vals) if not self.lattice.leq(level, v))
+        if not 0 <= d <= self.reduced.top:
+            return ()
+        fails = [not self.lattice.leq(level, v) for v in self._distinct[d]]
+        return tuple(i for i, k in enumerate(self._codes[d]) if fails[k])
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.
 
-        Computed as the projection of the kernel of (U_d | T_d | F_d)
-        restricted to the rows of the index set: past the U block, a kernel
-        vector is the class coordinate (torsion, then free).
+        A level of L(kappa_d) is read off the sweep of its chain, run only
+        as far as that level (see the module docstring). Any other level has
+        the index set, so the submodule, of the least level of L(kappa_d)
+        above it.
         """
-        key = (d, level)
-        if key in self._hdl_cache:
-            return self._hdl_cache[key]
-        ambient = self.reduced.ambient(d)
+        self.lattice._check(level)
         if not 0 <= d <= self.reduced.top:
-            return SubmoduleOfHomology.zero(ambient)
+            return SubmoduleOfHomology.zero(self.reduced.ambient(d))
+        levels = self._hdl_cache.setdefault(d, {})
+        if level not in levels:
+            m = self._least_above(d, level)
+            if d not in self._sweeps:
+                self._sweeps[d] = self._chain_sweeps(d)
+            sweep, ambient = self._sweeps[d][m], self.reduced.ambient(d)
+            while m not in levels:
+                lv, basis = next(sweep)
+                levels[lv] = SubmoduleOfHomology(ambient, basis)
+            levels[level] = levels[m]
+        return levels[level]
+
+    def _chain_sweeps(self, d: int) -> dict:
+        """Each level of L(kappa_d) -> the lazy sweep of its chain.
+
+        A sweep yields (level, basis) along its chain: the basis spans the
+        kernel of (U_d | T_d | F_d) restricted to the rows of I(level), read
+        past the U block, where a kernel vector is a class coordinate
+        (torsion, then free).
+        """
         iu, it, _, if_ = self.reduced.block_indices(d)
-        restricted = self.reduced.to_delta[d].take_rows(self.index_set(d, level))
-        G = restricted.column_block([*iu, *it, *if_])
-        result = SubmoduleOfHomology(ambient, [w[len(iu):] for w in kernel(G)])
-        self._hdl_cache[key] = result
-        return result
+        G = self.reduced.to_delta[d].column_block([*iu, *it, *if_])
+        rows = {lv: frozenset(self.index_set(d, lv)) for lv in self._kappa_values[d]}
+        # greedy chain cover of the index sets under inclusion, smallest first
+        pending = sorted(rows, key=lambda lv: len(rows[lv]))
+        sweeps = {}
+        while pending:
+            chain, rest = [pending[0]], []
+            for lv in pending[1:]:
+                if rows[chain[-1]] <= rows[lv]:
+                    chain.append(lv)
+                else:
+                    rest.append(lv)
+            pending = rest
+            prefixes = [frozenset(), *(rows[lv] for lv in chain)]
+            batches = [sorted(b - a) for a, b in zip(prefixes, prefixes[1:])]
+            sweep = ((lv, [w[len(iu):] for w in basis])
+                     for lv, basis in zip(chain, nested_kernels(G, batches)))
+            sweeps.update(dict.fromkeys(chain, sweep))
+        return sweeps
 
     def is_level_solvable(self, d: int, h: ClassCoordinates, level: LatticeValue) -> bool:
         """Whether the class has a representative supported on the cut at level."""
@@ -127,13 +193,17 @@ class FuzzyHomologyContext:
         H_d at the meet of the values of L(kappa_d) above j (see the module
         docstring); the whole group at level 0.
         """
-        values = self.kappa_value_set(d)
-        least_above = dict.fromkeys(self.lattice.meet([s for s in values if self.lattice.leq(j, s)])
+        least_above = dict.fromkeys(self._least_above(d, j)
                                     for j in self.lattice.join_irreducibles(level))
         parts = [self.hdl_submodule(d, m) for m in least_above]
         if not parts:
             return SubmoduleOfHomology.full(self.reduced.ambient(d))
         return reduce(lambda a, b: a.intersect(b), parts)
+
+    def _least_above(self, d: int, level: LatticeValue) -> LatticeValue:
+        """The meet of the values of L(kappa_d) above the level (1 outside 0..top)."""
+        values = self._kappa_values[d] if 0 <= d <= self.reduced.top else ()
+        return self.lattice.meet([s for s in values if self.lattice.leq(level, s)])
 
     def rank_cut_table(self, d: int, levels) -> dict:
         """Betti number of the eta cut at each requested level."""

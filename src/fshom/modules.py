@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-# `solve` stays bound: bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
+# `solve` is unused here but stays bound, because the benchmark's
+# bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
 from .exact import ExactMatrix, SmithDecomposition, kernel, snf, solve  # noqa: F401
 
 
@@ -116,7 +117,7 @@ class SubmoduleOfHomology:
         target = self.ambient.reduce_vector(vec)
         if self.ambient.length == 0:
             return True
-        return self._smith.solve(target).solvable
+        return self._smith.failing_row(target)[0] is None
 
     def intersect(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:

@@ -2,9 +2,11 @@
 
 from itertools import combinations
 
+from fshom.exact import snf
 from fshom.fuzzy import FuzzySubcomplex, Violation, _as_number
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import FreeDistributiveLattice
+from fshom.modules import SubmoduleOfHomology
 from fshom.simplicial import Simplex, SimplicialComplex
 
 DEFAULT_BRUTE_FORCE_CAP = 1 << 20
@@ -42,6 +44,20 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
             break
         coeffs[i] += 1
     return ctx.lattice.join(best)
+
+
+def kernel_hdl_submodule(ctx, d, level):
+    """H_d(level) level by level: the kernel of (U_d | T_d | F_d) restricted
+    to the rows of the index set, from the columns of Q past the rank of its
+    Smith form, read past the U block."""
+    ambient = ctx.reduced.ambient(d)
+    if not 0 <= d <= ctx.reduced.top:
+        return SubmoduleOfHomology.zero(ambient)
+    iu, it, _, if_ = ctx.reduced.block_indices(d)
+    restricted = ctx.reduced.to_delta[d].take_rows(ctx.index_set(d, level))
+    G = restricted.column_block([*iu, *it, *if_])
+    s = snf(G)
+    return SubmoduleOfHomology(ambient, [s.Q.col(j)[len(iu):] for j in range(s.rank, G.cols)])
 
 
 def pairwise_complete_values(complex, lattice, explicit):

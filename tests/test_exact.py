@@ -12,6 +12,7 @@ from fshom.exact import (
     _is_prime,
     format_ring,
     kernel,
+    nested_kernels,
     parse_ring,
     snf,
     solve,
@@ -179,6 +180,27 @@ class TestDiophantine:
                 assert all(v == 0 for v in A.apply(z))
             S = snf(A)
             assert len(ker) == A.cols - S.rank
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
+    def test_nested_kernels_every_prefix_against_smith(self, ring):
+        """Each batch's basis spans the kernel of its row prefix: it is killed
+        by the prefix, has cols - rank vectors (rank from a Smith form), and
+        over Z is saturated (its own invariant factors are units)."""
+        rng = random.Random(53)
+        for _ in range(200):
+            A = rand_matrix(rng, ring, max_side=7, lo=-4, hi=4)
+            order = list(range(A.rows))
+            rng.shuffle(order)
+            ends = sorted(rng.randint(0, A.rows) for _ in range(rng.randint(1, 4)))
+            batches = [order[a:b] for a, b in zip([0, *ends], ends)]
+            for end, basis in zip(ends, nested_kernels(A, batches)):
+                prefix = A.take_rows(order[:end])
+                assert all(not any(prefix.apply(z)) for z in basis)
+                assert len(basis) == A.cols - snf(prefix).rank
+                if basis:
+                    S = snf(mat([list(row) for row in zip(*basis)], ring))
+                    assert S.rank == len(basis)
+                    assert all(ring.is_unit(a) for a in S.invariant_factors)
 
     def test_field_solve(self):
         F = PrimeField(3)

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from fshom.exact import PrimeField, ZZ
-from fshom.fuzzy import FuzzySubcomplex
+from fshom.fuzzy import ChromaticDataset, FuzzySubcomplex, chromatic, vietoris_rips
 from fshom.fuzzyhomology import FuzzyHomologyContext, NotComputableError
+from fshom.homology import ReducedChainComplex
 from fshom.lattice import (
     FreeDistributiveLattice,
+    LatticeError,
     Poset,
     TotalOrder,
     UpSetLattice,
@@ -17,8 +19,13 @@ from fshom.lattice import (
 )
 from fshom.project import load_project_file
 from fshom.simplicial import Simplex, from_maximal
-from oracles import brute_force_eta
-from randgen import lattice_family, random_complex, random_mu
+from fshom.modules import SubmoduleOfHomology
+from oracles import brute_force_eta, kernel_hdl_submodule
+from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
+
+RINGS = [ZZ, PrimeField(2), PrimeField(3)]
+RING_IDS = ["z", "gf2", "gf3"]
+LATTICE_IDS = ["total", "fdl1", "fdl2", "fdl3", "upset-diamond", "upset-chain"]
 
 
 def fmt_set(values):
@@ -123,6 +130,117 @@ class TestLevelSubmodules:
         L = ctx.lattice
         assert ctx.hdl_submodule(1, L.parse("x")).structure.describe() == "Z"
         assert ctx.hdl_submodule(1, L.parse("y")).structure.describe() == "0"
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 5])
+    def test_bad_level_refused_in_every_degree(self, ctx, d):
+        other = TotalOrder(("lo", "hi"))
+        for level in ("not-a-value", other.parse("hi")):
+            with pytest.raises(LatticeError):
+                ctx.hdl_submodule(d, level)
+
+
+def cut_image(ctx, d, level):
+    """The image of H_d(cut at level) -> H_d(K), from an independent
+    reduction of the cut complex: its generating cycles, carried into K by
+    inclusion, in K's class coordinates."""
+    ambient = ctx.reduced.ambient(d)
+    cut = ctx.mu.cut(level)
+    if cut.is_empty or d > cut.dim:
+        return SubmoduleOfHomology.zero(ambient)
+    H = ReducedChainComplex(cut, ctx.ring).homology(d)
+    position = {s: i for i, s in enumerate(ctx.mu.complex.simplices(d))}
+    images = []
+    for chain in H.torsion_generators + H.free_generators:
+        full = [0] * len(position)
+        for s, c in zip(cut.simplices(d), chain):
+            full[position[s]] = c
+        images.append(ctx.reduced.class_of_cycle(d, full).vector())
+    return SubmoduleOfHomology(ambient, images)
+
+
+class TestLevelSubmoduleOracles:
+    """H_d(l) from the nested-kernel sweeps against independent constructions,
+    at every carrier level: inside and outside L(kappa_d), 0 and 1 included."""
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    @pytest.mark.parametrize("index", range(len(lattice_family())), ids=LATTICE_IDS)
+    def test_matches_per_level_kernel(self, index, ring):
+        lattice = lattice_family()[index]
+        levels = lattice.carrier()
+        assert lattice.bottom in levels and lattice.top in levels
+        rng = random.Random(5000 + index)
+        complexes = [random_complex(rng) for _ in range(40)]
+        complexes += [random_torsion_complex(rng) for _ in range(40)]
+        for K in complexes:
+            ctx = FuzzyHomologyContext(random_mu(rng, K, lattice), ring)
+            expected = {}
+            checked = set()
+            for d in range(ctx.reduced.top + 2):
+                for lv in levels:
+                    ours = ctx.hdl_submodule(d, lv)
+                    # the oracle depends on the level only through its index set
+                    key = (d, ctx.index_set(d, lv))
+                    if key not in expected:
+                        expected[key] = kernel_hdl_submodule(ctx, d, lv)
+                    if (id(ours), key) in checked:
+                        continue
+                    checked.add((id(ours), key))
+                    theirs = expected[key]
+                    assert ours == theirs, (K, d, format_value(lv))
+                    assert ours.structure == theirs.structure, (K, d, format_value(lv))
+
+    def test_a_request_sweeps_only_up_to_its_level(self):
+        """On fresh contexts, the first request in a degree builds only
+        levels whose index sets lie within its own; requests in a shuffled
+        order, so with the chains' sweeps interleaved, match the oracle."""
+        rng = random.Random(6003)
+        for lattice in lattice_family():
+            for _ in range(12):
+                K = random_torsion_complex(rng) if rng.random() < 0.5 else random_complex(rng)
+                ctx = FuzzyHomologyContext(random_mu(rng, K, lattice), rng.choice(RINGS))
+                for d in range(ctx.reduced.top + 1):
+                    levels = list(lattice.carrier())
+                    rng.shuffle(levels)
+                    ctx.hdl_submodule(d, levels[0])
+                    within = set(ctx.index_set(d, levels[0]))
+                    assert all(set(ctx.index_set(d, lv)) <= within for lv in ctx._hdl_cache[d])
+                    for lv in levels:
+                        assert ctx.hdl_submodule(d, lv) == kernel_hdl_submodule(ctx, d, lv)
+
+    @staticmethod
+    def assert_matches_cut_images(ctx):
+        for d in range(ctx.reduced.top + 1):
+            for lv in ctx.lattice.carrier():
+                ours = ctx.hdl_submodule(d, lv)
+                theirs = cut_image(ctx, d, lv)
+                assert ours == theirs, (d, format_value(lv))
+                assert ours.structure == theirs.structure, (d, format_value(lv))
+
+    def test_chromatic_cloud_over_gf3_is_the_cut_image(self):
+        rng = random.Random(6001)
+        points = tuple((rng.randint(0, 19), rng.randint(0, 19)) for _ in range(30))
+        labels = tuple(rng.choice("abc") for _ in range(30))
+        _, mu = vietoris_rips(ChromaticDataset(points, labels), 5, 2)
+        ctx = FuzzyHomologyContext(mu, PrimeField(3))
+        assert ctx.reduced.top == 2 and len(ctx.kappa_value_set(1)) > 3
+        assert sum(ctx.reduced.ambient(d).length for d in range(3)) > 3
+        self.assert_matches_cut_images(ctx)
+
+    def test_torsion_complexes_over_z_are_the_cut_images(self):
+        """Two-colour vertex values, so the cuts split the Moore spaces and
+        their torsion images are proper subgroups at some levels."""
+        rng = random.Random(6002)
+        proper = 0
+        for _ in range(6):
+            K = random_torsion_complex(rng)
+            labels = {s.vertices[0]: rng.choice("xy") for s in K.simplices(0)}
+            ctx = FuzzyHomologyContext(chromatic(K, labels, "xy"), ZZ)
+            full = ctx.reduced.ambient(1).torsion
+            assert full
+            self.assert_matches_cut_images(ctx)
+            proper += any(ctx.hdl_submodule(1, lv).structure.torsion not in ((), full)
+                          for lv in ctx.lattice.carrier())
+        assert proper
 
 
 class TestEtaCuts:

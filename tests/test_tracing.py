@@ -86,3 +86,35 @@ def test_each_submodule_is_factored_outside_membership(reference_mu):
     names = [span[0] for span in spans]
     assert names.count("modules.member") > 0 and names.count("exact.snf") > 0
     assert not any(under_member(i) for i, name in enumerate(names) if name == "exact.snf")
+
+
+def test_level_submodules_run_no_smith_form_or_kernel(reference_mu):
+    """The eta report's work (eta of every basis class, H_d(l) at every level
+    of L(kappa_d)) builds the level submodules by nested-kernel sweeps: no
+    `exact.kernel` or `exact.snf` span lies under `fuzzyhomology.hdl`."""
+    ctx = FuzzyHomologyContext(reference_mu, ZZ)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        for d in range(ctx.reduced.top + 1):
+            n = ctx.reduced.ambient(d).length
+            for k in range(n):
+                ctx.eta_value(d, ctx.reduced.class_from_vector(d, [int(i == k) for i in range(n)]))
+            for level in ctx.kappa_value_set(d):
+                ctx.hdl_submodule(d, level).structure
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+
+    def under_hdl(i):
+        p = spans[i][3]
+        while p >= 0:
+            if spans[p][0] == "fuzzyhomology.hdl":
+                return True
+            p = spans[p][3]
+        return False
+
+    names = [span[0] for span in spans]
+    assert names.count("fuzzyhomology.hdl") > 0 and names.count("exact.snf") > 0
+    assert not any(under_hdl(i) for i, name in enumerate(names)
+                   if name in ("exact.kernel", "exact.snf"))
