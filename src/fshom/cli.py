@@ -126,9 +126,10 @@ def cmd_validate(args) -> int:
 def cmd_homology(args) -> int:
     project = load_project_file(args.project, ring_override=args.ring)
     R = ReducedChainComplex(project.complex, project.ring)
-    degrees = []
+    degrees, homologies = [], []
     for d in _degrees(args, R.top):
         h = R.homology(d)
+        homologies.append(h)
         degrees.append({
             "degree": d,
             "betti": h.structure.betti,
@@ -144,10 +145,9 @@ def cmd_homology(args) -> int:
         _emit(_json_dump(report), args.out)
     else:
         lines = []
-        for entry in degrees:
+        for entry, h in zip(degrees, homologies):
             d = entry["degree"]
             lines.append(f"H_{d} = {entry['description']}")
-            h = R.homology(d)
             for i, g in enumerate(h.torsion_generators, start=1):
                 a = h.structure.torsion[i - 1]
                 lines.append(f"  t{d}_{i} (order {a}) = {_chain_text(project.complex, d, g)}")

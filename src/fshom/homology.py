@@ -75,8 +75,7 @@ class ReducedChainComplex:
         self.ring = ring
         t = complex.dim
         self.top = t
-        self.boundary = [ExactMatrix.from_rows(ring, complex.boundary_matrix(d))
-                         for d in range(t + 2)]
+        self.boundary = [_boundary(complex, ring, d) for d in range(t + 2)]
         self._reduce()
 
     def _reduce(self) -> None:
@@ -96,7 +95,7 @@ class ReducedChainComplex:
         for d in range(t, -1, -1):
             r_up = self.rank[d + 1]
             N = self.boundary[d] @ P_inv
-            if any(any(row[:r_up]) for row in N.data):
+            if any(N.by_cols[:r_up]):
                 raise AssertionError("boundary columns expected to vanish did not")
             N_prime = N.column_block(range(r_up, N.cols))
             s = snf(N_prime)
@@ -121,7 +120,8 @@ class ReducedChainComplex:
         if r_up:
             # D_{d+1} = [0 | D'] with a zero block of rank(D_{d+2}) columns
             offset = self.rank[d + 2]
-            diag_up = [self.D[d + 1].data[i][offset + i] for i in range(r_up)]
+            rows = self.D[d + 1].by_rows
+            diag_up = [rows[i][offset + i] for i in range(r_up)]
         units = sum(1 for a in diag_up if ring.is_unit(a))
         torsion = tuple(a for a in diag_up if not ring.is_unit(a))
         n_U, n_T, n_R = units, len(torsion), r_here
@@ -189,6 +189,16 @@ class ReducedChainComplex:
         reduced = amb.reduce_vector(vec)
         m = len(amb.torsion)
         return ClassCoordinates(d, reduced[:m], reduced[m:])
+
+
+def _boundary(complex: SimplicialComplex, ring, d: int) -> ExactMatrix:
+    """The boundary matrix of degree d over the ring, built by columns."""
+    columns = complex.boundary_columns(d)
+    signs = {1: ring.of(1), -1: ring.of(-1)}
+    if signs != {1: 1, -1: -1}:
+        columns = [{i: signs[x] for i, x in column.items()} for column in columns]
+    return ExactMatrix._lines(ring, 1 if d == 0 else complex.n(d - 1), len(columns),
+                              by_cols=columns)
 
 
 def homology(K: SimplicialComplex, ring) -> list:

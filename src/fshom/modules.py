@@ -62,13 +62,9 @@ class HomologyAmbient:
         """Canonicalize coordinates: torsion entries mod a_i, free entries as is."""
         if len(vec) != self.length:
             raise ValueError("coordinate length does not match ambient")
-        ring = self.ring
-        out = []
-        for i, a in enumerate(self.torsion):
-            out.append(ring.of(vec[i]) % a if not ring.is_field else ring.of(vec[i]))
-        for i in range(len(self.torsion), self.length):
-            out.append(ring.of(vec[i]))
-        return tuple(out)
+        of = self.ring.of
+        m = len(self.torsion)  # a field has no torsion
+        return tuple([of(x) % a for x, a in zip(vec, self.torsion)] + list(map(of, vec[m:])))
 
 
 class SubmoduleOfHomology:
@@ -92,16 +88,14 @@ class SubmoduleOfHomology:
     @classmethod
     def full(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
         n = ambient.length
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(ambient, eye)
+        return cls(ambient, ([0] * i + [1] + [0] * (n - i - 1) for i in range(n)))
 
     def _lifted_matrix(self) -> ExactMatrix:
-        """Generators plus the relation vectors a_i * e_i, as columns over the ring."""
-        torsion = self.ambient.torsion
-        data = [[g[i] for g in self.generators] + [a if j == i else 0 for j, a in enumerate(torsion)]
-                for i in range(self.ambient.length)]
-        return ExactMatrix(self.ambient.ring, self.ambient.length,
-                           len(self.generators) + len(torsion), data)
+        """Generators plus the relation vectors a_i * e_i, as sparse columns over the ring."""
+        columns = [{i: x for i, x in enumerate(g) if x} for g in self.generators]
+        columns.extend({i: a} for i, a in enumerate(self.ambient.torsion))
+        return ExactMatrix._lines(self.ambient.ring, self.ambient.length, len(columns),
+                                  by_cols=columns)
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -174,18 +168,22 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     # L has basis c_i = d_i * (P^{-1} e_i), i < r. A relation vector a_j e_j
     # lies in L, so its i-th coordinate is a_j P[i][j] / d_i, and the rows
     # past the rank must vanish.
+    coeffs = ambient.torsion
+    P = s.P.by_rows
     rows = []
     for i in range(r):
-        d = s.D.data[i][i]
-        row = []
-        for j, a in enumerate(ambient.torsion):
-            row.append(ring.exact_div(ring.mul(a, s.P.data[i][j]), d))
+        d = s.D.by_rows[i][i]
+        row = {}
+        for j, p in P[i].items():
+            if j < m:
+                y = ring.exact_div(ring.mul(coeffs[j], p), d)
+                if y:
+                    row[j] = y
         rows.append(row)
     for i in range(r, n):
-        for j, a in enumerate(ambient.torsion):
-            if not ring.is_zero(ring.mul(a, s.P.data[i][j])):
-                raise AssertionError("relation vector escapes the lifted lattice")
-    Y = ExactMatrix(ring, r, m, rows)
+        if any(j < m and not ring.is_zero(ring.mul(coeffs[j], p)) for j, p in P[i].items()):
+            raise AssertionError("relation vector escapes the lifted lattice")
+    Y = ExactMatrix._lines(ring, r, m, by_rows=rows)
     sy = snf(Y)
     torsion = tuple(a for a in sy.invariant_factors if not ring.is_unit(a))
     return ModuleStructure(r - sy.rank, torsion)

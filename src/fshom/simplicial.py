@@ -165,6 +165,18 @@ class SimplicialComplex:
         facets = {face for s in self.all_simplices() for _, face in s.boundary()}
         return [s for s in self.all_simplices() if s not in facets]
 
+    def boundary_columns(self, d: int) -> list:
+        """The columns of `boundary_matrix(d)` as {row: sign} dicts of their
+        non-zero entries (every column is empty at d = 0 and d = dim + 1)."""
+        if not 0 <= d <= self.dim + 1:
+            raise ValueError(f"degree {d} out of range 0..{self.dim + 1}")
+        if d == 0:
+            return [{} for _ in range(self.n(0))]
+        if d == self.dim + 1:
+            return [{}]
+        index = self._index
+        return [{index[face]: sign for sign, face in s.boundary()} for s in self.simplices(d)]
+
     def boundary_matrix(self, d: int) -> list:
         """The matrix of the boundary map in the lexicographic bases.
 
@@ -172,17 +184,11 @@ class SimplicialComplex:
         1 x n_0 zero matrix at d = 0 and the n_dim x 1 zero matrix at
         d = dim + 1, standing in for the zero maps.
         """
-        if not 0 <= d <= self.dim + 1:
-            raise ValueError(f"degree {d} out of range 0..{self.dim + 1}")
-        if d == 0:
-            return [[0] * self.n(0)]
-        if d == self.dim + 1:
-            return [[0] for _ in range(self.n(self.dim))] if self.dim >= 0 else [[0]]
-        rows = self.n(d - 1)
-        mat = [[0] * self.n(d) for _ in range(rows)]
-        for j, s in enumerate(self.simplices(d)):
-            for sign, face in s.boundary():
-                mat[self.index(face)][j] = sign
+        columns = self.boundary_columns(d)
+        mat = [[0] * len(columns) for _ in range(1 if d == 0 else self.n(d - 1))]
+        for j, column in enumerate(columns):
+            for i, sign in column.items():
+                mat[i][j] = sign
         return mat
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:

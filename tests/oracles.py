@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from fshom.exact import snf
+from fshom.exact import ExactMatrix, SmithDecomposition, snf
 from fshom.fuzzy import FuzzySubcomplex, Violation, _as_number
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import FreeDistributiveLattice
@@ -10,6 +10,174 @@ from fshom.modules import SubmoduleOfHomology
 from fshom.simplicial import Simplex, SimplicialComplex
 
 DEFAULT_BRUTE_FORCE_CAP = 1 << 20
+
+
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class _DenseWorker:
+    """Mutable state for one Smith reduction.
+
+    Row operations act on D and P (left) and on P_inv (right, inverted);
+    column operations act on D and Q (right) and on Q_inv (left, inverted),
+    so P @ A @ Q == D and the inverse pairs stay exact at every step.
+    """
+
+    def __init__(self, A: ExactMatrix):
+        self.ring = A.ring
+        self.m = A.rows
+        self.n = A.cols
+        self.D = [list(row) for row in A.data]
+        self.P = _identity_rows(A.rows)
+        self.Pi = _identity_rows(A.rows)
+        self.Q = _identity_rows(A.cols)
+        self.Qi = _identity_rows(A.cols)
+
+    def row_swap(self, i, j):
+        if i == j:
+            return
+        self.D[i], self.D[j] = self.D[j], self.D[i]
+        self.P[i], self.P[j] = self.P[j], self.P[i]
+        for row in self.Pi:
+            row[i], row[j] = row[j], row[i]
+
+    def col_swap(self, i, j):
+        if i == j:
+            return
+        for row in self.D:
+            row[i], row[j] = row[j], row[i]
+        for row in self.Q:
+            row[i], row[j] = row[j], row[i]
+        self.Qi[i], self.Qi[j] = self.Qi[j], self.Qi[i]
+
+    def row_addmul(self, i, j, c):
+        """row_i += c * row_j (i != j)."""
+        ring = self.ring
+        if ring.is_zero(c):
+            return
+        add, sub, mul = ring.add, ring.sub, ring.mul
+        for mat in (self.D, self.P):
+            ri = mat[i]
+            for k, x in enumerate(mat[j]):
+                if x:
+                    ri[k] = add(ri[k], mul(c, x))
+        # inverse update: column j -= c * column i
+        for row in self.Pi:
+            if row[i]:
+                row[j] = sub(row[j], mul(c, row[i]))
+
+    def col_addmul(self, j, k, c):
+        """col_j += c * col_k (j != k)."""
+        ring = self.ring
+        if ring.is_zero(c):
+            return
+        add, sub, mul = ring.add, ring.sub, ring.mul
+        for mat in (self.D, self.Q):
+            for row in mat:
+                if row[k]:
+                    row[j] = add(row[j], mul(c, row[k]))
+        # inverse update: row k -= c * row j
+        rk = self.Qi[k]
+        for t, x in enumerate(self.Qi[j]):
+            if x:
+                rk[t] = sub(rk[t], mul(c, x))
+
+    def row_scale(self, i, u):
+        """row_i *= u for a unit u."""
+        ring = self.ring
+        ui = ring.inv(u)
+        self.D[i] = [ring.mul(u, x) for x in self.D[i]]
+        self.P[i] = [ring.mul(u, x) for x in self.P[i]]
+        for row in self.Pi:
+            row[i] = ring.mul(ui, row[i])
+
+    def find_pivot(self, t):
+        """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col).
+
+        The row-major scan stops at the first entry of size 1: no non-zero
+        entry is smaller, and every later entry comes after it in (row, col).
+        """
+        ring = self.ring
+        best = None
+        for i in range(t, self.m):
+            row = self.D[i]
+            for j in range(t, self.n):
+                if row[j]:
+                    size = ring.pivot_size(row[j])
+                    if best is None or size < best[0]:
+                        if size == 1:
+                            return (i, j)
+                        best = (size, i, j)
+        return None if best is None else (best[1], best[2])
+
+
+def dense_snf(A):
+    """`exact.snf` on dense row-major lists: the same pivot rule and the same
+    order of elementary operations, with every transform held as a dense
+    square grid and every operation walking whole rows or columns."""
+    ring = A.ring
+    w = _DenseWorker(A)
+    m, n = w.m, w.n
+    t = 0
+    while t < min(m, n):
+        pos = w.find_pivot(t)
+        if pos is None:
+            break
+        w.row_swap(t, pos[0])
+        w.col_swap(t, pos[1])
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if not ring.is_zero(w.D[i][t]):
+                    q = ring.quo(w.D[i][t], w.D[t][t])
+                    w.row_addmul(i, t, ring.neg(q))
+                    if not ring.is_zero(w.D[i][t]):
+                        # non-zero remainder is strictly smaller; make it the pivot
+                        w.row_swap(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if not ring.is_zero(w.D[t][j]):
+                    q = ring.quo(w.D[t][j], w.D[t][t])
+                    w.col_addmul(j, t, ring.neg(q))
+                    if not ring.is_zero(w.D[t][j]):
+                        w.col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # pivot must divide the rest of the submatrix for the chain
+            # d_i | d_{i+1}; a unit divides everything
+            if ring.is_unit(w.D[t][t]):
+                break
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if not ring.divides(w.D[t][t], w.D[i][j]):
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            w.row_addmul(t, bad, ring.of(1))
+        u = ring.normalizer(w.D[t][t])
+        if not ring.is_zero(ring.sub(u, ring.of(1))):
+            w.row_scale(t, u)
+        t += 1
+    return SmithDecomposition(
+        ring=ring,
+        P=ExactMatrix(ring, m, m, w.P),
+        P_inv=ExactMatrix(ring, m, m, w.Pi),
+        Q=ExactMatrix(ring, n, n, w.Q),
+        Q_inv=ExactMatrix(ring, n, n, w.Qi),
+        D=ExactMatrix(ring, m, n, w.D),
+        rank=t,
+        invariant_factors=tuple(w.D[i][i] for i in range(t)),
+    )
 
 
 def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):

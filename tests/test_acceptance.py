@@ -70,7 +70,7 @@ def test_criterion_02_reference_matrices_and_partitions():
     assert K.boundary_matrix(2) == [[0], [0], [1], [-1], [1]]
     R = ReducedChainComplex(K, ZZ)
     for d in range(R.top + 1):
-        assert (R.D[d] @ R.D[d + 1]).is_zero_matrix()
+        assert not any(any(row) for row in (R.D[d] @ R.D[d + 1]).data)
     assert R.partition[0].as_tuple() == (3, 0, 0, 2)
     assert R.partition[1].as_tuple() == (1, 0, 3, 1)
     watch.check()

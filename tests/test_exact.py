@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from fshom import exact
 from fshom.exact import (
     ExactMatrix,
     PrimeField,
@@ -17,6 +18,7 @@ from fshom.exact import (
     snf,
     solve,
 )
+from oracles import dense_snf
 
 
 def mat(rows, ring=ZZ):
@@ -120,6 +122,40 @@ class TestSmithNormalForm:
         for _ in range(150):
             S = self.check(rand_matrix(rng, F, lo=0, hi=1))
             assert all(x == 1 for x in S.invariant_factors)
+
+
+# mostly multiples of 2, 3 and 5, so that pivots are often non-units and
+# the divisibility sweep runs
+TORSION_ENTRIES = (0, 0, 0, 1, 2, -2, 3, 4, -4, 6, -6, 9, 10, 12, -15, 25)
+
+
+class TestSparseSmithAgainstDenseOracle:
+    """snf on sparse lines returns the very SmithDecomposition of the dense
+    worker it replaced: same pivots, same operations, same transforms."""
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
+    def test_random_matrices(self, ring, monkeypatch):
+        sweeps = []
+        row_addmul = exact._Worker.row_addmul
+
+        def recording_row_addmul(w, i, j, c):
+            if i < j:  # only the divisibility sweep adds a lower row to the pivot row
+                sweeps.append((i, j))
+            row_addmul(w, i, j, c)
+
+        monkeypatch.setattr(exact._Worker, "row_addmul", recording_row_addmul)
+        rng = random.Random(61)
+        for k in range(200):
+            m, n = rng.randint(0, 7), rng.randint(0, 7)
+            if k % 2:
+                rows = [[rng.choice(TORSION_ENTRIES) for _ in range(n)] for _ in range(m)]
+            else:
+                rows = [[rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(n)]
+                        for _ in range(m)]
+            A = ExactMatrix.from_rows(ring, rows, cols=n)
+            assert snf(A) == dense_snf(A)
+        if ring is ZZ:
+            assert len(sweeps) >= 10
 
 
 class TestDiophantine:

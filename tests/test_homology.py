@@ -10,6 +10,7 @@ import pytest
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import from_maximal
+from oracles import dense_snf
 from randgen import random_complex, random_torsion_complex, rips_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -49,8 +50,7 @@ class TestReduction:
             M = ExactMatrix.from_rows(ring, K.boundary_matrix(d))
             assert R.from_delta[d - 1] @ M @ R.to_delta[d] == R.D[d]
         for d in range(R.top):
-            prod = R.D[d] @ R.D[d + 1]
-            assert prod.is_zero_matrix()
+            assert is_zero(R.D[d] @ R.D[d + 1])
         return R
 
     def test_invariants_on_random_complexes(self):
@@ -80,15 +80,23 @@ def dense_product(A, B):
     return ExactMatrix.from_rows(A.ring, rows, cols=B.cols)
 
 
+def dense_rows(M):
+    return [list(row) for row in M.data]
+
+
 def is_identity(M):
-    return M.rows == M.cols and M.to_int_rows() == [
+    return M.rows == M.cols and dense_rows(M) == [
         [int(i == j) for j in range(M.cols)] for i in range(M.rows)]
 
 
+def is_zero(M):
+    return not any(any(row) for row in M.data)
+
+
 def reduction_digest(R):
-    blob = json.dumps({"to_delta": [m.to_int_rows() for m in R.to_delta],
-                       "from_delta": [m.to_int_rows() for m in R.from_delta],
-                       "D": [m.to_int_rows() for m in R.D]}, separators=(",", ":"))
+    blob = json.dumps({"to_delta": [dense_rows(m) for m in R.to_delta],
+                       "from_delta": [dense_rows(m) for m in R.from_delta],
+                       "D": [dense_rows(m) for m in R.D]}, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -147,10 +155,41 @@ class TestReductionOracle:
             M = dense_product(R.from_delta[d - 1], R.boundary[d])
             assert dense_product(M, R.to_delta[d]) == R.D[d]
         for d in range(R.top):
-            assert dense_product(R.D[d], R.D[d + 1]).is_zero_matrix()
+            assert is_zero(dense_product(R.D[d], R.D[d + 1]))
         if name == "torsion" and ring_name == "z":
             assert max(abs(x) for M in R.to_delta for row in M.data for x in row) > 1
         assert reduction_digest(R) == PINNED_REDUCTIONS[name, ring_name]
+
+
+# reduction_digest of the 60-point cloud (60/269/536 simplices) as the dense
+# reduction core computed it
+PINNED_RIPS60 = {
+    "z": "fd3cd024d6656ad258a5ed884d847550f4e40dcedf311a64ef66b090cee4fc8b",
+    "gf3": "c4a0332609cfd02800f0f909c15dfd900fc9d99ebb96043f96ef1edfb28b7603",
+}
+
+
+class TestRips60:
+    """The sparse core at the 60-point cloud, against the dense Smith worker
+    and the digests of the dense reduction."""
+
+    @pytest.mark.parametrize("ring_name", ORACLE_RINGS)
+    def test_every_smith_form_matches_the_dense_worker(self, ring_name, monkeypatch):
+        homology_module = importlib.import_module("fshom.homology")
+        calls = []
+
+        def recording_snf(A):
+            s = snf(A)
+            calls.append((A, s))
+            return s
+
+        monkeypatch.setattr(homology_module, "snf", recording_snf)
+        R = ReducedChainComplex(rips_complex(random.Random(0), 60), ORACLE_RINGS[ring_name])
+        assert len(calls) == R.top + 1
+        for A, s in calls:
+            assert s == dense_snf(A)
+        if ring_name in PINNED_RIPS60:
+            assert reduction_digest(R) == PINNED_RIPS60[ring_name]
 
 
 UCT_COMPLEXES = {"rp2": lambda: from_maximal(RP2)}
