@@ -378,11 +378,6 @@ class ExactMatrix:
         return ExactMatrix._lines(self.ring, self.rows + other.rows, self.cols,
                                   by_rows=self.by_rows + other.by_rows)
 
-    def negated(self) -> "ExactMatrix":
-        neg = self.ring.neg
-        return ExactMatrix._lines(self.ring, self.rows, self.cols, by_cols=[
-            {i: neg(x) for i, x in line.items()} for line in self.by_cols])
-
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.ring == other.ring
                 and self.rows == other.rows and self.cols == other.cols
@@ -694,50 +689,32 @@ def nested_kernels(A: ExactMatrix, batches):
     unimodular. Only active columns are ever changed.
     """
     ring = A.ring
-    add, mul, neg, quo = ring.add, ring.mul, ring.neg, ring.quo
-    size = ring.pivot_size
+    neg, quo, size = ring.neg, ring.quo, ring.pivot_size
     n = A.cols
     batches = [list(batch) for batch in batches]
     G = [{} for _ in range(n)]
-    hits = {}  # row -> columns non-zero there (retired ones too)
+    R = {}  # the fed rows of G, by row
     for batch in batches:
         for i in batch:
-            if i in hits:
+            if i in R:
                 continue  # a repeated row adds no condition
-            hits[i] = set(A.by_rows[i])
-            for j, x in A.by_rows[i].items():
+            R[i] = dict(A.by_rows[i])
+            for j, x in R[i].items():
                 G[j][i] = x
     Q = [{j: 1} for j in range(n)]
     active = set(range(n))
-
-    def addmul(j, k, c):
-        """col_j += c * col_k, in G and Q."""
-        g, q = G[j], Q[j]
-        for i, x in G[k].items():
-            v = add(g.get(i, 0), mul(c, x))
-            if v:
-                g[i] = v
-                hits[i].add(j)
-            elif i in g:
-                del g[i]
-                hits[i].discard(j)
-        for i, x in Q[k].items():
-            v = add(q.get(i, 0), mul(c, x))
-            if v:
-                q[i] = v
-            elif i in q:
-                del q[i]
-
     for batch in batches:
         for r in batch:
-            cols = sorted(hits[r] & active)
+            cols = sorted(R[r].keys() & active)
             while len(cols) > 1:
                 p = min(cols, key=lambda j: (size(G[j][r]), j))
                 a = G[p][r]
                 left = [p]
                 for j in cols:
                     if j != p:
-                        addmul(j, p, neg(quo(G[j][r], a)))
+                        c = neg(quo(G[j][r], a))
+                        _addmul(ring, G[j], G[p], c, R, j)
+                        _addmul(ring, Q[j], Q[p], c)
                         if r in G[j]:
                             left.append(j)
                 cols = sorted(left)

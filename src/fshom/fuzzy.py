@@ -87,11 +87,11 @@ class FuzzySubcomplex:
         return self.cut(self.lattice.top)
 
     def restrict_to_support(self) -> "FuzzySubcomplex":
+        if not self.complex.is_empty and self.lattice.bottom not in self._values.values():
+            return self
         sup = self.support()
         if sup.is_empty:
             raise FuzzyError("support is empty: every simplex has value 0")
-        if sup == self.complex:
-            return self
         return FuzzySubcomplex(sup, self.lattice,
                                {s: self._values[s] for s in sup.all_simplices()})
 

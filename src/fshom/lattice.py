@@ -83,18 +83,22 @@ class CdlLattice:
         return self._leq(a.payload, b.payload)
 
     def join(self, values) -> LatticeValue:
+        """The join, folded from the first value; bottom for no values."""
         vals = list(values)
         for v in vals:
             self._check(v)
-        payload = reduce(self._join2, (v.payload for v in vals), self.bottom.payload)
-        return LatticeValue(self, payload)
+        if not vals:
+            return self.bottom
+        return LatticeValue(self, reduce(self._join2, (v.payload for v in vals)))
 
     def meet(self, values) -> LatticeValue:
+        """The meet, folded from the first value; top for no values."""
         vals = list(values)
         for v in vals:
             self._check(v)
-        payload = reduce(self._meet2, (v.payload for v in vals), self.top.payload)
-        return LatticeValue(self, payload)
+        if not vals:
+            return self.top
+        return LatticeValue(self, reduce(self._meet2, (v.payload for v in vals)))
 
     def parse(self, text: str) -> LatticeValue:
         return parse_value(text, self)

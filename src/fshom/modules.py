@@ -107,23 +107,20 @@ class SubmoduleOfHomology:
         return module_structure(self)
 
     def member(self, vec) -> bool:
-        """Whether the class with these coordinates lies in the submodule."""
-        target = self.ambient.reduce_vector(vec)
-        if self.ambient.length == 0:
-            return True
-        return self._smith.failing_row(target)[0] is None
+        """Whether the class with these coordinates lies in the submodule.
+
+        The lifted matrix holds the relation columns a_i * e_i, so a vector
+        and its reduction pass the same solvability test.
+        """
+        return self._smith.failing_row(vec)[0] is None
 
     def intersect(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:
             raise ValueError("ambient groups differ")
+        # (x, y) in ker [G1 | G2] gives G1 x = -G2 y, which lies in both
         g1 = self._lifted_matrix()
-        g2 = other._lifted_matrix()
-        paired = g1.hstack(g2.negated())
-        gens = []
-        for w in kernel(paired):
-            x = g1.apply(w[:g1.cols])
-            gens.append(x)
-        return SubmoduleOfHomology(self.ambient, gens)
+        paired = g1.hstack(other._lifted_matrix())
+        return SubmoduleOfHomology(self.ambient, [g1.apply(w[:g1.cols]) for w in kernel(paired)])
 
     def add(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:
@@ -159,8 +156,6 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     ring = ambient.ring
     m = len(ambient.torsion)
     n = ambient.length
-    if n == 0:
-        return ModuleStructure(0, ())
     s = S._smith
     r = s.rank
     if m == 0:

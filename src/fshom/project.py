@@ -72,6 +72,7 @@ def _load_complex_spec(spec) -> SimplicialComplex:
 
 def _load_mu_entries(entries, complex, lattice):
     explicit = {}
+    parsed = {}  # value text -> value: each distinct text is parsed once
     _require(isinstance(entries, list), "'mu' must be a list of {simplex, value} objects")
     for i, entry in enumerate(entries):
         _require(isinstance(entry, dict) and "simplex" in entry and "value" in entry,
@@ -82,10 +83,13 @@ def _load_mu_entries(entries, complex, lattice):
             raise ProjectError(f"mu entry {i}: {e}") from None
         _require(s in complex, f"mu entry {i}: {s!r} is not in the complex")
         _require(s not in explicit, f"mu entry {i}: duplicate value for {s!r}")
-        try:
-            explicit[s] = parse_value(str(entry["value"]), lattice)
-        except LatticeError as e:
-            raise ProjectError(f"mu entry {i}: {e}") from None
+        text = str(entry["value"])
+        if text not in parsed:
+            try:
+                parsed[text] = parse_value(text, lattice)
+            except LatticeError as e:
+                raise ProjectError(f"mu entry {i}: {e}") from None
+        explicit[s] = parsed[text]
     return explicit
 
 

@@ -6,12 +6,13 @@ Within each dimension d the simplices are sorted lexicographically; their
 positions define the chain basis used by every boundary matrix, so results
 are reproducible across runs.
 
-`Simplex(vertices)` validates and sorts its input. `Simplex._sorted(t)` wraps
-a tuple that is already known to be a valid simplex (strictly increasing
-non-negative ints) without checking it again; faces, boundaries, the
-`from_maximal` closure and the Rips cliques are built that way, because
-sub-tuples of a valid simplex and cliques grown in increasing vertex order
-are valid by construction.
+A `Simplex` is its sorted vertex tuple: a `tuple` subclass, equal to that
+tuple and hashed and ordered like it. `Simplex(vertices)` validates and
+sorts its input. `Simplex._sorted(t)` wraps a tuple that is already known to
+be a valid simplex (strictly increasing non-negative ints) without checking
+it again; faces, boundaries, the `from_maximal` closure and the Rips cliques
+are built that way, because sub-tuples of a valid simplex and cliques grown
+in increasing vertex order are valid by construction.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 from itertools import combinations
 
 
-class Simplex:
-    """A simplex as a strictly increasing tuple of vertex ids."""
+class Simplex(tuple):
+    """A simplex: its strictly increasing tuple of vertex ids."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
 
-    def __init__(self, vertices):
+    def __new__(cls, vertices):
         vs = tuple(vertices)
         if not vs:
             raise ValueError("a simplex needs at least one vertex")
@@ -35,56 +36,47 @@ class Simplex:
                 raise ValueError("vertex ids must be non-negative")
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate vertices in {vs}")
-        object.__setattr__(self, "vertices", tuple(sorted(int(v) for v in vs)))
+        return tuple.__new__(cls, sorted(int(v) for v in vs))
 
     @classmethod
     def _sorted(cls, vertices: tuple) -> "Simplex":
         """Wrap a strictly increasing tuple of non-negative ints, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "vertices", vertices)
-        return self
+        return tuple.__new__(cls, vertices)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Simplex is immutable")
+    @property
+    def vertices(self) -> tuple:
+        """The vertex ids as a plain tuple."""
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     def faces(self) -> list:
         """All non-empty subsimplices, including the simplex itself."""
         out = []
-        for k in range(1, len(self.vertices) + 1):
-            out.extend(map(Simplex._sorted, combinations(self.vertices, k)))
+        for k in range(1, len(self) + 1):
+            out.extend(map(Simplex._sorted, combinations(self, k)))
         return out
 
     def boundary(self) -> list:
         """Signed codimension-1 faces: (sign, face) with alternating signs."""
-        vs = self.vertices
-        if len(vs) == 1:
+        if len(self) == 1:
             return []
-        return [(-1 if j % 2 else 1, Simplex._sorted(vs[:j] + vs[j + 1:])) for j in range(len(vs))]
+        return [(-1 if j % 2 else 1, Simplex._sorted(self[:j] + self[j + 1:])) for j in range(len(self))]
 
     def __contains__(self, other: "Simplex") -> bool:
-        return set(other.vertices) <= set(self.vertices)
-
-    def __eq__(self, other):
-        return isinstance(other, Simplex) and self.vertices == other.vertices
-
-    def __lt__(self, other):
-        return self.vertices < other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+        """Whether `other` is a face of this simplex (not vertex membership)."""
+        return set(other) <= set(self)
 
     def __repr__(self):
-        return "<" + ",".join(str(v) for v in self.vertices) + ">"
+        return "<" + ",".join(map(str, self)) + ">"
 
 
 class SimplicialComplex:
     """A face-closed set of simplices with lexicographic per-dimension bases."""
 
-    __slots__ = ("_by_dim", "_index", "_all")
+    __slots__ = ("_by_dim", "_index")
 
     def __init__(self, simplices):
         pool = set(simplices)
@@ -107,7 +99,6 @@ class SimplicialComplex:
         object.__setattr__(self, "_by_dim", tuple(tuple(by_dim[d]) for d in dims))
         object.__setattr__(self, "_index",
                            {s: i for group in self._by_dim for i, s in enumerate(group)})
-        object.__setattr__(self, "_all", frozenset(pool))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -126,8 +117,8 @@ class SimplicialComplex:
         closure = set()
         for vs in listed:
             s = vs if isinstance(vs, Simplex) else Simplex(vs)
-            for k in range(1, len(s.vertices) + 1):
-                closure.update(combinations(s.vertices, k))
+            for k in range(1, len(s) + 1):
+                closure.update(combinations(s, k))
         return cls(map(Simplex._sorted, closure))
 
     @property
@@ -155,10 +146,10 @@ class SimplicialComplex:
         return self._index[s]
 
     def __contains__(self, s) -> bool:
-        return s in self._all
+        return s in self._index
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._index)
 
     def maximal_simplices(self) -> list:
         """Simplices that are not a facet of any simplex one dimension up, in (dim, vertices) order."""
@@ -192,13 +183,13 @@ class SimplicialComplex:
         return mat
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._all <= other._all
+        return self._index.keys() <= other._index.keys()
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self._all == other._all
+        return isinstance(other, SimplicialComplex) and self._by_dim == other._by_dim
 
     def __hash__(self):
-        return hash(self._all)
+        return hash(self._by_dim)
 
     def __repr__(self):
         if self.is_empty:

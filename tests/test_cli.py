@@ -241,6 +241,17 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "validate", str(project))
         assert code == 2 and "mu entry 0" in err
 
+    def test_repeated_bad_mu_value_names_its_first_entry(self, capsys, tmp_path):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps({"lattice": {"kind": "fdl", "generators": ["x"]},
+                                       "complex": {"maximal": [[0, 1]]},
+                                       "mu": [{"simplex": [0], "value": "x"},
+                                              {"simplex": [1], "value": "x & w"},
+                                              {"simplex": [0, 1], "value": "x & w"}]}))
+        code, out, err = run(capsys, "validate", str(project))
+        assert code == 2 and out == ""
+        assert "mu entry 1: unknown generator 'w'" in err and "mu entry 2" not in err
+
     @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
     def test_non_finite_radius_exits_two(self, capsys, tmp_path, fixture_path, radius):
         project = tmp_path / "project.json"

@@ -121,6 +121,7 @@ class TestCuts:
         assert reference_mu.support() == reference_mu.complex
         assert reference_mu.core().is_empty
         assert reference_mu.restrict_to_support().complex == reference_mu.complex
+        assert reference_mu.restrict_to_support() is reference_mu
 
     def test_zero_vertex_dropped(self):
         L = fdl2()

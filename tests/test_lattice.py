@@ -189,6 +189,13 @@ class TestLatticeLaws:
             for _ in range(1000):
                 self.check_triple(L, *(rng.choice(values) for _ in range(3)))
 
+    def test_folds_of_no_and_one_value(self):
+        for L in lattice_family():
+            assert L.join([]) == L.bottom and L.meet([]) == L.top
+            for v in L.carrier():
+                assert L.join([v]) == v and L.meet([v]) == v
+                assert L.join([v, L.bottom]) == v and L.meet([v, L.top]) == v
+
 
 class TestJoinIrreducibles:
     def test_parts_join_back_and_are_join_prime(self):

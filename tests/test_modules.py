@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from fshom.exact import PrimeField, ZZ, solve
 from fshom.modules import (
     HomologyAmbient,
@@ -97,8 +99,51 @@ class TestMembership:
                             for cs in itertools.product(range(ring.p), repeat=len(gens))}
                     assert expected == [tuple(map(ring.of, v)) in span for v in vecs]
 
+    def test_member_ignores_reduction(self):
+        """Seeded submodules over Z with torsion, GF(2) and GF(3): a vector
+        with torsion multiples added, negative entries and entries >= p is a
+        member exactly when its reduction is; a wrong length is refused."""
+        rng = random.Random(17)
+        for ring in (ZZ, PrimeField(2), PrimeField(3)):
+            for _ in range(30):
+                if ring.is_field:
+                    amb = ambient((), rng.randint(0, 3), ring)
+                else:
+                    amb = ambient(tuple(rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(0, 2))),
+                                  rng.randint(0, 2))
+                n = amb.length
+                gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+                S = SubmoduleOfHomology(amb, gens)
+                shift = list(amb.torsion) + [ring.p if ring.is_field else 0] * amb.free_rank
+                for _ in range(12):
+                    v = [rng.randint(-6, 6) for _ in range(n)]
+                    v = tuple(x + rng.randint(-3, 3) * a for x, a in zip(v, shift))
+                    assert S.member(v) == S.member(amb.reduce_vector(v))
+                for bad_length in {n + 1, max(n - 1, 0)} - {n}:
+                    with pytest.raises(ValueError):
+                        S.member((0,) * bad_length)
+
 
 class TestLatticeOfSubmodules:
+    def test_intersection_is_exact_on_a_box(self):
+        """Over GF(2), GF(3) and Z with torsion, on small ambients, every
+        vector of a box lies in a.intersect(b) exactly when it lies in a and
+        in b."""
+        rng = random.Random(29)
+        cases = [(PrimeField(2), (), 3), (PrimeField(3), (), 2), (ZZ, (2,), 1),
+                 (ZZ, (2, 4), 0), (ZZ, (3,), 1), (ZZ, (), 2)]
+        for ring, tors, free in cases:
+            amb = ambient(tors, free, ring)
+            n = amb.length
+            box = list(itertools.product(range(-4, 5), repeat=n))
+            for _ in range(8):
+                a, b = (SubmoduleOfHomology(amb, [tuple(rng.randint(-4, 4) for _ in range(n))
+                                                  for _ in range(rng.randint(0, 2))])
+                        for _ in range(2))
+                inter = a.intersect(b)
+                assert [inter.member(v) for v in box] == \
+                    [a.member(v) and b.member(v) for v in box]
+
     def test_intersection_of_free_lines(self):
         amb = ambient((), 2)
         a = SubmoduleOfHomology(amb, [(2, 0)])

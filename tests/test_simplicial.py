@@ -1,5 +1,7 @@
 """Simplices, complexes and boundary matrices."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -61,6 +63,28 @@ class TestSimplex:
         b = Simplex((0, 1, 2)).boundary()
         assert b == [(1, Simplex((1, 2))), (-1, Simplex((0, 2))), (1, Simplex((0, 1)))]
 
+    def test_is_its_vertex_tuple(self):
+        rng = random.Random(31)
+        simplices = [Simplex(rng.sample(range(9), rng.randint(1, 4))) for _ in range(60)]
+        for s in simplices:
+            vs = s.vertices
+            assert type(vs) is tuple and vs == tuple(sorted(vs))
+            assert s == vs and vs == s and hash(s) == hash(vs)
+            assert {s: 1}[vs] == 1 and vs in {s}
+        assert [s.vertices for s in sorted(simplices)] == sorted(s.vertices for s in simplices)
+
+    def test_immutable(self):
+        s = Simplex((2, 0))
+        with pytest.raises(AttributeError):
+            s.vertices = (0, 1)
+        with pytest.raises(AttributeError):
+            s.color = "red"
+
+    def test_copy_and_pickle_round_trip(self):
+        s = Simplex((5, 1, 3))
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(t) is Simplex and t == s and t.vertices == (1, 3, 5)
+
 
 class TestComplexConstruction:
     def test_reference_counts(self):
@@ -90,6 +114,12 @@ class TestComplexConstruction:
     def test_face_closure_required(self):
         with pytest.raises(ValueError):
             SimplicialComplex([Simplex((0, 1))])
+
+    def test_plain_tuples_refused(self):
+        with pytest.raises(TypeError):
+            SimplicialComplex([(0,)])
+        with pytest.raises(TypeError):
+            SimplicialComplex([Simplex((0,)), Simplex((1,)), (0, 1)])
 
     def test_closure_checked_on_every_face(self):
         # the closure is built here from vertex lists, not by from_maximal
