@@ -1,32 +1,35 @@
 """Command-line interface.
 
 Commands: validate, homology, eta, cuts, rank-table, build-chromatic,
-import-filtration. Exit codes: 0 success, 1 validation failure, 2 parse or
-usage error, 3 capability refusal (for example a value lattice whose bottom
-is not meet-prime). Reports are deterministic: identical inputs give
-byte-identical output.
+import-filtration. Each analysis command builds one report: `--json` writes
+it as JSON and text mode renders the same report line by line. Exit codes:
+0 success, 1 validation failure, 2 parse or usage error (also an unreadable
+input file or an unwritable `--out`), 3 capability refusal (for example a
+value lattice whose bottom is not meet-prime). Reports are deterministic:
+identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exact import format_ring
-from .fuzzy import FuzzyError
+from .fuzzy import FuzzyError, vietoris_rips
 from .fuzzyhomology import FuzzyHomologyContext, NotComputableError
 from .homology import ReducedChainComplex
 from .lattice import LatticeError, format_value, parse_value
 from .project import (
-    LoadedProject,
     ProjectError,
     dump_project,
+    load_project,
     load_project_file,
     project_from_fuzzy,
     read_chromatic_csv,
+    read_json,
 )
-from .simplicial import Simplex
 
 
 class UsageError(ValueError):
@@ -42,26 +45,16 @@ def _chain_map(complex, d: int, chain) -> dict:
     return out
 
 
-def _chain_text(complex, d: int, chain) -> str:
-    parts = []
-    for s, c in zip(complex.simplices(d), chain):
-        if not c:
-            continue
-        c = int(c)
-        name = "<" + ",".join(str(v) for v in s.vertices) + ">"
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = "-" + name
+def _chain_text(chain: dict) -> str:
+    """A chain map as text, for example `<0,1> - <0,3> + 2*<1,3>`."""
+    text = ""
+    for name, c in chain.items():
+        term = f"<{name}>" if abs(c) == 1 else f"{abs(c)}*<{name}>"
+        if text:
+            text += (" - " if c < 0 else " + ") + term
         else:
-            term = f"{c}*{name}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    text = parts[0]
-    for term in parts[1:]:
-        text += " - " + term[1:] if term.startswith("-") else " + " + term
-    return text
+            text = ("-" if c < 0 else "") + term
+    return text or "0"
 
 
 def _structure_json(structure, ring) -> dict:
@@ -73,21 +66,30 @@ def _structure_json(structure, ring) -> dict:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out_path}: {e}") from None
+
+
+def _write(args, report: dict, render) -> None:
+    """Emit the report as JSON under --json, else the text lines of render(report)."""
+    if args.json:
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        sys.stdout.write(text)
+        _emit("\n".join(render(report)) + "\n", args.out)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _check_mu_usable(project: LoadedProject) -> None:
+def _context(args) -> FuzzyHomologyContext:
+    project = load_project_file(args.project, ring_override=args.ring)
     if project.violations:
         lines = [v.message() for v in project.violations]
         raise FuzzyError("the fuzzy values are not face-monotone:\n  " + "\n  ".join(lines))
+    return FuzzyHomologyContext(project.mu, project.ring)
 
 
 def _degrees(args, top: int) -> list:
@@ -107,59 +109,45 @@ def cmd_validate(args) -> int:
         "dimension": project.complex.dim,
         "simplex_counts": [project.complex.n(d) for d in range(project.complex.dim + 1)],
     }
-    if args.json:
-        _emit(_json_dump(report), args.out)
-    else:
-        lines = [f"complex: dimension {report['dimension']}, "
-                 f"counts {report['simplex_counts']}"]
-        for w in project.warnings:
-            lines.append(f"warning: {w}")
-        if project.is_valid:
-            lines.append("valid")
-        else:
-            lines.extend(f"violation: {m}" for m in report["violations"])
-            lines.append("invalid")
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, report, _validate_text)
     return 0 if project.is_valid else 1
+
+
+def _validate_text(report):
+    yield f"complex: dimension {report['dimension']}, counts {report['simplex_counts']}"
+    for w in report["warnings"]:
+        yield f"warning: {w}"
+    for m in report["violations"]:
+        yield f"violation: {m}"
+    yield "valid" if report["valid"] else "invalid"
 
 
 def cmd_homology(args) -> int:
     project = load_project_file(args.project, ring_override=args.ring)
     R = ReducedChainComplex(project.complex, project.ring)
-    degrees, homologies = [], []
+    degrees = []
     for d in _degrees(args, R.top):
         h = R.homology(d)
-        homologies.append(h)
         degrees.append({
             "degree": d,
-            "betti": h.structure.betti,
-            "torsion": [int(a) for a in h.structure.torsion],
-            "description": h.structure.describe(project.ring),
+            **_structure_json(h.structure, project.ring),
             "torsion_generators": [_chain_map(project.complex, d, g)
                                    for g in h.torsion_generators],
             "free_generators": [_chain_map(project.complex, d, g)
                                 for g in h.free_generators],
         })
-    report = {"ring": format_ring(project.ring), "degrees": degrees}
-    if args.json:
-        _emit(_json_dump(report), args.out)
-    else:
-        lines = []
-        for entry, h in zip(degrees, homologies):
-            d = entry["degree"]
-            lines.append(f"H_{d} = {entry['description']}")
-            for i, g in enumerate(h.torsion_generators, start=1):
-                a = h.structure.torsion[i - 1]
-                lines.append(f"  t{d}_{i} (order {a}) = {_chain_text(project.complex, d, g)}")
-            for i, g in enumerate(h.free_generators, start=1):
-                lines.append(f"  f{d}_{i} = {_chain_text(project.complex, d, g)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, {"ring": format_ring(project.ring), "degrees": degrees}, _homology_text)
     return 0
 
 
-def _make_context(project: LoadedProject) -> FuzzyHomologyContext:
-    _check_mu_usable(project)
-    return FuzzyHomologyContext(project.mu, project.ring)
+def _homology_text(report):
+    for entry in report["degrees"]:
+        d = entry["degree"]
+        yield f"H_{d} = {entry['description']}"
+        for i, (a, g) in enumerate(zip(entry["torsion"], entry["torsion_generators"]), start=1):
+            yield f"  t{d}_{i} (order {a}) = {_chain_text(g)}"
+        for i, g in enumerate(entry["free_generators"], start=1):
+            yield f"  f{d}_{i} = {_chain_text(g)}"
 
 
 def _parse_class(args, ctx, d: int):
@@ -177,9 +165,7 @@ def _parse_class(args, ctx, d: int):
 
 
 def cmd_eta(args) -> int:
-    project = load_project_file(args.project, ring_override=args.ring)
-    ctx = _make_context(project)
-    ring = project.ring
+    ctx = _context(args)
     if args.class_ is not None:
         if args.degree is None:
             raise UsageError("--class requires --degree")
@@ -192,129 +178,88 @@ def cmd_eta(args) -> int:
             "eta": format_value(ctx.eta_value(d, h)),
             "solvable_levels": [format_value(lv) for lv in levels],
         }
-        if args.json:
-            _emit(_json_dump(report), args.out)
-        else:
-            _emit(f"eta_{d}({list(h.vector())}) = {report['eta']}\n", args.out)
+        _write(args, report, lambda r: [f"eta_{r['degree']}({r['class']}) = {r['eta']}"])
         return 0
     reports = []
     for d in _degrees(args, ctx.reduced.top):
         h = ctx.reduced.homology(d)
         ambient = ctx.reduced.ambient(d)
         generators = []
-        for i, chain in enumerate(h.torsion_generators):
-            vec = [0] * ambient.length
-            vec[i] = 1
-            cls = ctx.reduced.class_from_vector(d, vec)
-            generators.append({
-                "kind": "torsion",
-                "order": int(ambient.torsion[i]),
-                "chain": _chain_map(ctx.mu.complex, d, chain),
-                "eta": format_value(ctx.eta_value(d, cls)),
-            })
-        for j, chain in enumerate(h.free_generators):
-            vec = [0] * ambient.length
-            vec[len(ambient.torsion) + j] = 1
-            cls = ctx.reduced.class_from_vector(d, vec)
-            generators.append({
-                "kind": "free",
-                "chain": _chain_map(ctx.mu.complex, d, chain),
-                "eta": format_value(ctx.eta_value(d, cls)),
-            })
+        # unit class i: torsion coordinates first, then free, as homology lists them
+        for i, chain in enumerate(h.torsion_generators + h.free_generators):
+            cls = ctx.reduced.class_from_vector(d, [int(i == j) for j in range(ambient.length)])
+            kind = ({"kind": "torsion", "order": int(ambient.torsion[i])}
+                    if i < len(ambient.torsion) else {"kind": "free"})
+            generators.append({**kind, "chain": _chain_map(ctx.mu.complex, d, chain),
+                               "eta": format_value(ctx.eta_value(d, cls))})
         kv = ctx.kappa_value_set(d)
-        hdl = {format_value(lv): _structure_json(ctx.hdl_submodule(d, lv).structure, ring)
-               for lv in kv}
-        cuts = {format_value(lv): _structure_json(ctx.eta_cut(d, lv).structure, ring)
-                for lv in kv}
         reports.append({
             "degree": d,
-            "betti": h.structure.betti,
-            "torsion": [int(a) for a in h.structure.torsion],
-            "description": h.structure.describe(ring),
+            **_structure_json(h.structure, ctx.ring),
             "generators": generators,
             "kappa_values": [format_value(lv) for lv in kv],
-            "hdl": hdl,
-            "cuts": cuts,
+            "hdl": {format_value(lv): _structure_json(ctx.hdl_submodule(d, lv).structure, ctx.ring)
+                    for lv in kv},
+            "cuts": {format_value(lv): _structure_json(ctx.eta_cut(d, lv).structure, ctx.ring)
+                     for lv in kv},
         })
-    report = {"ring": format_ring(ring), "reports": reports}
-    if args.json:
-        _emit(_json_dump(report), args.out)
-    else:
-        lines = []
-        for entry in reports:
-            d = entry["degree"]
-            lines.append(f"H_{d} = {entry['description']}")
-            for g in entry["generators"]:
-                label = "torsion" if g["kind"] == "torsion" else "free"
-                lines.append(f"  {label} generator, eta = {g['eta']}")
-            lines.append(f"  L(kappa_{d}) = {{{', '.join(entry['kappa_values'])}}}")
-            for lv in entry["kappa_values"]:
-                lines.append(f"  H_{d}({lv}) = {entry['hdl'][lv]['description']}")
-            for lv in entry["kappa_values"]:
-                lines.append(f"  eta_{d} cut at {lv} = {entry['cuts'][lv]['description']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, {"ring": format_ring(ctx.ring), "reports": reports}, _eta_text)
     return 0
 
 
-def _requested_levels(args, ctx, d: int) -> list:
-    if args.levels:
-        out = []
-        for text in args.levels:
-            try:
-                out.append(parse_value(text, ctx.lattice))
-            except LatticeError as e:
-                raise UsageError(f"bad level {text!r}: {e}") from None
-        return out
-    return ctx.kappa_value_set(d)
+def _eta_text(report):
+    for entry in report["reports"]:
+        d = entry["degree"]
+        yield f"H_{d} = {entry['description']}"
+        for g in entry["generators"]:
+            yield f"  {g['kind']} generator, eta = {g['eta']}"
+        yield f"  L(kappa_{d}) = {{{', '.join(entry['kappa_values'])}}}"
+        for lv in entry["kappa_values"]:
+            yield f"  H_{d}({lv}) = {entry['hdl'][lv]['description']}"
+        for lv in entry["kappa_values"]:
+            yield f"  eta_{d} cut at {lv} = {entry['cuts'][lv]['description']}"
+
+
+def _per_level(args, key: str, value, line) -> int:
+    """cuts and rank-table: value(eta cut) at each requested level of each degree.
+
+    The levels are those of --levels, else all of L(kappa_d). The report
+    holds them under `key` by level text; text mode prints line(d, level,
+    value) for each, in level-text order.
+    """
+    ctx = _context(args)
+    degrees = _degrees(args, ctx.reduced.top)
+    levels = []
+    for text in args.levels or ():
+        try:
+            levels.append(parse_value(text, ctx.lattice))
+        except LatticeError as e:
+            raise UsageError(f"bad level {text!r}: {e}") from None
+    reports = [{"degree": d,
+                key: {format_value(lv): value(ctx.eta_cut(d, lv).structure, ctx.ring)
+                      for lv in levels or ctx.kappa_value_set(d)}}
+               for d in degrees]
+
+    def render(report):
+        for entry in report["reports"]:
+            for lv, v in sorted(entry[key].items()):
+                yield line(entry["degree"], lv, v)
+
+    _write(args, {"ring": format_ring(ctx.ring), "reports": reports}, render)
+    return 0
 
 
 def cmd_cuts(args) -> int:
-    project = load_project_file(args.project, ring_override=args.ring)
-    ctx = _make_context(project)
-    reports = []
-    for d in _degrees(args, ctx.reduced.top):
-        levels = _requested_levels(args, ctx, d)
-        cuts = {format_value(lv): _structure_json(ctx.eta_cut(d, lv).structure, project.ring)
-                for lv in levels}
-        reports.append({"degree": d, "cuts": cuts})
-    report = {"ring": format_ring(project.ring), "reports": reports}
-    if args.json:
-        _emit(_json_dump(report), args.out)
-    else:
-        lines = []
-        for entry in reports:
-            for lv, s in sorted(entry["cuts"].items()):
-                lines.append(f"eta_{entry['degree']} cut at {lv} = {s['description']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _per_level(args, "cuts", _structure_json,
+                      lambda d, lv, s: f"eta_{d} cut at {lv} = {s['description']}")
 
 
 def cmd_rank_table(args) -> int:
-    project = load_project_file(args.project, ring_override=args.ring)
-    ctx = _make_context(project)
-    reports = []
-    for d in _degrees(args, ctx.reduced.top):
-        levels = _requested_levels(args, ctx, d)
-        table = ctx.rank_cut_table(d, levels)
-        reports.append({
-            "degree": d,
-            "ranks": {format_value(lv): rank for lv, rank in table.items()},
-        })
-    report = {"ring": format_ring(project.ring), "reports": reports}
-    if args.json:
-        _emit(_json_dump(report), args.out)
-    else:
-        lines = []
-        for entry in reports:
-            for lv, rank in sorted(entry["ranks"].items()):
-                lines.append(f"rank eta_{entry['degree']} cut at {lv} = {rank}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _per_level(args, "ranks", lambda structure, ring: structure.betti,
+                      lambda d, lv, rank: f"rank eta_{d} cut at {lv} = {rank}")
 
 
 def cmd_build_chromatic(args) -> int:
-    from .fuzzy import vietoris_rips
-
     dataset = read_chromatic_csv(args.csv)
     try:
         complex, mu = vietoris_rips(dataset, args.radius, args.max_dim)
@@ -326,17 +271,9 @@ def cmd_build_chromatic(args) -> int:
 
 
 def cmd_import_filtration(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ProjectError(f"cannot read {args.spec}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ProjectError(f"{args.spec}: invalid JSON: {e}") from None
+    data = read_json(args.spec)
     if isinstance(data, dict) and "filtration" not in data and {"poset", "stages"} <= set(data):
         data = {"filtration": data}
-    from .project import load_project
-    import os
     project = load_project(data, base_dir=os.path.dirname(os.path.abspath(args.spec)))
     for w in project.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -351,41 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simplicial homology over a PID and lattice-valued fuzzy homology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, ring=True):
+    def analysis(name, func, help, degree=True):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("project", help="project JSON file")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--out", help="write the report to a file instead of stdout")
-        if ring:
-            sp.add_argument("--ring", help="coefficient ring: z or zmod:<p>")
+        sp.add_argument("--ring", help="coefficient ring: z or zmod:<p>")
+        if degree:
+            sp.add_argument("--degree", type=int, help="restrict to one degree")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("validate", help="check totality and face monotonicity")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("homology", help="crisp homology of the complex")
-    common(sp)
-    sp.add_argument("--degree", type=int, help="restrict to one degree")
-    sp.set_defaults(func=cmd_homology)
-
-    sp = sub.add_parser("eta", help="fuzzy homology values, level submodules and cuts")
-    common(sp)
-    sp.add_argument("--degree", type=int, help="restrict to one degree")
-    sp.add_argument("--class", dest="class_",
-                    help="homology class coordinates (comma-separated, torsion then free)")
-    sp.set_defaults(func=cmd_eta)
-
-    sp = sub.add_parser("cuts", help="cut submodules of the fuzzy homology")
-    common(sp)
-    sp.add_argument("--degree", type=int, help="restrict to one degree")
-    sp.add_argument("--levels", action="append",
-                    help="lattice level expression (repeatable); default: all of L(kappa_d)")
-    sp.set_defaults(func=cmd_cuts)
-
-    sp = sub.add_parser("rank-table", help="betti numbers of eta cuts per level")
-    common(sp)
-    sp.add_argument("--degree", type=int, help="restrict to one degree")
-    sp.add_argument("--levels", action="append", help="lattice level expression (repeatable)")
-    sp.set_defaults(func=cmd_rank_table)
+    analysis("validate", cmd_validate, "check totality and face monotonicity", degree=False)
+    analysis("homology", cmd_homology, "crisp homology of the complex")
+    analysis("eta", cmd_eta, "fuzzy homology values, level submodules and cuts").add_argument(
+        "--class", dest="class_",
+        help="homology class coordinates (comma-separated, torsion then free)")
+    for name, func, help in (("cuts", cmd_cuts, "cut submodules of the fuzzy homology"),
+                             ("rank-table", cmd_rank_table, "betti numbers of eta cuts per level")):
+        analysis(name, func, help).add_argument(
+            "--levels", action="append",
+            help="lattice level expression (repeatable); default: all of L(kappa_d)")
 
     sp = sub.add_parser("build-chromatic",
                         help="build a project from a labeled point cloud CSV")

@@ -119,11 +119,13 @@ def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -
         lattice._check(v)
     values = {s: explicit.get(s, lattice.bottom) for s in complex.all_simplices()}
     # every coface reaches a simplex through a chain of facets, so joining
-    # each value into its facets from the top dimension down covers them all
+    # each value into its facets from the top dimension down covers them all;
+    # a value already below the facet's leaves it unchanged, so it is skipped
     for d in range(complex.dim, 0, -1):
         for s in complex.simplices(d):
             for _, face in s.boundary():
-                values[face] = lattice.join([values[face], values[s]])
+                if not lattice.leq(values[s], values[face]):
+                    values[face] = lattice.join([values[face], values[s]])
     return values
 
 

@@ -205,10 +205,6 @@ class FuzzyHomologyContext:
         values = self._kappa_values[d] if 0 <= d <= self.reduced.top else ()
         return self.lattice.meet([s for s in values if self.lattice.leq(level, s)])
 
-    def rank_cut_table(self, d: int, levels) -> dict:
-        """Betti number of the eta cut at each requested level."""
-        return {lv: self.eta_cut(d, lv).structure.betti for lv in levels}
-
 
 def _meet_closure(lattice, values) -> list:
     """The meet-closure of the non-zero values plus 1, deterministically ordered."""

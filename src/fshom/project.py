@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 
 from .exact import ZZ, format_ring, parse_ring
@@ -95,9 +96,12 @@ def _load_mu_entries(entries, complex, lattice):
 
 def read_chromatic_csv(path) -> ChromaticDataset:
     """Labeled points: coordinate columns (header order) then a 'label' column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProjectError(f"cannot read {path}: {e}") from None
     _require(rows, f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0]]
     _require("label" in header, f"{path}: no 'label' column")
@@ -147,7 +151,6 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         spec = data["chromatic"]
         _require(isinstance(spec, dict) and "csv" in spec and "radius" in spec,
                  "chromatic spec needs 'csv' and 'radius'")
-        import os
         path = spec["csv"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -194,16 +197,19 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
     return LoadedProject(lattice, complex, mu, ring, source, violations, warnings)
 
 
-def load_project_file(path: str, ring_override: str | None = None) -> LoadedProject:
-    import os
+def read_json(path: str):
+    """The JSON document in a file; a file that cannot be read or parsed is a ProjectError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as e:
         raise ProjectError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ProjectError(f"{path}: invalid JSON: {e}") from None
-    return load_project(data, base_dir=os.path.dirname(os.path.abspath(path)),
+
+
+def load_project_file(path: str, ring_override: str | None = None) -> LoadedProject:
+    return load_project(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)),
                         ring_override=ring_override)
 
 

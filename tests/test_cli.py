@@ -289,3 +289,59 @@ class TestErrorsAndDeterminism:
              fixture_path("reference.json")],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0 and "valid" in proc.stdout
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs exit 2 with one `error:` line."""
+
+    @staticmethod
+    def one_error_line(err: str) -> bool:
+        return err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_csv_for_build_chromatic(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build-chromatic", str(tmp_path / "missing.csv"),
+                             "--radius", "2")
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert "cannot read" in err
+
+    def test_missing_csv_of_chromatic_project(self, capsys, tmp_path):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps({"chromatic": {"csv": "missing.csv", "radius": 2}}))
+        code, out, err = run(capsys, "validate", str(project))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert "missing.csv" in err
+
+    def test_project_not_utf8(self, capsys, tmp_path):
+        project = tmp_path / "project.json"
+        project.write_bytes(b'{"ring": "\xff"}')
+        code, out, err = run(capsys, "homology", str(project))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert "cannot read" in err
+
+    def test_filtration_spec_not_utf8(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"poset": "\xff"}')
+        code, out, err = run(capsys, "import-filtration", str(spec))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert "cannot read" in err
+
+    def test_csv_not_utf8(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_bytes(b"x,y,label\n0,0,r\xe9d\n")
+        code, out, err = run(capsys, "build-chromatic", str(points), "--radius", "2")
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert "cannot read" in err
+
+    @pytest.mark.parametrize("argv", [("homology", "--json"), ("eta",)])
+    def test_out_in_missing_directory(self, capsys, fixture_path, tmp_path, argv):
+        target = tmp_path / "no" / "such" / "report.json"
+        code, out, err = run(capsys, *argv, fixture_path("reference.json"),
+                             "--out", str(target))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_out_is_a_directory(self, capsys, fixture_path, tmp_path):
+        code, out, err = run(capsys, "build-chromatic", fixture_path("points.csv"),
+                             "--radius", "2", "--out", str(tmp_path))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
