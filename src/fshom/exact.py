@@ -11,7 +11,11 @@ or column operation of the Smith reduction touches only the non-zeros of the
 lines it combines, so the work follows the non-zero count: boundary matrices
 and Smith transforms of simplicial complexes have a few non-zeros per line.
 Zero terms contribute nothing to an exact sum, so results equal those of
-dense loops with the same pivot rule and order of operations. Measured
+dense loops with the same pivot rule and order of operations.
+
+The elimination step of the Smith reduction is written once, on one side of
+D (`_Side`): the row side carries P and P_inv, the column side Q and Q_inv,
+and `snf` clears each pivot through both sides until neither swaps. Measured
 envelope (Python 3.11 on a 2-vCPU Xeon KVM guest): reducing a
 Vietoris-Rips 2-complex over Z takes 0.04 s at 865 simplices, 0.26 s at
 2835 and 0.47 s at 4687 simplices, with 36 MB peak RSS at the largest.
@@ -457,110 +461,96 @@ class SmithDecomposition:
         return DiophantineSolution(True, tuple(self.Q.apply(y)), hom)
 
 
-class _Worker:
-    """Mutable state for one Smith reduction, as sparse lines.
+class _Side:
+    """One side of a Smith reduction, as sparse lines; `snf` uses it twice.
 
-    Row operations act on D and P (left) and on P_inv (right, inverted);
-    column operations act on D and Q (right) and on Q_inv (left, inverted),
-    so P @ A @ Q == D and the inverse pairs stay exact at every step. D is
-    held both by rows (`Dr`) and by columns (`Dc`); P and Q_inv by rows,
-    P_inv and Q by columns. Each operation then touches only the non-zeros
-    of the two lines it combines.
+    The row side holds D by rows (`lines`) and by columns (`mirror`), P by
+    rows (`T`) and P_inv by columns (`T_inv`). The column side holds the
+    same two views of D the other way round, Q by columns and Q_inv by rows.
+    An operation on lines of D acts on the same lines of T, and inverted on
+    lines of T_inv, so P @ A @ Q == D and the inverse pairs stay exact at
+    every step. Each operation touches only the non-zeros of the lines it
+    combines.
     """
 
-    def __init__(self, A: ExactMatrix):
-        self.ring = A.ring
-        self.m = A.rows
-        self.n = A.cols
-        self.Dr = [dict(line) for line in A.by_rows]
-        self.Dc = [dict(line) for line in A.by_cols]
-        self.P = [{i: 1} for i in range(A.rows)]
-        self.Pi = [{i: 1} for i in range(A.rows)]
-        self.Q = [{j: 1} for j in range(A.cols)]
-        self.Qi = [{j: 1} for j in range(A.cols)]
+    def __init__(self, ring, lines: list, mirror: list):
+        self.ring = ring
+        self.lines = lines
+        self.mirror = mirror
+        self.T = [{i: 1} for i in range(len(lines))]
+        self.T_inv = [{i: 1} for i in range(len(lines))]
 
-    def row_swap(self, i, j):
+    def swap(self, i, j):
+        """Swap lines i and j; in the mirror, entries (k, i) and (k, j) trade places."""
         if i == j:
             return
-        _swap(self.Dr, i, j, self.Dc)
-        self.P[i], self.P[j] = self.P[j], self.P[i]
-        self.Pi[i], self.Pi[j] = self.Pi[j], self.Pi[i]
+        lines, mirror = self.lines, self.mirror
+        li, lj = lines[i], lines[j]
+        for k in li:
+            del mirror[k][i]
+        for k in lj:
+            del mirror[k][j]
+        for k, x in li.items():
+            mirror[k][j] = x
+        for k, x in lj.items():
+            mirror[k][i] = x
+        lines[i], lines[j] = lj, li
+        for T in (self.T, self.T_inv):
+            T[i], T[j] = T[j], T[i]
 
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        _swap(self.Dc, i, j, self.Dr)
-        self.Q[i], self.Q[j] = self.Q[j], self.Q[i]
-        self.Qi[i], self.Qi[j] = self.Qi[j], self.Qi[i]
-
-    def row_addmul(self, i, j, c):
-        """row_i += c * row_j (i != j)."""
+    def addmul(self, i, j, c):
+        """line_i += c * line_j (i != j); inverse update: T_inv line j -= c * line i."""
         ring = self.ring
         if ring.is_zero(c):
             return
-        _addmul(ring, self.Dr[i], self.Dr[j], c, self.Dc, i)
-        _addmul(ring, self.P[i], self.P[j], c)
-        # inverse update: column j -= c * column i
-        _addmul(ring, self.Pi[j], self.Pi[i], ring.neg(c))
+        _addmul(ring, self.lines[i], self.lines[j], c, self.mirror, i)
+        _addmul(ring, self.T[i], self.T[j], c)
+        _addmul(ring, self.T_inv[j], self.T_inv[i], ring.neg(c))
 
-    def col_addmul(self, j, k, c):
-        """col_j += c * col_k (j != k)."""
-        ring = self.ring
-        if ring.is_zero(c):
-            return
-        _addmul(ring, self.Dc[j], self.Dc[k], c, self.Dr, j)
-        _addmul(ring, self.Q[j], self.Q[k], c)
-        # inverse update: row k -= c * row j
-        _addmul(ring, self.Qi[k], self.Qi[j], ring.neg(c))
-
-    def row_scale(self, i, u):
-        """row_i *= u for a unit u."""
+    def scale(self, i, u):
+        """line_i *= u for a unit u."""
         ring = self.ring
         mul = ring.mul
-        ui = ring.inv(u)
-        ri = self.Dr[i]
-        for k, x in ri.items():
-            ri[k] = self.Dc[k][i] = mul(u, x)
-        pi = self.P[i]
-        for k, x in pi.items():
-            pi[k] = mul(u, x)
-        col = self.Pi[i]
-        for k, x in col.items():
-            col[k] = mul(ui, x)
+        line = self.lines[i]
+        for k, x in line.items():
+            line[k] = self.mirror[k][i] = mul(u, x)
+        for T, v in ((self.T, u), (self.T_inv, ring.inv(u))):
+            ti = T[i]
+            for k, x in ti.items():
+                ti[k] = mul(v, x)
 
-    def find_pivot(self, t):
-        """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col).
-
-        Rows t.. are zero left of column t, as every earlier pivot row and
-        column is cleared. Rows are scanned in order, and the scan stops
-        after the first row holding an entry of size 1: no non-zero entry is
-        smaller, and every later entry comes after it in (row, col).
-        """
-        size = self.ring.pivot_size
-        best = None
-        for i in range(t, self.m):
-            for j, x in self.Dr[i].items():
-                key = (size(x), i, j)
-                if best is None or key < best:
-                    best = key
-            if best is not None and best[0] == 1:
-                break
-        return None if best is None else best[1:]
+    def clear(self, t) -> bool:
+        """Clear the entries at t of the lines past t, in order (clearing one
+        changes no other line). True once a non-zero remainder, strictly
+        smaller than the pivot, has been swapped in as the new pivot."""
+        ring = self.ring
+        lines = self.lines
+        for i in sorted(i for i in self.mirror[t] if i > t):
+            self.addmul(i, t, ring.neg(ring.quo(lines[i][t], lines[t][t])))
+            if t in lines[i]:
+                self.swap(t, i)
+                return True
+        return False
 
 
-def _swap(lines: list, i, j, mirror: list) -> None:
-    """Swap lines i and j of one view of a matrix; `mirror` is the other
-    view, where entries (k, i) and (k, j) trade places."""
-    li, lj = lines[i], lines[j]
-    for k in li:
-        del mirror[k][i]
-    for k in lj:
-        del mirror[k][j]
-    for k, x in li.items():
-        mirror[k][j] = x
-    for k, x in lj.items():
-        mirror[k][i] = x
-    lines[i], lines[j] = lj, li
+def find_pivot(ring, rows: list, t):
+    """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col), from D's rows.
+
+    Rows t.. are zero left of column t, as every earlier pivot row and
+    column is cleared. Rows are scanned in order, and the scan stops after
+    the first row holding an entry of size 1: no non-zero entry is smaller,
+    and every later entry comes after it in (row, col).
+    """
+    size = ring.pivot_size
+    best = None
+    for i in range(t, len(rows)):
+        for j, x in rows[i].items():
+            key = (size(x), i, j)
+            if best is None or key < best:
+                best = key
+        if best is not None and best[0] == 1:
+            break
+    return None if best is None else best[1:]
 
 
 def _addmul(ring, target: dict, source: dict, c, mirror=None, index=None) -> None:
@@ -586,46 +576,29 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
     """Smith normal form with transformation matrices.
 
     Pivot rule: the non-zero entry of minimal absolute value in the remaining
-    submatrix, ties broken by smallest (row, col). Deterministic.
+    submatrix, ties broken by smallest (row, col). Deterministic. Each pivot
+    is cleared from its column (the row side) and its row (the column side)
+    until neither side swaps in a smaller remainder.
 
     >>> s = snf(ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]]))
     >>> s.invariant_factors
     (1, 6)
     """
     ring = A.ring
-    w = _Worker(A)
-    m, n = w.m, w.n
-    Dr, Dc = w.Dr, w.Dc
+    m, n = A.rows, A.cols
+    Dr = [dict(line) for line in A.by_rows]
+    Dc = [dict(line) for line in A.by_cols]
+    rows, cols = _Side(ring, Dr, Dc), _Side(ring, Dc, Dr)
     t = 0
     while t < min(m, n):
-        pos = w.find_pivot(t)
+        pos = find_pivot(ring, Dr, t)
         if pos is None:
             break
-        w.row_swap(t, pos[0])
-        w.col_swap(t, pos[1])
+        rows.swap(t, pos[0])
+        cols.swap(t, pos[1])
         while True:
-            restart = False
-            # rows below t with a non-zero in column t, in order; clearing
-            # one changes no other row
-            for i in sorted(i for i in Dc[t] if i > t):
-                q = ring.quo(Dr[i][t], Dr[t][t])
-                w.row_addmul(i, t, ring.neg(q))
-                if t in Dr[i]:
-                    # non-zero remainder is strictly smaller; make it the pivot
-                    w.row_swap(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in sorted(j for j in Dr[t] if j > t):
-                q = ring.quo(Dr[t][j], Dr[t][t])
-                w.col_addmul(j, t, ring.neg(q))
-                if j in Dr[t]:
-                    w.col_swap(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
+            while rows.clear(t) or cols.clear(t):
+                pass
             # pivot must divide the rest of the submatrix for the chain
             # d_i | d_{i+1}; a unit divides everything, and every entry
             # divides 0. Rows past t are now zero up to column t.
@@ -636,17 +609,17 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
                         if any(not ring.divides(pivot, x) for x in Dr[i].values())), None)
             if bad is None:
                 break
-            w.row_addmul(t, bad, ring.of(1))
+            rows.addmul(t, bad, ring.of(1))
         u = ring.normalizer(Dr[t][t])
         if not ring.is_zero(ring.sub(u, ring.of(1))):
-            w.row_scale(t, u)
+            rows.scale(t, u)
         t += 1
     return SmithDecomposition(
         ring=ring,
-        P=ExactMatrix._lines(ring, m, m, by_rows=w.P),
-        P_inv=ExactMatrix._lines(ring, m, m, by_cols=w.Pi),
-        Q=ExactMatrix._lines(ring, n, n, by_cols=w.Q),
-        Q_inv=ExactMatrix._lines(ring, n, n, by_rows=w.Qi),
+        P=ExactMatrix._lines(ring, m, m, by_rows=rows.T),
+        P_inv=ExactMatrix._lines(ring, m, m, by_cols=rows.T_inv),
+        Q=ExactMatrix._lines(ring, n, n, by_cols=cols.T),
+        Q_inv=ExactMatrix._lines(ring, n, n, by_rows=cols.T_inv),
         D=ExactMatrix._lines(ring, m, n, by_rows=Dr, by_cols=Dc),
         rank=t,
         invariant_factors=tuple(Dr[i][i] for i in range(t)),

@@ -12,9 +12,11 @@ each degree the new basis splits into four blocks in this order:
 - R: non-cycles (their D_d column is non-zero),
 - F: free cycle generators.
 
-Homology in degree d is then D/(a_1) + ... + D/(a_nT) + D^{nF} on the nose,
-and cycles convert between the simplex basis and homology coordinates by the
-recorded matrices.
+The block sizes come from the invariant factors that the reductions return:
+those of D_{d+1} split into units (U) and torsion coefficients a_i (T), and
+the rank of D_d counts R. Homology in degree d is then
+D/(a_1) + ... + D/(a_nT) + D^{nF} on the nose, and cycles convert between
+the simplex basis and homology coordinates by the recorded matrices.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class ReducedChainComplex:
         self.D[t + 1] = self.boundary[t + 1]
         P = ExactMatrix.identity(ring, n[t])      # row transform produced above
         P_inv = ExactMatrix.identity(ring, n[t])
+        factors_up = ()  # invariant factors of D_{d+1}; D_{t+1} is zero
         for d in range(t, -1, -1):
             r_up = self.rank[d + 1]
             N = self.boundary[d] @ P_inv
@@ -107,29 +110,15 @@ class ReducedChainComplex:
             self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
             self.from_delta[d] = P.take_rows(kept).vstack(s.Q_inv @ P.take_rows(rest))
             P, P_inv = s.P, s.P_inv
-
-        for d in range(t + 1):
-            self._classify(d)
-
-    def _classify(self, d: int) -> None:
-        ring = self.ring
-        r_here = self.rank[d]
-        r_up = self.rank[d + 1]
-        n_d = self.boundary[d].cols
-        diag_up = []
-        if r_up:
-            # D_{d+1} = [0 | D'] with a zero block of rank(D_{d+2}) columns
-            offset = self.rank[d + 2]
-            rows = self.D[d + 1].by_rows
-            diag_up = [rows[i][offset + i] for i in range(r_up)]
-        units = sum(1 for a in diag_up if ring.is_unit(a))
-        torsion = tuple(a for a in diag_up if not ring.is_unit(a))
-        n_U, n_T, n_R = units, len(torsion), r_here
-        n_F = n_d - n_U - n_T - n_R
-        if n_F < 0:
-            raise AssertionError("inconsistent block counts")
-        self.partition[d] = DegreePartition(n_U, n_T, n_R, n_F)
-        self.torsion[d] = torsion
+            # the unit factors of D_{d+1} come first, as each divides the next
+            torsion = tuple(a for a in factors_up if not ring.is_unit(a))
+            n_U, n_T, n_R = len(factors_up) - len(torsion), len(torsion), s.rank
+            n_F = n[d] - n_U - n_T - n_R
+            if n_F < 0:
+                raise AssertionError("inconsistent block counts")
+            self.partition[d] = DegreePartition(n_U, n_T, n_R, n_F)
+            self.torsion[d] = torsion
+            factors_up = s.invariant_factors
 
     # block columns of the E^H basis inside M^{Delta,H}_d, in U,T,R,F order
 
@@ -193,10 +182,8 @@ class ReducedChainComplex:
 
 def _boundary(complex: SimplicialComplex, ring, d: int) -> ExactMatrix:
     """The boundary matrix of degree d over the ring, built by columns."""
-    columns = complex.boundary_columns(d)
-    signs = {1: ring.of(1), -1: ring.of(-1)}
-    if signs != {1: 1, -1: -1}:
-        columns = [{i: signs[x] for i, x in column.items()} for column in columns]
+    of = ring.of
+    columns = [{i: of(x) for i, x in column.items()} for column in complex.boundary_columns(d)]
     return ExactMatrix._lines(ring, 1 if d == 0 else complex.n(d - 1), len(columns),
                               by_cols=columns)
 

@@ -298,10 +298,6 @@ class Poset:
                         seen.add(nxt)
                         stack.append(nxt)
             self._up[x] = frozenset(seen)
-        for x in elements:
-            for y in self._up[x]:
-                if y != x and x in self._up[y]:
-                    raise LatticeError(f"cover cycle between {x!r} and {y!r}")
         self.key = ("poset", elements, frozenset(covers))
 
     def leq(self, a, b) -> bool:
@@ -509,12 +505,29 @@ def lattice_from_spec(spec: dict) -> CdlLattice:
         raise LatticeError("lattice spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "total":
-        return TotalOrder(spec.get("levels", ()))
+        return TotalOrder(_spec_list(spec, "levels"))
     if kind == "fdl":
-        return FreeDistributiveLattice(spec.get("generators", ()))
+        return FreeDistributiveLattice(_spec_list(spec, "generators"))
     if kind == "upset":
-        return UpSetLattice(Poset(spec.get("elements", ()), spec.get("covers", ())))
+        return UpSetLattice(poset_from_spec(spec))
     raise LatticeError(f"unknown lattice kind {kind!r}")
+
+
+def poset_from_spec(spec: dict) -> Poset:
+    """Build a poset from {"elements":[...],"covers":[["a","b"],...]}."""
+    covers = _spec_list(spec, "covers")
+    for cover in covers:
+        if not (isinstance(cover, list) and len(cover) == 2):
+            raise LatticeError(f"cover {cover!r} must be a pair [lower, upper]")
+    return Poset(_spec_list(spec, "elements"), covers)
+
+
+def _spec_list(spec: dict, key: str) -> list:
+    """The JSON list under `key` (empty when absent)."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise LatticeError(f"'{key}' must be a list")
+    return value
 
 
 def lattice_to_spec(lattice: CdlLattice) -> dict:

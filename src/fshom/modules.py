@@ -158,8 +158,6 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     n = ambient.length
     s = S._smith
     r = s.rank
-    if m == 0:
-        return ModuleStructure(r, ())
     # L has basis c_i = d_i * (P^{-1} e_i), i < r. A relation vector a_j e_j
     # lies in L, so its i-th coordinate is a_j P[i][j] / d_i, and the rows
     # past the rank must vanish.

@@ -32,7 +32,14 @@ from .fuzzy import (
     from_filtration,
     vietoris_rips,
 )
-from .lattice import LatticeError, Poset, lattice_from_spec, lattice_to_spec, parse_value, format_value
+from .lattice import (
+    LatticeError,
+    format_value,
+    lattice_from_spec,
+    lattice_to_spec,
+    parse_value,
+    poset_from_spec,
+)
 from .simplicial import Simplex, SimplicialComplex
 
 
@@ -151,12 +158,15 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         spec = data["chromatic"]
         _require(isinstance(spec, dict) and "csv" in spec and "radius" in spec,
                  "chromatic spec needs 'csv' and 'radius'")
-        path = spec["csv"]
+        path, max_dim = spec["csv"], spec.get("max_dim", 2)
+        _require(isinstance(path, str), "'csv' must be a file path")
+        _require(isinstance(max_dim, int) and not isinstance(max_dim, bool),
+                 "'max_dim' must be an integer")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         dataset = read_chromatic_csv(path)
         try:
-            complex, mu = vietoris_rips(dataset, spec["radius"], int(spec.get("max_dim", 2)))
+            complex, mu = vietoris_rips(dataset, spec["radius"], max_dim)
         except FuzzyError as e:
             raise ProjectError(str(e)) from None
         lattice = mu.lattice
@@ -170,7 +180,7 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         _require(isinstance(pspec, dict) and "elements" in pspec,
                  "poset spec needs 'elements' (and optional 'covers')")
         try:
-            poset = Poset(pspec["elements"], pspec.get("covers", []))
+            poset = poset_from_spec(pspec)
         except LatticeError as e:
             raise ProjectError(f"bad poset: {e}") from None
         _require(poset.elements, "empty poset")

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -289,6 +290,44 @@ class TestErrorsAndDeterminism:
              fixture_path("reference.json")],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0 and "valid" in proc.stdout
+
+
+def filtration_project(covers):
+    return {"filtration": {"poset": {"elements": ["a", "b", "c"], "covers": covers},
+                           "stages": {"a": [[0]], "b": [[0]], "c": [[0]]}}}
+
+
+def chromatic_project(**spec):
+    return {"chromatic": {"csv": "points.csv", "radius": 2, **spec}}
+
+
+def lattice_project(lattice):
+    return {"lattice": lattice, "complex": {"maximal": [[0, 1]]}}
+
+
+class TestMalformedSpecs:
+    """A spec of the wrong shape exits 2 with one `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize("data, message", [
+        (lattice_project({"kind": "total", "levels": 5}), "'levels' must be a list"),
+        (lattice_project({"kind": "total", "levels": "ab"}), "'levels' must be a list"),
+        (lattice_project({"kind": "upset", "elements": ["a"], "covers": [["a"]]}),
+         "must be a pair"),
+        (lattice_project({"kind": "upset", "elements": ["a"], "covers": 3}),
+         "'covers' must be a list"),
+        (filtration_project([["a", "b", "c"]]), "bad poset: cover"),
+        (chromatic_project(max_dim="z"), "'max_dim' must be an integer"),
+        (chromatic_project(csv=5), "'csv' must be a file path"),
+    ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
+            "filtration-cover-triple", "max-dim-string", "csv-int"])
+    def test_exits_two(self, capsys, tmp_path, fixture_path, data, message):
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps(data))
+        shutil.copy(fixture_path("points.csv"), tmp_path)
+        code, out, err = run(capsys, "validate", str(project))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestFileErrors:

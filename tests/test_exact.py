@@ -18,7 +18,9 @@ from fshom.exact import (
     snf,
     solve,
 )
+import oracles
 from oracles import dense_snf
+from randgen import random_torsion_complex, rips_complex
 
 
 def mat(rows, ring=ZZ):
@@ -136,14 +138,14 @@ class TestSparseSmithAgainstDenseOracle:
     @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
     def test_random_matrices(self, ring, monkeypatch):
         sweeps = []
-        row_addmul = exact._Worker.row_addmul
+        addmul = exact._Side.addmul
 
-        def recording_row_addmul(w, i, j, c):
-            if i < j:  # only the divisibility sweep adds a lower row to the pivot row
+        def recording_addmul(side, i, j, c):
+            if i < j:  # only the divisibility sweep adds a later line to the pivot line
                 sweeps.append((i, j))
-            row_addmul(w, i, j, c)
+            addmul(side, i, j, c)
 
-        monkeypatch.setattr(exact._Worker, "row_addmul", recording_row_addmul)
+        monkeypatch.setattr(exact._Side, "addmul", recording_addmul)
         rng = random.Random(61)
         for k in range(200):
             m, n = rng.randint(0, 7), rng.randint(0, 7)
@@ -156,6 +158,40 @@ class TestSparseSmithAgainstDenseOracle:
             assert snf(A) == dense_snf(A)
         if ring is ZZ:
             assert len(sweeps) >= 10
+
+
+class TestSmithAgainstDenseOracleAtBenchScale:
+    """The oracle comparison on boundary matrices of the benchmark's size:
+    d_1 and d_2 of the 60-point Rips cloud (865 simplices), and boundaries of
+    random Moore-space wedges, whose torsion makes the divisibility sweep run."""
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+    def test_rips_cloud_boundaries(self, ring):
+        K = rips_complex(random.Random(0), 60)
+        assert len(K) == 865
+        for d in (1, 2):
+            A = ExactMatrix.from_rows(ring, K.boundary_matrix(d))
+            assert snf(A) == dense_snf(A)
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+    def test_torsion_complex_boundaries(self, ring, monkeypatch):
+        sweeps = []
+        row_addmul = oracles._DenseWorker.row_addmul
+
+        def recording_row_addmul(w, i, j, c):
+            if i < j:  # only the divisibility sweep adds a lower row to the pivot row
+                sweeps.append((i, j))
+            row_addmul(w, i, j, c)
+
+        monkeypatch.setattr(oracles._DenseWorker, "row_addmul", recording_row_addmul)
+        rng = random.Random(1)
+        for _ in range(3):
+            K = random_torsion_complex(rng)
+            for d in (1, 2):
+                A = ExactMatrix.from_rows(ring, K.boundary_matrix(d))
+                assert snf(A) == dense_snf(A)
+        if ring is ZZ:
+            assert sweeps
 
 
 class TestDiophantine:

@@ -117,8 +117,9 @@ class TestUpSetLattice:
         assert format_value(U.parse("a")) == "{a,b,c,d}"
 
     def test_poset_cycle_rejected(self):
-        with pytest.raises(LatticeError):
-            Poset(("a", "b"), (("a", "b"), ("b", "a")))
+        for covers in ((("a", "b"), ("b", "a")), (("a", "b"), ("b", "c"), ("c", "a"))):
+            with pytest.raises(LatticeError, match="cover cycle through 'a'"):
+                Poset(("a", "b", "c"), covers)
 
     def test_unknown_cover_rejected(self):
         with pytest.raises(LatticeError):

@@ -4,10 +4,15 @@ benchmark runs."""
 
 import importlib.util
 import os
+import random
 import sys
 
-from fshom.exact import ZZ
+import pytest
+
+from fshom.exact import PrimeField, ZZ
 from fshom.fuzzyhomology import FuzzyHomologyContext
+from fshom.homology import ReducedChainComplex
+from randgen import random_torsion_complex
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "bench", "tracing.py")
@@ -118,3 +123,21 @@ def test_level_submodules_run_no_smith_form_or_kernel(reference_mu):
     assert names.count("fuzzyhomology.hdl") > 0 and names.count("exact.snf") > 0
     assert not any(under_hdl(i) for i, name in enumerate(names)
                    if name in ("exact.kernel", "exact.snf"))
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+def test_reduction_makes_one_smith_form_and_three_products_per_degree(ring):
+    """The benchmark's counters assume this shape of `ReducedChainComplex`:
+    dim + 1 `exact.snf` spans and 3 * (dim + 1) `exact.matmul` spans."""
+    K = random_torsion_complex(random.Random(1))
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        R = ReducedChainComplex(K, ring)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert R.top == K.dim == 2
+    assert names.count("homology.reduce") == 1
+    assert names.count("exact.snf") == K.dim + 1
+    assert names.count("exact.matmul") == 3 * (K.dim + 1)
