@@ -36,13 +36,11 @@ class UsageError(ValueError):
     pass
 
 
-def _chain_map(complex, d: int, chain) -> dict:
-    """Sparse {simplex: coefficient} map of a chain, keys like "0,1"."""
-    out = {}
-    for s, c in zip(complex.simplices(d), chain):
-        if c:
-            out[",".join(str(v) for v in s.vertices)] = int(c)
-    return out
+def _chain_map(complex, d: int, chain: dict) -> dict:
+    """The {simplex: coefficient} map of a sparse chain {index: coefficient},
+    in index order, keys like "0,1"."""
+    simplices = complex.simplices(d)
+    return {",".join(str(v) for v in simplices[i].vertices): int(chain[i]) for i in sorted(chain)}
 
 
 def _chain_text(chain: dict) -> str:
@@ -175,7 +173,7 @@ def cmd_eta(args) -> int:
         report = {
             "degree": d,
             "class": list(h.vector()),
-            "eta": format_value(ctx.eta_value(d, h)),
+            "eta": format_value(ctx.lattice.join(levels)),
             "solvable_levels": [format_value(lv) for lv in levels],
         }
         _write(args, report, lambda r: [f"eta_{r['degree']}({r['class']}) = {r['eta']}"])
@@ -183,15 +181,15 @@ def cmd_eta(args) -> int:
     reports = []
     for d in _degrees(args, ctx.reduced.top):
         h = ctx.reduced.homology(d)
-        ambient = ctx.reduced.ambient(d)
+        torsion = h.structure.torsion
         generators = []
         # unit class i: torsion coordinates first, then free, as homology lists them
-        for i, chain in enumerate(h.torsion_generators + h.free_generators):
-            cls = ctx.reduced.class_from_vector(d, [int(i == j) for j in range(ambient.length)])
-            kind = ({"kind": "torsion", "order": int(ambient.torsion[i])}
-                    if i < len(ambient.torsion) else {"kind": "free"})
+        for i, (chain, eta) in enumerate(zip(h.torsion_generators + h.free_generators,
+                                             ctx.eta_values(d))):
+            kind = ({"kind": "torsion", "order": int(torsion[i])}
+                    if i < len(torsion) else {"kind": "free"})
             generators.append({**kind, "chain": _chain_map(ctx.mu.complex, d, chain),
-                               "eta": format_value(ctx.eta_value(d, cls))})
+                               "eta": format_value(eta)})
         kv = ctx.kappa_value_set(d)
         reports.append({
             "degree": d,

@@ -23,6 +23,8 @@ Vietoris-Rips 2-complex over Z takes 0.04 s at 865 simplices, 0.26 s at
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -433,19 +435,27 @@ class SmithDecomposition:
 
     def failing_row(self, b):
         """The solvability criterion of A x = b: None when solvable, else the
-        first row where it fails, with c = P b.
+        first row where it fails, with c = P b as a sparse {row: entry} dict.
 
-        A x = b is solvable exactly when d_i | c_i for every i below the rank
-        and c_i = 0 past it. c is summed from the columns of P at the
-        non-zeros of b, and only its non-zero entries can fail.
+        b is a dense sequence (of length A.rows) or a sparse mapping {index:
+        entry}. A x = b is solvable exactly when d_i | c_i for every i below
+        the rank and c_i = 0 past it. c is summed from the columns of P at
+        the non-zeros of b, and only its non-zero entries can fail
+        (`first_failure`).
         """
-        ring = self.ring
-        c = self.P.apply(b)
-        factors = self.invariant_factors
-        for i, x in enumerate(c):
-            if x and (i >= self.rank or not ring.divides(factors[i], x)):
-                return i, c
-        return None, c
+        if not isinstance(b, Mapping):
+            if len(b) != self.P.cols:
+                raise ValueError("vector length does not match column count")
+            b = {j: x for j, x in enumerate(b) if x}
+        c = _line_products(self.ring, [b], self.P.by_cols)[0]
+        return self.first_failure(c), c
+
+    def first_failure(self, c):
+        """The first row where c = P b, a sparse {row: entry} dict, fails the
+        solvability criterion, or None. For b = e_j, c is column j of P."""
+        divides, factors, rank = self.ring.divides, self.invariant_factors, self.rank
+        bad = [i for i, x in c.items() if i >= rank or not divides(factors[i], x)]
+        return min(bad) if bad else None
 
     def solve(self, b) -> DiophantineSolution:
         """Solve A x = b for the factored A: x = Q y with y_i = c_i / d_i."""
@@ -457,7 +467,7 @@ class SmithDecomposition:
             return DiophantineSolution(False, None, hom, certificate_row=row)
         y = [ring.of(0)] * cols
         for i, d in enumerate(self.invariant_factors):
-            y[i] = ring.exact_div(c[i], d)
+            y[i] = ring.exact_div(c.get(i, 0), d)
         return DiophantineSolution(True, tuple(self.Q.apply(y)), hom)
 
 
@@ -533,23 +543,30 @@ class _Side:
         return False
 
 
-def find_pivot(ring, rows: list, t):
+def find_pivot(ring, rows: list, t, live: list):
     """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col), from D's rows.
 
     Rows t.. are zero left of column t, as every earlier pivot row and
-    column is cleared. Rows are scanned in order, and the scan stops after
-    the first row holding an entry of size 1: no non-zero entry is smaller,
-    and every later entry comes after it in (row, col).
+    column is cleared. `live` is a sorted list of row indices that holds
+    every non-empty row past t - 1; only those rows are scanned, and the
+    scanned rows found empty are dropped from it. Rows are scanned in order,
+    and the scan stops after the first row holding an entry of size 1: no
+    non-zero entry is smaller, and every later entry comes after it in
+    (row, col).
     """
     size = ring.pivot_size
     best = None
-    for i in range(t, len(rows)):
+    k = start = bisect_left(live, t)
+    while k < len(live):
+        i = live[k]
+        k += 1
         for j, x in rows[i].items():
             key = (size(x), i, j)
             if best is None or key < best:
                 best = key
         if best is not None and best[0] == 1:
             break
+    live[start:k] = [i for i in live[start:k] if rows[i]]
     return None if best is None else best[1:]
 
 
@@ -589,9 +606,13 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
     Dr = [dict(line) for line in A.by_rows]
     Dc = [dict(line) for line in A.by_cols]
     rows, cols = _Side(ring, Dr, Dc), _Side(ring, Dc, Dr)
+    # No row past t turns non-empty: row clearing adds the pivot row only to
+    # rows non-zero at column t, column clearing changes only row t, and a
+    # swap moves a non-empty row onto a live one. So `live` never gains a row.
+    live = [i for i in range(m) if Dr[i]]
     t = 0
     while t < min(m, n):
-        pos = find_pivot(ring, Dr, t)
+        pos = find_pivot(ring, Dr, t, live)
         if pos is None:
             break
         rows.swap(t, pos[0])
@@ -605,8 +626,8 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
             pivot = Dr[t][t]
             if ring.is_unit(pivot):
                 break
-            bad = next((i for i in range(t + 1, m)
-                        if any(not ring.divides(pivot, x) for x in Dr[i].values())), None)
+            bad = next((i for i in live if i > t
+                        and any(not ring.divides(pivot, x) for x in Dr[i].values())), None)
             if bad is None:
                 break
             rows.addmul(t, bad, ring.of(1))
@@ -646,8 +667,9 @@ def nested_kernels(A: ExactMatrix, batches):
     """Kernel bases of A restricted to a growing prefix of its rows.
 
     `batches` is a sequence of row-index lists. The k-th basis yielded spans
-    the kernel of A restricted to the rows of batches 0..k, as dense
-    vectors. A batch is reduced only when its basis is asked for.
+    the kernel of A restricted to the rows of batches 0..k, as sparse
+    columns {index: entry} (copies of columns of Q). A batch is reduced only
+    when its basis is asked for.
 
     One column reduction serves every prefix. It keeps G = A Q on the rows
     of the batches, and the unimodular Q, as sparse columns, and feeds the
@@ -692,17 +714,12 @@ def nested_kernels(A: ExactMatrix, batches):
                             left.append(j)
                 cols = sorted(left)
             active.difference_update(cols)
-        basis = []
-        for j in sorted(active):
-            vec = [0] * n
-            for i, x in Q[j].items():
-                vec[i] = x
-            basis.append(vec)
-        yield basis
+        yield [dict(Q[j]) for j in sorted(active)]
 
 
 def kernel(A: ExactMatrix) -> list:
-    """Basis of ker A: `nested_kernels` with every row in one batch.
+    """Basis of ker A, as sparse columns: `nested_kernels` with every row in
+    one batch.
 
     The basis is saturated over Z: the basis vectors are columns of a
     unimodular matrix.

@@ -16,6 +16,12 @@ representative cycle supported on the cut complex at level l:
   of L(kappa_d) has h in H_d(s), and as H_d is antitone and L(kappa_d) is
   meet-closed, exactly when h is in H_d(m_j).
 
+eta_d of every unit class of a degree (the generators that the homology
+report lists) is read in batch, one pass per level of L(kappa_d): with
+P A Q = D the Smith form of the lifted matrix of H_d(l), the unit class e_i
+lies in H_d(l) exactly when P e_i, column i of P, passes the solvability
+criterion, so no class vector is built and no per-class solve is run.
+
 The level submodules of a degree are built along chains of index sets.
 H_d(l) is the image of H_d(cut at l) -> H_d(K): the classes c for which some
 boundary coefficients b make the cycle U_d b + (T_d | F_d) c, in the columns
@@ -133,10 +139,12 @@ class FuzzyHomologyContext:
             return SubmoduleOfHomology.zero(self.reduced.ambient(d))
         levels = self._hdl_cache.setdefault(d, {})
         if level not in levels:
-            m = self._least_above(d, level)
             if d not in self._sweeps:
                 self._sweeps[d] = self._chain_sweeps(d)
-            sweep, ambient = self._sweeps[d][m], self.reduced.ambient(d)
+            sweeps = self._sweeps[d]
+            # a level of L(kappa_d) is the least level of L(kappa_d) above it
+            m = level if level in sweeps else self._least_above(d, level)
+            sweep, ambient = sweeps[m], self.reduced.ambient(d)
             while m not in levels:
                 lv, basis = next(sweep)
                 levels[lv] = SubmoduleOfHomology(ambient, basis)
@@ -149,9 +157,11 @@ class FuzzyHomologyContext:
         A sweep yields (level, basis) along its chain: the basis spans the
         kernel of (U_d | T_d | F_d) restricted to the rows of I(level), read
         past the U block, where a kernel vector is a class coordinate
-        (torsion, then free).
+        (torsion, then free). The kernel vectors are sparse columns, so the
+        U block is dropped by shifting their keys.
         """
         iu, it, _, if_ = self.reduced.block_indices(d)
+        n_U = len(iu)
         G = self.reduced.to_delta[d].column_block([*iu, *it, *if_])
         rows = {lv: frozenset(self.index_set(d, lv)) for lv in self._kappa_values[d]}
         # greedy chain cover of the index sets under inclusion, smallest first
@@ -167,7 +177,7 @@ class FuzzyHomologyContext:
             pending = rest
             prefixes = [frozenset(), *(rows[lv] for lv in chain)]
             batches = [sorted(b - a) for a, b in zip(prefixes, prefixes[1:])]
-            sweep = ((lv, [w[len(iu):] for w in basis])
+            sweep = ((lv, [{k - n_U: x for k, x in w.items() if k >= n_U} for w in basis])
                      for lv, basis in zip(chain, nested_kernels(G, batches)))
             sweeps.update(dict.fromkeys(chain, sweep))
         return sweeps
@@ -185,6 +195,22 @@ class FuzzyHomologyContext:
     def eta_value(self, d: int, h: ClassCoordinates) -> LatticeValue:
         """eta_d of the class: the join of its solvable levels."""
         return self.lattice.join(self.eta_solvable_levels(d, h))
+
+    def eta_values(self, d: int) -> list:
+        """eta_d of every unit class e_i of H_d, in coordinate order (torsion,
+        then free), equal to `eta_value` of each.
+
+        One pass per level l of L(kappa_d), in `kappa_value_set` order: e_i
+        lies in H_d(l) exactly when column i of P, for the Smith form
+        P A Q = D of H_d(l)'s lifted matrix, is non-zero only below the rank,
+        with d_k | P[k][i] there (`SubmoduleOfHomology.unit_members`).
+        """
+        solvable = [[] for _ in range(self.reduced.ambient(d).length)]
+        for lv in self.kappa_value_set(d):
+            for levels, inside in zip(solvable, self.hdl_submodule(d, lv).unit_members()):
+                if inside:
+                    levels.append(lv)
+        return [self.lattice.join(levels) for levels in solvable]
 
     def eta_cut(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """The cut of eta_d at the level, {h : eta_d(h) >= level}, in H_d.

@@ -59,7 +59,11 @@ class ClassCoordinates:
 
 @dataclass(frozen=True)
 class DegreeHomology:
-    """Structure and generating cycles of one homology group."""
+    """Structure and generating cycles of one homology group.
+
+    Each generating cycle is a sparse column {d-simplex index: coefficient}
+    of `to_delta[degree]`, shared with it and not to be changed.
+    """
 
     degree: int
     structure: ModuleStructure
@@ -146,12 +150,10 @@ class ReducedChainComplex:
         structure = ModuleStructure(amb.free_rank, amb.torsion)
         if not 0 <= d <= self.top:
             return DegreeHomology(d, structure, (), ())
-        _, T, _, F = self.blocks(d)
-        return DegreeHomology(
-            d, structure,
-            tuple(tuple(T.col(j)) for j in range(T.cols)),
-            tuple(tuple(F.col(j)) for j in range(F.cols)),
-        )
+        _, it, _, if_ = self.block_indices(d)
+        columns = self.to_delta[d].by_cols
+        return DegreeHomology(d, structure, tuple(columns[j] for j in it),
+                              tuple(columns[j] for j in if_))
 
     def class_of_cycle(self, d: int, chain) -> ClassCoordinates:
         """Homology coordinates of a cycle given in the simplex basis."""

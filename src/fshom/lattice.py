@@ -505,9 +505,9 @@ def lattice_from_spec(spec: dict) -> CdlLattice:
         raise LatticeError("lattice spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "total":
-        return TotalOrder(_spec_list(spec, "levels"))
+        return TotalOrder(_spec_names(spec, "levels"))
     if kind == "fdl":
-        return FreeDistributiveLattice(_spec_list(spec, "generators"))
+        return FreeDistributiveLattice(_spec_names(spec, "generators"))
     if kind == "upset":
         return UpSetLattice(poset_from_spec(spec))
     raise LatticeError(f"unknown lattice kind {kind!r}")
@@ -519,7 +519,9 @@ def poset_from_spec(spec: dict) -> Poset:
     for cover in covers:
         if not (isinstance(cover, list) and len(cover) == 2):
             raise LatticeError(f"cover {cover!r} must be a pair [lower, upper]")
-    return Poset(_spec_list(spec, "elements"), covers)
+        if not all(isinstance(name, str) for name in cover):
+            raise LatticeError(f"the entries of cover {cover!r} must be strings")
+    return Poset(_spec_names(spec, "elements"), covers)
 
 
 def _spec_list(spec: dict, key: str) -> list:
@@ -528,6 +530,15 @@ def _spec_list(spec: dict, key: str) -> list:
     if not isinstance(value, list):
         raise LatticeError(f"'{key}' must be a list")
     return value
+
+
+def _spec_names(spec: dict, key: str) -> list:
+    """The JSON list of names under `key`: every entry must be a string."""
+    names = _spec_list(spec, key)
+    for name in names:
+        if not isinstance(name, str):
+            raise LatticeError(f"entry {name!r} of '{key}' must be a string")
+    return names
 
 
 def lattice_to_spec(lattice: CdlLattice) -> dict:

@@ -3,10 +3,11 @@
 A homology group over the coefficient ring is D/(a_1) + ... + D/(a_m) + D^f
 with non-unit torsion coefficients a_1 | ... | a_m. A submodule is held as a
 list of generator coordinate vectors (torsion residues first, then free
-coordinates). Structure, membership, intersection and sum all go through the
-lifted lattice in D^{m+f}: the lift of a submodule always contains the
-relation vectors a_i * e_i, which makes every question a Smith form or
-Diophantine computation. Each submodule factors its lifted matrix once; that
+coordinates), each a sparse column {index: coordinate}. Structure,
+membership, intersection and sum all go through the lifted lattice in
+D^{m+f}: the lift of a submodule always contains the relation vectors
+a_i * e_i, which makes every question a Smith form or Diophantine
+computation. Each submodule factors its lifted matrix once; that
 one Smith form answers every membership test and gives the structure.
 
 Generator lists may be redundant; the derived structure is canonical, and
@@ -15,12 +16,15 @@ submodule equality is mutual membership of generators.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 # `solve` is unused here but stays bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
-from .exact import ExactMatrix, SmithDecomposition, kernel, snf, solve  # noqa: F401
+from .exact import (  # noqa: F401
+    ExactMatrix, SmithDecomposition, _line_products, kernel, snf, solve,
+)
 
 
 @dataclass(frozen=True)
@@ -58,27 +62,49 @@ class HomologyAmbient:
     def length(self) -> int:
         return len(self.torsion) + self.free_rank
 
-    def reduce_vector(self, vec) -> tuple:
-        """Canonicalize coordinates: torsion entries mod a_i, free entries as is."""
-        if len(vec) != self.length:
+    def reduce_column(self, vec) -> dict:
+        """Canonicalize coordinates, given dense (a sequence of this length)
+        or sparse (a mapping {index: coordinate}), as a sparse column: torsion
+        entries mod a_i, free entries as is, zeros dropped."""
+        if isinstance(vec, Mapping):
+            entries = vec.items()
+        elif len(vec) != self.length:
             raise ValueError("coordinate length does not match ambient")
-        of = self.ring.of
-        m = len(self.torsion)  # a field has no torsion
-        return tuple([of(x) % a for x, a in zip(vec, self.torsion)] + list(map(of, vec[m:])))
+        else:
+            entries = enumerate(vec)
+        of, torsion = self.ring.of, self.torsion
+        m = len(torsion)  # a field has no torsion
+        column = {}
+        for i, x in entries:
+            x = of(x) % torsion[i] if i < m else of(x)
+            if x:
+                column[i] = x
+        return column
+
+    def reduce_vector(self, vec) -> tuple:
+        """Canonicalize coordinates as a dense tuple (see `reduce_column`)."""
+        column = self.reduce_column(vec)
+        return tuple(column.get(i, 0) for i in range(self.length))
 
 
 class SubmoduleOfHomology:
-    """A submodule of the ambient group, generated by coordinate vectors."""
+    """A submodule of the ambient group, generated by coordinate vectors.
+
+    `generators` holds each distinct non-zero generator once, as a sparse
+    column from `HomologyAmbient.reduce_column`, so a generator may be given
+    dense or sparse.
+    """
 
     def __init__(self, ambient: HomologyAmbient, generators):
         self.ambient = ambient
         gens = []
         seen = set()
         for g in generators:
-            rg = ambient.reduce_vector(g)
-            if any(x != 0 for x in rg) and rg not in seen:
-                seen.add(rg)
-                gens.append(rg)
+            column = ambient.reduce_column(g)
+            key = frozenset(column.items())
+            if column and key not in seen:
+                seen.add(key)
+                gens.append(column)
         self.generators = tuple(gens)
 
     @classmethod
@@ -87,13 +113,11 @@ class SubmoduleOfHomology:
 
     @classmethod
     def full(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
-        n = ambient.length
-        return cls(ambient, ([0] * i + [1] + [0] * (n - i - 1) for i in range(n)))
+        return cls(ambient, ({i: 1} for i in range(ambient.length)))
 
     def _lifted_matrix(self) -> ExactMatrix:
         """Generators plus the relation vectors a_i * e_i, as sparse columns over the ring."""
-        columns = [{i: x for i, x in enumerate(g) if x} for g in self.generators]
-        columns.extend({i: a} for i, a in enumerate(self.ambient.torsion))
+        columns = [*self.generators, *({i: a} for i, a in enumerate(self.ambient.torsion))]
         return ExactMatrix._lines(self.ambient.ring, self.ambient.length, len(columns),
                                   by_cols=columns)
 
@@ -107,20 +131,30 @@ class SubmoduleOfHomology:
         return module_structure(self)
 
     def member(self, vec) -> bool:
-        """Whether the class with these coordinates lies in the submodule.
+        """Whether the class with these coordinates (dense or sparse) lies in
+        the submodule.
 
         The lifted matrix holds the relation columns a_i * e_i, so a vector
         and its reduction pass the same solvability test.
         """
         return self._smith.failing_row(vec)[0] is None
 
+    def unit_members(self) -> list:
+        """Whether each unit class e_i lies in the submodule, in ambient order,
+        from one pass over the columns of P: P e_i is column i, so e_i passes
+        the solvability test of `member` exactly when column i does."""
+        s = self._smith
+        return [s.first_failure(c) is None for c in s.P.by_cols]
+
     def intersect(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:
             raise ValueError("ambient groups differ")
-        # (x, y) in ker [G1 | G2] gives G1 x = -G2 y, which lies in both
+        # (x, y) in ker [G1 | G2] gives G1 x = -G2 y, which lies in both;
+        # G1 x is summed from the columns of G1 at the non-zeros of x
         g1 = self._lifted_matrix()
-        paired = g1.hstack(other._lifted_matrix())
-        return SubmoduleOfHomology(self.ambient, [g1.apply(w[:g1.cols]) for w in kernel(paired)])
+        xs = [{k: x for k, x in w.items() if k < g1.cols}
+              for w in kernel(g1.hstack(other._lifted_matrix()))]
+        return SubmoduleOfHomology(self.ambient, _line_products(g1.ring, xs, g1.by_cols))
 
     def add(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:

@@ -12,6 +12,14 @@ from fshom.simplicial import Simplex, SimplicialComplex
 DEFAULT_BRUTE_FORCE_CAP = 1 << 20
 
 
+def dense(column, n) -> list:
+    """A sparse column {index: entry} as a dense list of length n."""
+    out = [0] * n
+    for i, x in column.items():
+        out[i] = x
+    return out
+
+
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -318,8 +318,18 @@ class TestMalformedSpecs:
         (filtration_project([["a", "b", "c"]]), "bad poset: cover"),
         (chromatic_project(max_dim="z"), "'max_dim' must be an integer"),
         (chromatic_project(csv=5), "'csv' must be a file path"),
+        (lattice_project({"kind": "fdl", "generators": [["x"]]}),
+         "entry ['x'] of 'generators' must be a string"),
+        (lattice_project({"kind": "upset", "elements": [{"a": 1}, "b"], "covers": []}),
+         "entry {'a': 1} of 'elements' must be a string"),
+        (lattice_project({"kind": "total", "levels": [None, True, 2.5]}),
+         "entry None of 'levels' must be a string"),
+        (lattice_project({"kind": "upset", "elements": ["a", "1"], "covers": [["a", 1]]}),
+         "the entries of cover ['a', 1] must be strings"),
+        (filtration_project([["a", 2]]), "bad poset: the entries of cover"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
-            "filtration-cover-triple", "max-dim-string", "csv-int"])
+            "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
+            "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int"])
     def test_exits_two(self, capsys, tmp_path, fixture_path, data, message):
         project = tmp_path / "project.json"
         project.write_text(json.dumps(data))

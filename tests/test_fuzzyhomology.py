@@ -20,7 +20,7 @@ from fshom.lattice import (
 from fshom.project import load_project_file
 from fshom.simplicial import Simplex, from_maximal
 from fshom.modules import SubmoduleOfHomology
-from oracles import brute_force_eta, kernel_hdl_submodule
+from oracles import brute_force_eta, dense, kernel_hdl_submodule
 from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
 
 RINGS = [ZZ, PrimeField(2), PrimeField(3)]
@@ -152,7 +152,7 @@ def cut_image(ctx, d, level):
     images = []
     for chain in H.torsion_generators + H.free_generators:
         full = [0] * len(position)
-        for s, c in zip(cut.simplices(d), chain):
+        for s, c in zip(cut.simplices(d), dense(chain, cut.n(d))):
             full[position[s]] = c
         images.append(ctx.reduced.class_of_cycle(d, full).vector())
     return SubmoduleOfHomology(ambient, images)
@@ -241,6 +241,49 @@ class TestLevelSubmoduleOracles:
             proper += any(ctx.hdl_submodule(1, lv).structure.torsion not in ((), full)
                           for lv in ctx.lattice.carrier())
         assert proper
+
+
+class TestBatchEta:
+    """`eta_values(d)`, read off each level's Smith form in one pass, against
+    `eta_value` of each unit class, one membership test per level."""
+
+    @staticmethod
+    def assert_batch_matches_per_class(ctx):
+        for d in range(ctx.reduced.top + 2):
+            n = ctx.reduced.ambient(d).length
+            units = [ctx.reduced.class_from_vector(d, [int(i == k) for i in range(n)])
+                     for k in range(n)]
+            assert ctx.eta_values(d) == [ctx.eta_value(d, h) for h in units], d
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_torsion_complexes(self, ring):
+        rng = random.Random(7001)
+        for lattice in lattice_family():
+            for _ in range(4):
+                K = random_torsion_complex(rng)
+                self.assert_batch_matches_per_class(
+                    FuzzyHomologyContext(random_mu(rng, K, lattice), ring))
+
+    @pytest.mark.parametrize("index", range(len(lattice_family())), ids=LATTICE_IDS)
+    def test_reference_complex(self, reference_mu, index):
+        lattice = lattice_family()[index]
+        rng = random.Random(7002 + index)
+        for _ in range(6):
+            mu = random_mu(rng, reference_mu.complex, lattice)
+            for ring in RINGS:
+                self.assert_batch_matches_per_class(FuzzyHomologyContext(mu, ring))
+
+    @pytest.mark.parametrize("ring", [PrimeField(3), ZZ], ids=["gf3", "z"])
+    def test_chromatic_cloud_at_bench_scale(self, ring):
+        """The 3-colour cloud of the chromatic-ingest workload's size."""
+        rng = random.Random(7003)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        labels = tuple(rng.choice("abc") for _ in range(130))
+        _, mu = vietoris_rips(ChromaticDataset(points, labels), 5, 2)
+        ctx = FuzzyHomologyContext(mu, ring)
+        assert 800 <= sum(ctx.mu.complex.n(d) for d in range(3)) <= 950
+        assert sum(ctx.reduced.ambient(d).length for d in range(3)) > 20
+        self.assert_batch_matches_per_class(ctx)
 
 
 class TestEtaCuts:

@@ -10,7 +10,7 @@ import pytest
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import from_maximal
-from oracles import dense_snf
+from oracles import dense, dense_snf
 from randgen import random_complex, random_torsion_complex, rips_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -231,10 +231,10 @@ class TestHomologyStructure:
         assert [R.homology(d).structure.describe() for d in range(3)] == \
             ["Z^2", "Z", "0"]
         h0 = R.homology(0)
-        assert [list(g) for g in h0.free_generators] == \
+        assert [dense(g, 5) for g in h0.free_generators] == \
             [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
         h1 = R.homology(1)
-        assert [list(g) for g in h1.free_generators] == [[1, -1, 0, 1, 0]]
+        assert [dense(g, 5) for g in h1.free_generators] == [[1, -1, 0, 1, 0]]
 
     def test_point_and_circle(self):
         assert betti_list([[0]]) == [1]
@@ -269,6 +269,31 @@ class TestHomologyStructure:
                 rank_d = snf(ExactMatrix.from_rows(ZZ, K.boundary_matrix(d))).rank
                 rank_up = snf(ExactMatrix.from_rows(ZZ, K.boundary_matrix(d + 1))).rank
                 assert R.homology(d).structure.betti == K.n(d) - rank_d - rank_up
+
+
+class TestGeneratorColumns:
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+    def test_generators_are_the_t_and_f_columns(self, ring):
+        """Each generating cycle is its sparse column of `to_delta[d]`: densified,
+        the T (torsion) or F (free) column of `blocks(d)`, a cycle, and the
+        unit class of its position."""
+        rng = random.Random(109)
+        complexes = [random_torsion_complex(rng) for _ in range(6)] + [rips_complex(rng, 40)]
+        for K in complexes:
+            R = ReducedChainComplex(K, ring)
+            for d in range(R.top + 1):
+                h = R.homology(d)
+                _, T, _, F = R.blocks(d)
+                assert [dense(g, K.n(d)) for g in h.torsion_generators] == \
+                    [T.col(j) for j in range(T.cols)]
+                assert [dense(g, K.n(d)) for g in h.free_generators] == \
+                    [F.col(j) for j in range(F.cols)]
+                gens = h.torsion_generators + h.free_generators
+                for k, g in enumerate(gens):
+                    assert all(x for x in g.values())
+                    chain = dense(g, K.n(d))
+                    assert R.class_of_cycle(d, chain).vector() == \
+                        tuple(int(i == k) for i in range(len(gens)))
 
 
 class TestClassCoordinates:
@@ -307,7 +332,7 @@ class TestClassCoordinates:
         R = ReducedChainComplex(from_maximal(RP2), ZZ)
         ambient = R.ambient(1)
         assert ambient.torsion == (2,) and ambient.free_rank == 0
-        g = R.homology(1).torsion_generators[0]
+        g = dense(R.homology(1).torsion_generators[0], R.complex.n(1))
         coords = R.class_of_cycle(1, g)
         assert coords.vector() == (1,)
         doubled = [2 * v for v in g]

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from fshom.cli import main
 from fshom.exact import PrimeField, ZZ
 from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
@@ -141,3 +142,34 @@ def test_reduction_makes_one_smith_form_and_three_products_per_degree(ring):
     assert names.count("homology.reduce") == 1
     assert names.count("exact.snf") == K.dim + 1
     assert names.count("exact.matmul") == 3 * (K.dim + 1)
+
+
+def traced_cli(*argv):
+    """Span names of one CLI run under the bench tracer."""
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert main(list(argv)) == 0
+    finally:
+        tracer.uninstall()
+    return [span[0] for span in tracer.spans]
+
+
+def test_eta_report_reads_eta_in_batch(fixture_path, capsys):
+    """`eta` without `--class` reads eta of every generator off the level
+    Smith forms: no per-class `eta_value` and no `member` test."""
+    names = traced_cli("eta", fixture_path("reference.json"), "--json")
+    capsys.readouterr()
+    assert names.count("fuzzyhomology.hdl") > 0
+    assert names.count("fuzzyhomology.eta") == 0
+    assert names.count("modules.member") == 0
+
+
+@pytest.mark.parametrize("degree, cls", [(0, "1,1"), (1, "1")])
+def test_eta_of_a_class_tests_each_level_once(fixture_path, capsys, reference_mu, degree, cls):
+    """`eta --class` makes one membership test per level of L(kappa_d)."""
+    levels = FuzzyHomologyContext(reference_mu, ZZ).kappa_value_set(degree)
+    names = traced_cli("eta", fixture_path("reference.json"), "--degree", str(degree),
+                       "--class", cls)
+    capsys.readouterr()
+    assert names.count("modules.member") == len(levels)
