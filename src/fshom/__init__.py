@@ -42,7 +42,6 @@ from .lattice import (
     Poset,
     TotalOrder,
     UpSetLattice,
-    enumerate_fdl,
     format_value,
     lattice_from_spec,
     lattice_to_spec,

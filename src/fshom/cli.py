@@ -12,6 +12,7 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,7 +281,9 @@ def cmd_import_filtration(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="fshom",
         description="Simplicial homology over a PID and lattice-valued fuzzy homology.")

@@ -221,11 +221,6 @@ def format_ring(ring) -> str:
     return "z"
 
 
-def _check_shape(rows: int, cols: int, data) -> None:
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ValueError("matrix data does not match declared shape")
-
-
 def _transpose(lines, n: int) -> tuple:
     """The other view of sparse lines: n dicts, one per index of the entries."""
     out = [{} for _ in range(n)]
@@ -235,71 +230,69 @@ def _transpose(lines, n: int) -> tuple:
     return tuple(out)
 
 
+def _dense(line: dict, n: int) -> list:
+    """A sparse line {index: entry} as a dense list of length n."""
+    out = [0] * n
+    for i, x in line.items():
+        out[i] = x
+    return out
+
+
 class ExactMatrix:
     """Sparse matrix over an exact ring. Treated as an immutable value.
 
-    The non-zero entries are held by rows (`by_rows[i]` is a dict
-    {column: entry}) or by columns (`by_cols[j]`, {row: entry}); the other
-    view is built on first use in O(nnz) and kept. `data`, the dense
-    row-major tuples, is built the same way. The dicts are shared between
-    matrices and must not be changed.
+    Built from its non-zero entries, by rows (`by_rows[i]` is a dict
+    {column: entry}) or by columns (`by_cols[j]`, {row: entry}) or both; the
+    other view is built on first use in O(nnz) and kept. The entries must be
+    canonical and non-zero (`ring.of(x) == x != 0`), which is not checked:
+    `from_rows` is the checked way to build from dense rows. `data`, the
+    dense row-major tuples, is built on first read too. The dicts are shared
+    between matrices and must not be changed.
 
     >>> A = ExactMatrix.from_rows(ZZ, [[0, 2], [3, 0], [0, 0]])
     >>> A.by_rows
     ({1: 2}, {0: 3}, {})
     >>> A.by_cols
     ({1: 3}, {0: 2})
+    >>> ExactMatrix(ZZ, 3, 2, by_cols=[{1: 3}, {0: 2}]) == A
+    True
     """
 
     __slots__ = ("ring", "rows", "cols", "_by_rows", "_by_cols", "_dense")
 
-    def __init__(self, ring, rows: int, cols: int, data):
-        _check_shape(rows, cols, data)
-        of = ring.of
-        lines = []
-        for row in data:
-            line = {}
-            for j, x in enumerate(row):
-                x = of(x)
-                if x:
-                    line[j] = x
-            lines.append(line)
-        self._set(ring, rows, cols, tuple(lines), None)
-
-    def _set(self, ring, rows, cols, by_rows, by_cols) -> None:
+    def __init__(self, ring, rows: int, cols: int, *, by_rows=None, by_cols=None):
+        if by_rows is None and by_cols is None:
+            raise ValueError("an ExactMatrix needs its lines by_rows or by_cols")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self._by_rows = by_rows
-        self._by_cols = by_cols
+        self._by_rows = None if by_rows is None else tuple(by_rows)
+        self._by_cols = None if by_cols is None else tuple(by_cols)
         self._dense = None
 
     @classmethod
-    def _lines(cls, ring, rows: int, cols: int, by_rows=None, by_cols=None) -> "ExactMatrix":
-        """Build from sparse lines of canonical non-zero entries (one view or both)."""
-        self = object.__new__(cls)
-        self._set(ring, rows, cols,
-                  None if by_rows is None else tuple(by_rows),
-                  None if by_cols is None else tuple(by_cols))
-        return self
-
-    @classmethod
     def from_rows(cls, ring, data, cols=None):
-        rows = len(data)
+        """Build from dense rows: each entry is canonicalised by the ring and
+        zeros are dropped. `cols` is required when there are no rows."""
         if cols is None:
-            if rows == 0:
+            if not data:
                 raise ValueError("cols is required for a matrix with no rows")
             cols = len(data[0])
-        return cls(ring, rows, cols, data)
+        if any(len(row) != cols for row in data):
+            raise ValueError("matrix data does not match declared shape")
+        of = ring.of
+        return cls(ring, len(data), cols,
+                   by_rows=[{j: y for j, x in enumerate(row) if (y := of(x))} for row in data])
 
     @classmethod
     def identity(cls, ring, n: int):
         lines = tuple({i: 1} for i in range(n))
-        return cls._lines(ring, n, n, lines, lines)
+        return cls(ring, n, n, by_rows=lines, by_cols=lines)
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int):
-        return cls._lines(ring, rows, cols, [{} for _ in range(rows)], [{} for _ in range(cols)])
+        return cls(ring, rows, cols, by_rows=[{} for _ in range(rows)],
+                   by_cols=[{} for _ in range(cols)])
 
     @property
     def by_rows(self) -> tuple:
@@ -317,13 +310,7 @@ class ExactMatrix:
     def data(self) -> tuple:
         """The dense row-major view, built on first read."""
         if self._dense is None:
-            dense = []
-            for line in self.by_rows:
-                row = [0] * self.cols
-                for j, x in line.items():
-                    row[j] = x
-                dense.append(tuple(row))
-            self._dense = tuple(dense)
+            self._dense = tuple(tuple(_dense(line, self.cols)) for line in self.by_rows)
         return self._dense
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -334,55 +321,45 @@ class ExactMatrix:
         ring = self.ring
         if self._by_cols is not None and other._by_cols is not None:
             lines = _line_products(ring, other._by_cols, self._by_cols)
-            return ExactMatrix._lines(ring, self.rows, other.cols, by_cols=lines)
+            return ExactMatrix(ring, self.rows, other.cols, by_cols=lines)
         lines = _line_products(ring, self.by_rows, other.by_rows)
-        return ExactMatrix._lines(ring, self.rows, other.cols, by_rows=lines)
+        return ExactMatrix(ring, self.rows, other.cols, by_rows=lines)
 
     def apply(self, vec) -> list:
         """Matrix-vector product, from the columns at the non-zeros of vec."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        ring = self.ring
-        of, add, mul = ring.of, ring.add, ring.mul
-        out = [0] * self.rows
-        for line, x in zip(self.by_cols, vec):
-            if x:
-                x = of(x)
-                for i, a in line.items():
-                    out[i] = add(out[i], mul(a, x))
-        return out
+        x = {j: v for j, v in enumerate(vec) if v}
+        return _dense(_line_products(self.ring, [x], self.by_cols)[0], self.rows)
 
     def col(self, j: int) -> list:
-        out = [0] * self.rows
-        for i, x in self.by_cols[j].items():
-            out[i] = x
-        return out
+        return _dense(self.by_cols[j], self.rows)
 
     def column_block(self, indices) -> "ExactMatrix":
         cols = self.by_cols
         block = [cols[j] for j in indices]
-        return ExactMatrix._lines(self.ring, self.rows, len(block), by_cols=block)
+        return ExactMatrix(self.ring, self.rows, len(block), by_cols=block)
 
     def take_rows(self, indices) -> "ExactMatrix":
         rows = self.by_rows
         block = [rows[i] for i in indices]
-        return ExactMatrix._lines(self.ring, len(block), self.cols, by_rows=block)
+        return ExactMatrix(self.ring, len(block), self.cols, by_rows=block)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.rows != self.rows:
             raise ValueError("row counts differ")
         if other.ring != self.ring:
             raise ValueError("rings differ")
-        return ExactMatrix._lines(self.ring, self.rows, self.cols + other.cols,
-                                  by_cols=self.by_cols + other.by_cols)
+        return ExactMatrix(self.ring, self.rows, self.cols + other.cols,
+                           by_cols=self.by_cols + other.by_cols)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.cols != self.cols:
             raise ValueError("column counts differ")
         if other.ring != self.ring:
             raise ValueError("rings differ")
-        return ExactMatrix._lines(self.ring, self.rows + other.rows, self.cols,
-                                  by_rows=self.by_rows + other.by_rows)
+        return ExactMatrix(self.ring, self.rows + other.rows, self.cols,
+                           by_rows=self.by_rows + other.by_rows)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.ring == other.ring
@@ -637,11 +614,11 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
         t += 1
     return SmithDecomposition(
         ring=ring,
-        P=ExactMatrix._lines(ring, m, m, by_rows=rows.T),
-        P_inv=ExactMatrix._lines(ring, m, m, by_cols=rows.T_inv),
-        Q=ExactMatrix._lines(ring, n, n, by_cols=cols.T),
-        Q_inv=ExactMatrix._lines(ring, n, n, by_rows=cols.T_inv),
-        D=ExactMatrix._lines(ring, m, n, by_rows=Dr, by_cols=Dc),
+        P=ExactMatrix(ring, m, m, by_rows=rows.T),
+        P_inv=ExactMatrix(ring, m, m, by_cols=rows.T_inv),
+        Q=ExactMatrix(ring, n, n, by_cols=cols.T),
+        Q_inv=ExactMatrix(ring, n, n, by_rows=cols.T_inv),
+        D=ExactMatrix(ring, m, n, by_rows=Dr, by_cols=Dc),
         rank=t,
         invariant_factors=tuple(Dr[i][i] for i in range(t)),
     )

@@ -82,33 +82,18 @@ class FuzzyHomologyContext:
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._sweeps = {}
-        self._values = [
-            [self.mu.value(s) for s in self.mu.complex.simplices(d)]
-            for d in range(self.reduced.top + 1)
-        ]
         # each simplex value as a position in the distinct values of its
         # degree, so that an index set compares each distinct value once
         self._distinct, self._codes = [], []
-        for vals in self._values:
+        for d in range(self.reduced.top + 1):
+            vals = [self.mu.value(s) for s in self.mu.complex.simplices(d)]
             distinct = sorted(set(vals), key=format_value)
             pos = {v: k for k, v in enumerate(distinct)}
             self._distinct.append(distinct)
             self._codes.append([pos[v] for v in vals])
         self._kappa_values = [_meet_closure(self.lattice, vals) for vals in self._distinct]
 
-    # -- chain values -------------------------------------------------
-
-    def kappa(self, d: int, chain) -> LatticeValue:
-        """Value of a chain: meet of values over its non-zero coordinates."""
-        vals = self._values[d] if 0 <= d <= self.reduced.top else []
-        if len(chain) != len(vals):
-            raise ValueError("chain length does not match the simplex basis")
-        support = [v for c, v in zip(chain, vals) if not self.ring.is_zero(self.ring.of(c))]
-        return self.lattice.meet(support)
-
-    def delta_value_set(self, d: int) -> list:
-        """Distinct simplex values in degree d, deterministically ordered."""
-        return list(self._distinct[d]) if 0 <= d <= self.reduced.top else []
+    # -- value sets ---------------------------------------------------
 
     def kappa_value_set(self, d: int) -> list:
         """L(kappa_d): the meet-closure of the non-zero simplex values plus 1."""

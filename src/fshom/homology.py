@@ -15,8 +15,11 @@ each degree the new basis splits into four blocks in this order:
 The block sizes come from the invariant factors that the reductions return:
 those of D_{d+1} split into units (U) and torsion coefficients a_i (T), and
 the rank of D_d counts R. Homology in degree d is then
-D/(a_1) + ... + D/(a_nT) + D^{nF} on the nose, and cycles convert between
-the simplex basis and homology coordinates by the recorded matrices.
+D/(a_1) + ... + D/(a_nT) + D^{nF} on the nose. The generators are the T
+and F columns of `to_delta[d]` (`homology`), and a cycle in the simplex basis
+converts to class coordinates through `from_delta[d]` (`class_of_cycle`).
+The inverse, a representative cycle of given class coordinates, is built
+only by the test oracles.
 """
 
 from __future__ import annotations
@@ -168,13 +171,6 @@ class ReducedChainComplex:
             raise AssertionError("cycle has non-zero non-cycle block")
         return self.class_from_vector(d, [coords[i] for i in (*it, *if_)])
 
-    def cycle_of_class(self, d: int, coords: ClassCoordinates) -> tuple:
-        """A representative cycle of the class, in the simplex basis."""
-        _, T, _, F = self.blocks(d)
-        chain = T.apply(list(coords.alpha))
-        free_part = F.apply(list(coords.phi))
-        return tuple(self.ring.add(a, b) for a, b in zip(chain, free_part))
-
     def class_from_vector(self, d: int, vec) -> ClassCoordinates:
         amb = self.ambient(d)
         reduced = amb.reduce_vector(vec)
@@ -186,8 +182,7 @@ def _boundary(complex: SimplicialComplex, ring, d: int) -> ExactMatrix:
     """The boundary matrix of degree d over the ring, built by columns."""
     of = ring.of
     columns = [{i: of(x) for i, x in column.items()} for column in complex.boundary_columns(d)]
-    return ExactMatrix._lines(ring, 1 if d == 0 else complex.n(d - 1), len(columns),
-                              by_cols=columns)
+    return ExactMatrix(ring, 1 if d == 0 else complex.n(d - 1), len(columns), by_cols=columns)
 
 
 def homology(K: SimplicialComplex, ring) -> list:

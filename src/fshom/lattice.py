@@ -19,7 +19,6 @@ it and are join-prime.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
 
 
 class LatticeError(ValueError):
@@ -166,9 +165,6 @@ class TotalOrder(CdlLattice):
             return self.top
         raise LatticeError(f"unknown level {name!r}")
 
-    def carrier(self):
-        return [LatticeValue(self, i) for i in range(len(self.levels))]
-
 
 def _minimal_antichain(subsets) -> frozenset:
     """Keep only the inclusion-minimal subsets; drops duplicates."""
@@ -236,33 +232,6 @@ class FreeDistributiveLattice(CdlLattice):
 
     def generator(self, name) -> LatticeValue:
         return self._atom(str(name))
-
-    def carrier(self, cap: int = 4):
-        return enumerate_fdl(self.generators, cap=cap, lattice=self)
-
-
-def enumerate_fdl(generators, cap: int = 4, lattice=None):
-    """All elements of the free distributive lattice over the generators.
-
-    The carrier is the set of antichains of generator subsets (a Dedekind
-    number), so the generator count is capped.
-    """
-    gens = tuple(str(g) for g in generators)
-    if not 1 <= len(gens) <= cap:
-        raise LatticeError(f"enumerate_fdl supports 1..{cap} generators, got {len(gens)}")
-    if lattice is None:
-        lattice = FreeDistributiveLattice(gens)
-    subsets = []
-    for k in range(len(gens) + 1):
-        subsets.extend(frozenset(c) for c in combinations(gens, k))
-    out = []
-    for mask in range(1 << len(subsets)):
-        family = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
-        if any(a < b or b < a for a, b in combinations(family, 2)):
-            continue
-        out.append(LatticeValue(lattice, frozenset(family)))
-    out.sort(key=lambda v: (len(v.payload), format_value(v)))
-    return out
 
 
 class Poset:
@@ -373,20 +342,6 @@ class UpSetLattice(CdlLattice):
                     f"set is not upward closed: contains {x!r} but not {sorted(missing)!r}")
         return LatticeValue(self, members)
 
-    def carrier(self, cap: int = 16):
-        n = len(self.poset.elements)
-        if n > cap:
-            raise LatticeError(f"up-set enumeration capped at {cap} poset elements")
-        out = []
-        for mask in range(1 << n):
-            members = frozenset(self.poset.elements[i] for i in range(n) if mask >> i & 1)
-            try:
-                out.append(self.value_from_set(members))
-            except LatticeError:
-                continue
-        out.sort(key=lambda v: (len(v.payload), format_value(v)))
-        return out
-
 
 def format_value(v: LatticeValue) -> str:
     return v.lattice.format(v)
@@ -488,7 +443,10 @@ def parse_value(text: str, lattice: CdlLattice) -> LatticeValue:
     if not tokens:
         raise LatticeError("empty expression")
     p = _Parser(tokens, lattice)
-    v = p.expr()
+    try:
+        v = p.expr()
+    except RecursionError:
+        raise LatticeError("expression nested too deeply to parse") from None
     if p.peek() is not None:
         raise LatticeError(f"trailing input starting at {p.peek()!r}")
     return v

@@ -118,8 +118,7 @@ class SubmoduleOfHomology:
     def _lifted_matrix(self) -> ExactMatrix:
         """Generators plus the relation vectors a_i * e_i, as sparse columns over the ring."""
         columns = [*self.generators, *({i: a} for i, a in enumerate(self.ambient.torsion))]
-        return ExactMatrix._lines(self.ambient.ring, self.ambient.length, len(columns),
-                                  by_cols=columns)
+        return ExactMatrix(self.ambient.ring, self.ambient.length, len(columns), by_cols=columns)
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -210,7 +209,7 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     for i in range(r, n):
         if any(j < m and not ring.is_zero(ring.mul(coeffs[j], p)) for j, p in P[i].items()):
             raise AssertionError("relation vector escapes the lifted lattice")
-    Y = ExactMatrix._lines(ring, r, m, by_rows=rows)
+    Y = ExactMatrix(ring, r, m, by_rows=rows)
     sy = snf(Y)
     torsion = tuple(a for a in sy.invariant_factors if not ring.is_unit(a))
     return ModuleStructure(r - sy.rank, torsion)

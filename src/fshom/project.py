@@ -104,7 +104,8 @@ def _load_mu_entries(entries, complex, lattice):
 def read_chromatic_csv(path) -> ChromaticDataset:
     """Labeled points: coordinate columns (header order) then a 'label' column."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some spreadsheets write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as e:
@@ -216,6 +217,8 @@ def read_json(path: str):
         raise ProjectError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ProjectError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ProjectError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def load_project_file(path: str, ring_override: str | None = None) -> LoadedProject:

@@ -5,7 +5,9 @@ from itertools import combinations
 from fshom.exact import ExactMatrix, SmithDecomposition, snf
 from fshom.fuzzy import FuzzySubcomplex, Violation, _as_number
 from fshom.fuzzyhomology import NotComputableError
-from fshom.lattice import FreeDistributiveLattice
+from fshom.lattice import (
+    FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, format_value,
+)
 from fshom.modules import SubmoduleOfHomology
 from fshom.simplicial import Simplex, SimplicialComplex
 
@@ -178,14 +180,92 @@ def dense_snf(A):
         t += 1
     return SmithDecomposition(
         ring=ring,
-        P=ExactMatrix(ring, m, m, w.P),
-        P_inv=ExactMatrix(ring, m, m, w.Pi),
-        Q=ExactMatrix(ring, n, n, w.Q),
-        Q_inv=ExactMatrix(ring, n, n, w.Qi),
-        D=ExactMatrix(ring, m, n, w.D),
+        P=ExactMatrix.from_rows(ring, w.P, cols=m),
+        P_inv=ExactMatrix.from_rows(ring, w.Pi, cols=m),
+        Q=ExactMatrix.from_rows(ring, w.Q, cols=n),
+        Q_inv=ExactMatrix.from_rows(ring, w.Qi, cols=n),
+        D=ExactMatrix.from_rows(ring, w.D, cols=n),
         rank=t,
         invariant_factors=tuple(w.D[i][i] for i in range(t)),
     )
+
+
+def enumerate_fdl(generators, lattice=None) -> list:
+    """All elements of the free distributive lattice over the generators.
+
+    The carrier is the set of antichains of generator subsets (a Dedekind
+    number), so the generator count is capped at 4.
+    """
+    gens = tuple(str(g) for g in generators)
+    if not 1 <= len(gens) <= 4:
+        raise LatticeError(f"enumerate_fdl supports 1..4 generators, got {len(gens)}")
+    if lattice is None:
+        lattice = FreeDistributiveLattice(gens)
+    subsets = []
+    for k in range(len(gens) + 1):
+        subsets.extend(frozenset(c) for c in combinations(gens, k))
+    out = []
+    for mask in range(1 << len(subsets)):
+        family = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+        if any(a < b or b < a for a, b in combinations(family, 2)):
+            continue
+        out.append(LatticeValue(lattice, frozenset(family)))
+    out.sort(key=lambda v: (len(v.payload), format_value(v)))
+    return out
+
+
+def carrier(lattice) -> list:
+    """Every element of the lattice: a total order's levels in order, else
+    sorted by (size, text). A free distributive lattice is enumerated by
+    `enumerate_fdl` (at most 4 generators), an up-set lattice from the
+    subsets of its poset (at most 16 elements)."""
+    if isinstance(lattice, TotalOrder):
+        return [LatticeValue(lattice, i) for i in range(len(lattice.levels))]
+    if isinstance(lattice, FreeDistributiveLattice):
+        return enumerate_fdl(lattice.generators, lattice=lattice)
+    elements = lattice.poset.elements
+    n = len(elements)
+    if n > 16:
+        raise LatticeError("up-set enumeration capped at 16 poset elements")
+    out = []
+    for mask in range(1 << n):
+        try:
+            out.append(lattice.value_from_set(elements[i] for i in range(n) if mask >> i & 1))
+        except LatticeError:
+            continue
+    out.sort(key=lambda v: (len(v.payload), format_value(v)))
+    return out
+
+
+def simplex_values(ctx, d) -> list:
+    """The value of each d-simplex of the context's complex, in basis order."""
+    if not 0 <= d <= ctx.reduced.top:
+        return []
+    return [ctx.mu.value(s) for s in ctx.mu.complex.simplices(d)]
+
+
+def kappa(ctx, d, chain):
+    """Value of a dense chain: the meet of the values of the d-simplices at
+    its non-zero coordinates."""
+    values = simplex_values(ctx, d)
+    if len(chain) != len(values):
+        raise ValueError("chain length does not match the simplex basis")
+    ring = ctx.ring
+    return ctx.lattice.meet(v for c, v in zip(chain, values) if not ring.is_zero(ring.of(c)))
+
+
+def delta_value_set(ctx, d) -> list:
+    """The distinct values of the d-simplices, in text order."""
+    return sorted(set(simplex_values(ctx, d)), key=format_value)
+
+
+def cycle_of_class(R, d, coords) -> tuple:
+    """A representative cycle of the class, in the simplex basis: the T and F
+    columns of the reduction's `to_delta[d]` times the class coordinates."""
+    _, T, _, F = R.blocks(d)
+    chain = T.apply(list(coords.alpha))
+    free_part = F.apply(list(coords.phi))
+    return tuple(R.ring.add(a, b) for a, b in zip(chain, free_part))
 
 
 def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
@@ -200,7 +280,7 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
     U, _, _, _ = ctx.reduced.blocks(d)
     if p ** U.cols > cap:
         raise NotComputableError(f"boundary space {p}^{U.cols} exceeds the cap {cap}")
-    z = ctx.reduced.cycle_of_class(d, h)
+    z = cycle_of_class(ctx.reduced, d, h)
     basis = [U.col(j) for j in range(U.cols)]
     best = []
     coeffs = [0] * len(basis)
@@ -211,7 +291,7 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
             if c:
                 for i, x in enumerate(vec):
                     b[i] = ring.add(b[i], ring.mul(c, x))
-        best.append(ctx.kappa(d, b))
+        best.append(kappa(ctx, d, b))
         i = 0
         while i < len(coeffs) and coeffs[i] == p - 1:
             coeffs[i] = 0

@@ -4,8 +4,9 @@ import random
 from itertools import combinations
 
 from fshom.fuzzy import FuzzySubcomplex, complete_values
-from fshom.lattice import FreeDistributiveLattice, TotalOrder, enumerate_fdl
+from fshom.lattice import FreeDistributiveLattice, TotalOrder
 from fshom.simplicial import SimplicialComplex, from_maximal
+from oracles import carrier, enumerate_fdl
 
 
 def random_complex(rng: random.Random, max_vertices: int = 7, max_dim: int = 3,
@@ -77,7 +78,7 @@ def random_mu(rng: random.Random, K: SimplicialComplex, lattice,
               elements=None, allow_zero: bool = False) -> FuzzySubcomplex:
     """A random face-monotone assignment, non-zero everywhere unless allow_zero."""
     if elements is None:
-        elements = list(lattice.carrier())
+        elements = list(carrier(lattice))
     if not allow_zero:
         elements = [v for v in elements if v != lattice.join(())]
     raw = {s: rng.choice(elements) for s in K.all_simplices()}

@@ -10,9 +10,10 @@ import sys
 import pytest
 
 import fshom
-from fshom.cli import main
+from fshom.cli import build_parser, main
 from fshom.exact import ZZ
 from fshom.homology import ReducedChainComplex
+from oracles import cycle_of_class
 from randgen import random_torsion_complex
 
 
@@ -109,7 +110,7 @@ class TestEta:
                 amb = R.ambient(d)
                 want = []
                 for i in range(amb.length):
-                    cycle = R.cycle_of_class(d, R.class_from_vector(
+                    cycle = cycle_of_class(R, d, R.class_from_vector(
                         d, [int(i == j) for j in range(amb.length)]))
                     want.append({",".join(map(str, s.vertices)): c
                                  for s, c in zip(K.simplices(d), cycle) if c})
@@ -163,6 +164,13 @@ class TestCutsAndRanks:
                            fixture_path("reference.json"))
         assert code == 2 and "bad level" in err
 
+    def test_deeply_nested_level_exits_two(self, capsys, fixture_path):
+        level = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "cuts", "--levels", level, fixture_path("reference.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad level") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
     def test_rank_table(self, capsys, fixture_path):
         code, out, _ = run(capsys, "rank-table", "--json", "--degree", "0",
                            fixture_path("reference.json"))
@@ -195,6 +203,19 @@ class TestProjectBuilders:
         assert code == 0
         code, out, _ = run(capsys, "homology", str(out_path))
         assert code == 0 and "H_0 = Z" in out and "H_1 = Z" in out
+
+    def test_build_chromatic_reads_a_byte_order_mark(self, capsys, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark builds the same project,
+        also when the mark sits right before the 'label' header."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"label,x,y\nred,0,0\nred,2,0\nblue,2,2\nred,0,2\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, "build-chromatic", str(path), "--radius", "2")
+            assert code == 0 and err == ""
+            outs.append(out.encode())
+        assert outs[0] == outs[1]
 
     def test_import_filtration(self, capsys, fixture_path):
         code, out, err = run(capsys, "import-filtration",
@@ -260,6 +281,9 @@ class TestErrorsAndDeterminism:
                                                      "radius": radius}}))
         code, _, err = run(capsys, "validate", str(project))
         assert code == 2 and "finite" in err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -327,12 +351,18 @@ class TestMalformedSpecs:
         (lattice_project({"kind": "upset", "elements": ["a", "1"], "covers": [["a", 1]]}),
          "the entries of cover ['a', 1] must be strings"),
         (filtration_project([["a", 2]]), "bad poset: the entries of cover"),
+        ({**lattice_project({"kind": "fdl", "generators": ["x"]}),
+          "mu": [{"simplex": [0], "value": "(" * 3000 + "x" + ")" * 3000}]},
+         "mu entry 0: expression nested too deeply to parse"),
+        ("[" * 100000 + "]" * 100000, "JSON nested too deeply to parse"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
             "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
-            "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int"])
+            "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int",
+            "mu-value-nested", "json-nested"])
     def test_exits_two(self, capsys, tmp_path, fixture_path, data, message):
+        """`data` is the project, or the project file's text when a string."""
         project = tmp_path / "project.json"
-        project.write_text(json.dumps(data))
+        project.write_text(data if isinstance(data, str) else json.dumps(data))
         shutil.copy(fixture_path("points.csv"), tmp_path)
         code, out, err = run(capsys, "validate", str(project))
         assert code == 2 and out == ""

@@ -80,6 +80,42 @@ class TestRings:
             parse_ring("gf:4")
 
 
+class TestConstructor:
+    """One sparse constructor; `from_rows` is the checked way from dense rows."""
+
+    def test_sparse_lines_and_dense_rows_agree(self):
+        A = mat([[0, 2], [3, 0], [0, 0]])
+        assert ExactMatrix(ZZ, 3, 2, by_rows=[{1: 2}, {0: 3}, {}]) == A
+        assert ExactMatrix(ZZ, 3, 2, by_cols=[{1: 3}, {0: 2}]) == A
+        assert A.data == ((0, 2), (3, 0), (0, 0))
+
+    def test_needs_a_view(self):
+        with pytest.raises(ValueError):
+            ExactMatrix(ZZ, 1, 1)
+
+    def test_dense_rows_are_refused(self):
+        with pytest.raises(TypeError):
+            ExactMatrix(ZZ, 1, 2, [[1, 2]])
+
+    def test_from_rows_canonicalises_and_checks_shape(self):
+        assert ExactMatrix.from_rows(PrimeField(3), [[3, -1], [4, 0]]).by_rows == ({1: 2}, {0: 1})
+        assert ExactMatrix.from_rows(ZZ, [], cols=2).by_cols == ({}, {})
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows(ZZ, [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows(ZZ, [])
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(5)], ids=["z", "gf5"])
+    def test_apply_is_the_dense_product(self, ring):
+        rng = random.Random(4)
+        for _ in range(100):
+            A = rand_matrix(rng, ring)
+            x = [rng.randint(-9, 9) for _ in range(A.cols)]
+            assert A.apply(x) == [ring.of(sum(a * b for a, b in zip(row, x))) for row in A.data]
+        with pytest.raises(ValueError):
+            mat([[1, 2]]).apply([1])
+
+
 class TestSmithNormalForm:
     def check(self, A):
         S = snf(A)

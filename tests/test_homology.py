@@ -10,7 +10,7 @@ import pytest
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import from_maximal
-from oracles import dense, dense_snf
+from oracles import cycle_of_class, dense, dense_snf
 from randgen import random_complex, random_torsion_complex, rips_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -308,7 +308,7 @@ class TestClassCoordinates:
                 vec = [0] * ambient.length
                 vec[k] = 1
                 coords = R.class_from_vector(d, vec)
-                cycle = R.cycle_of_class(d, coords)
+                cycle = cycle_of_class(R, d, coords)
                 back = R.class_of_cycle(d, cycle)
                 assert back.vector() == coords.vector()
 
@@ -349,5 +349,5 @@ class TestClassCoordinates:
                     continue
                 vec = [rng.randint(-3, 3) for _ in range(ambient.length)]
                 coords = R.class_from_vector(d, vec)
-                back = R.class_of_cycle(d, R.cycle_of_class(d, coords))
+                back = R.class_of_cycle(d, cycle_of_class(R, d, coords))
                 assert back.vector() == coords.vector()

@@ -11,12 +11,12 @@ from fshom.lattice import (
     Poset,
     TotalOrder,
     UpSetLattice,
-    enumerate_fdl,
     format_value,
     lattice_from_spec,
     lattice_to_spec,
     parse_value,
 )
+from oracles import carrier, enumerate_fdl
 from randgen import lattice_family
 
 
@@ -42,6 +42,12 @@ class TestFreeDistributiveLattice:
         assert len(enumerate_fdl(("x",))) == 3
         assert len(enumerate_fdl(("x", "y"))) == 6
         assert len(enumerate_fdl(("x", "y", "z"))) == 20
+
+    def test_enumeration_caps(self):
+        with pytest.raises(LatticeError):
+            enumerate_fdl(("a", "b", "c", "d", "e"))
+        with pytest.raises(LatticeError):
+            carrier(UpSetLattice(Poset([str(i) for i in range(17)], [])))
 
     def test_fdl2_elements(self):
         names = sorted(format_value(v) for v in enumerate_fdl(("x", "y")))
@@ -93,7 +99,7 @@ class TestUpSetLattice:
 
     def test_carrier_and_bounds(self):
         U = self.diamond()
-        vals = [format_value(v) for v in U.carrier()]
+        vals = [format_value(v) for v in carrier(U)]
         assert vals[0] == "{}" and vals[-1] == "{a,b,c,d}"
         assert len(vals) == 6
 
@@ -140,7 +146,7 @@ class TestMeetPrimeZero:
 class TestParsing:
     def test_round_trip_all_lattices(self):
         for L in lattice_family():
-            for v in L.carrier():
+            for v in carrier(L):
                 assert L.parse(format_value(v)) == v
 
     def test_precedence_and_parens(self):
@@ -165,8 +171,8 @@ class TestParsing:
             spec = lattice_to_spec(L)
             M = lattice_from_spec(spec)
             assert lattice_to_spec(M) == spec
-            assert [format_value(v) for v in M.carrier()] == \
-                   [format_value(v) for v in L.carrier()]
+            assert [format_value(v) for v in carrier(M)] == \
+                   [format_value(v) for v in carrier(L)]
 
 
 class TestLatticeLaws:
@@ -186,14 +192,14 @@ class TestLatticeLaws:
     def test_laws_on_random_triples(self):
         rng = random.Random(7)
         for L in lattice_family():
-            values = list(L.carrier())
+            values = list(carrier(L))
             for _ in range(1000):
                 self.check_triple(L, *(rng.choice(values) for _ in range(3)))
 
     def test_folds_of_no_and_one_value(self):
         for L in lattice_family():
             assert L.join([]) == L.bottom and L.meet([]) == L.top
-            for v in L.carrier():
+            for v in carrier(L):
                 assert L.join([v]) == v and L.meet([v]) == v
                 assert L.join([v, L.bottom]) == v and L.meet([v, L.top]) == v
 
@@ -201,7 +207,7 @@ class TestLatticeLaws:
 class TestJoinIrreducibles:
     def test_parts_join_back_and_are_join_prime(self):
         for L in lattice_family():
-            values = list(L.carrier())
+            values = list(carrier(L))
             for v in values:
                 parts = L.join_irreducibles(v)
                 assert L.join(parts) == v

@@ -13,6 +13,7 @@ from fshom.cli import main
 from fshom.exact import PrimeField, ZZ
 from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
+from oracles import carrier
 from randgen import random_torsion_complex
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -71,7 +72,7 @@ def test_each_submodule_is_factored_outside_membership(reference_mu):
     tracer.install()
     try:
         for d in range(ctx.reduced.top + 1):
-            for level in ctx.lattice.carrier():
+            for level in carrier(ctx.lattice):
                 ctx.hdl_submodule(d, level).structure
         for d in range(ctx.reduced.top + 1):
             n = ctx.reduced.ambient(d).length
@@ -142,6 +143,23 @@ def test_reduction_makes_one_smith_form_and_three_products_per_degree(ring):
     assert names.count("homology.reduce") == 1
     assert names.count("exact.snf") == K.dim + 1
     assert names.count("exact.matmul") == 3 * (K.dim + 1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+def test_reduction_counts_its_matrix_builds(ring):
+    """Every matrix passes through `ExactMatrix.__init__`, which the tracer
+    counts as `exact.matrix_builds`: each Smith form alone builds five
+    (P, P_inv, Q, Q_inv and D)."""
+    K = random_torsion_complex(random.Random(1))
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        ReducedChainComplex(K, ring)
+    finally:
+        tracer.uninstall()
+    snfs = [span[0] for span in tracer.spans].count("exact.snf")
+    assert snfs > 0
+    assert tracer.counts["exact.matrix_builds"] >= 5 * snfs
 
 
 def traced_cli(*argv):
