@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
-from .lattice import CdlLattice, LatticeValue, Poset, UpSetLattice, FreeDistributiveLattice
+from .lattice import CdlLattice, FreeDistributiveLattice, LatticeValue, Poset, UpSetLattice, format_value
 from .simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
 
 
@@ -32,74 +34,111 @@ class Violation:
     coface_value: LatticeValue
 
     def message(self) -> str:
-        from .lattice import format_value
         return (f"mu({self.face!r}) = {format_value(self.face_value)} does not dominate "
                 f"mu({self.coface!r}) = {format_value(self.coface_value)}")
 
 
+class ValueCoding:
+    """Distinct values of one lattice, coded 0, 1, ... in order of first coding
+    (`values[c]` has code c). `code(v)` checks a new value once against the
+    lattice, its type before its hash, so a foreign or unhashable value is a
+    LatticeError. `leq`, `join` and `meet` of two codes run the lattice's own
+    method once per pair of codes; a new join or meet is coded."""
+
+    def __init__(self, lattice: CdlLattice):
+        self.lattice, self.values, self._code = lattice, [], {}
+        vals, codes = self.values, self._code
+
+        def code(v: LatticeValue) -> int:
+            """The code of v, coding it first if it is new."""
+            c = codes.get(v) if isinstance(v, LatticeValue) else None
+            if c is None:
+                lattice._check(v)
+                c = codes[v] = len(vals)
+                vals.append(v)
+            return c
+        # closures, not methods: a coding holds no reference cycle, so it is freed at once
+        self.code = code
+        self.leq = cache(lambda a, b: lattice.leq(vals[a], vals[b]))
+        self.join = cache(lambda a, b: code(lattice.join([vals[a], vals[b]])))
+        self.meet = cache(lambda a, b: code(lattice.meet([vals[a], vals[b]])))
+
+
 class FuzzySubcomplex:
-    """A total, face-monotone assignment of lattice values to a complex."""
+    """A total assignment of lattice values to a complex (`validate` lists
+    where it fails to be face-monotone). Simplex s holds `code(s)`, a code
+    of `coding`, the `ValueCoding` of its distinct values; the coding may gain
+    codes later (say, the meets of a `FuzzyHomologyContext`)."""
 
     def __init__(self, complex: SimplicialComplex, lattice: CdlLattice, values):
         missing = [s for s in complex.all_simplices() if s not in values]
         if missing:
             raise FuzzyError(f"missing values for {len(missing)} simplices, e.g. {missing[0]!r}")
-        for s, v in values.items():
+        for s in values:
             if s not in complex:
                 raise FuzzyError(f"value given for {s!r}, which is not in the complex")
-            lattice._check(v)
-        self.complex = complex
-        self.lattice = lattice
-        self._values = dict(values)
+        coding = ValueCoding(lattice)
+        self.complex, self.lattice, self.coding = complex, lattice, coding
+        self._code = {s: coding.code(values[s]) for s in complex.all_simplices()}
+
+    @classmethod
+    def _coded(cls, complex: SimplicialComplex, coding: ValueCoding, code_of) -> "FuzzySubcomplex":
+        """The subcomplex in which simplex s has code code_of(s), unchecked."""
+        mu = object.__new__(cls)
+        mu.complex, mu.lattice, mu.coding = complex, coding.lattice, coding
+        mu._code = {s: code_of(s) for s in complex.all_simplices()}
+        return mu
+
+    def code(self, s: Simplex) -> int:
+        return self._code[s]
 
     def value(self, s: Simplex) -> LatticeValue:
-        return self._values[s]
+        return self.coding.values[self._code[s]]
 
     def items(self):
-        for s in self.complex.all_simplices():
-            yield s, self._values[s]
+        return ((s, self.coding.values[c]) for s, c in self._code.items())
 
     def validate(self) -> list:
         """Violating codimension-1 (face, coface) pairs; empty means valid."""
+        coding, values = self.coding, self.coding.values
         out = []
-        for d in range(1, self.complex.dim + 1):
-            for s in self.complex.simplices(d):
-                sv = self._values[s]
-                for _, face in s.boundary():
-                    fv = self._values[face]
-                    if not self.lattice.leq(sv, fv):
-                        out.append(Violation(face, s, fv, sv))
+        for s, c in self._code.items():
+            for _, face in s.boundary():
+                fc = self._code[face]
+                if not coding.leq(c, fc):
+                    out.append(Violation(face, s, values[fc], values[c]))
         return out
 
     def cut(self, level: LatticeValue) -> SimplicialComplex:
         """The crisp subcomplex of simplices with value >= level."""
         self.lattice._check(level)
-        keep = [s for s, v in self.items() if self.lattice.leq(level, v)]
+        above = [self.lattice.leq(level, v) for v in self.coding.values]
+        keep = [s for s, c in self._code.items() if above[c]]
         return SimplicialComplex(keep) if keep else EMPTY_COMPLEX
 
     def support(self) -> SimplicialComplex:
         """Simplices with non-zero value (always a crisp subcomplex)."""
-        bottom = self.lattice.bottom
-        keep = [s for s, v in self.items() if v != bottom]
+        nonzero = [v != self.lattice.bottom for v in self.coding.values]
+        keep = [s for s, c in self._code.items() if nonzero[c]]
         return SimplicialComplex(keep) if keep else EMPTY_COMPLEX
 
     def core(self) -> SimplicialComplex:
         return self.cut(self.lattice.top)
 
     def restrict_to_support(self) -> "FuzzySubcomplex":
-        if not self.complex.is_empty and self.lattice.bottom not in self._values.values():
+        # without a code for 0, no simplex has the value 0
+        if not self.complex.is_empty and self.lattice.bottom not in self.coding._code:
             return self
         sup = self.support()
         if sup.is_empty:
             raise FuzzyError("support is empty: every simplex has value 0")
-        return FuzzySubcomplex(sup, self.lattice,
-                               {s: self._values[s] for s in sup.all_simplices()})
+        return FuzzySubcomplex._coded(sup, self.coding, self._code.__getitem__)
 
     def __eq__(self, other):
         return (isinstance(other, FuzzySubcomplex)
                 and self.complex == other.complex
                 and self.lattice == other.lattice
-                and self._values == other._values)
+                and list(self.items()) == list(other.items()))
 
     def __repr__(self):
         return f"FuzzySubcomplex({self.complex!r} over {self.lattice!r})"
@@ -111,34 +150,43 @@ def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -
     Each simplex receives the join of every explicit value on itself and its
     cofaces. This is the least face-monotone assignment dominating the
     explicit one, so values may be given on maximal simplices only; a simplex
-    with no assigned coface gets 0.
+    with no assigned coface gets 0. Values are joined as `ValueCoding` codes,
+    each pair of distinct values once.
     """
-    for s, v in explicit.items():
+    for s in explicit:
         if s not in complex:
             raise FuzzyError(f"value given for {s!r}, which is not in the complex")
-        lattice._check(v)
-    values = {s: explicit.get(s, lattice.bottom) for s in complex.all_simplices()}
+    coding = ValueCoding(lattice)
+    codes = {s: coding.code(explicit.get(s, lattice.bottom)) for s in complex.all_simplices()}
     # every coface reaches a simplex through a chain of facets, so joining
     # each value into its facets from the top dimension down covers them all;
     # a value already below the facet's leaves it unchanged, so it is skipped
     for d in range(complex.dim, 0, -1):
         for s in complex.simplices(d):
-            for _, face in s.boundary():
-                if not lattice.leq(values[s], values[face]):
-                    values[face] = lattice.join([values[face], values[s]])
-    return values
+            c = codes[s]
+            for face in combinations(s, d):
+                f = codes[face]
+                if not coding.leq(c, f):
+                    codes[face] = coding.join(f, c)
+    return {s: coding.values[c] for s, c in codes.items()}
 
 
 def explicit_violations(explicit, lattice: CdlLattice) -> list:
     """Monotonicity failures among explicitly assigned simplices only.
 
-    Ordered by (face, coface), each in (dim, vertices) order.
+    Ordered by (face, coface), each in (dim, vertices) order. Values are
+    compared as codes of one `ValueCoding`, each pair of them once.
     """
+    coding = ValueCoding(lattice)
+    codes = {s: coding.code(v) for s, v in explicit.items()}
     out = []
-    for s2, v2 in explicit.items():
-        for s1 in s2.faces():
-            if s1 != s2 and s1 in explicit and not lattice.leq(v2, explicit[s1]):
-                out.append(Violation(s1, s2, explicit[s1], v2))
+    for s2, c2 in codes.items():
+        for k in range(1, len(s2)):
+            for face in combinations(s2, k):
+                c1 = codes.get(face)
+                if c1 is not None and not coding.leq(c2, c1):
+                    out.append(Violation(Simplex._sorted(face), s2,
+                                         coding.values[c1], coding.values[c2]))
     out.sort(key=lambda v: (v.face.dim, v.face.vertices, v.coface.dim, v.coface.vertices))
     return out
 
@@ -152,22 +200,17 @@ def chromatic(K: SimplicialComplex, labels, palette) -> FuzzySubcomplex:
     palette = [str(c) for c in palette]
     lattice = FreeDistributiveLattice(palette)
     gen = {c: lattice.generator(c) for c in palette}
-    values = {}
-    meets = {}  # a simplex's value depends only on its set of colours
-    for s in K.all_simplices():
-        colors = set()
-        for v in s.vertices:
-            if v not in labels:
-                raise FuzzyError(f"vertex {v} has no label")
-            color = str(labels[v])
-            if color not in gen:
-                raise FuzzyError(f"label {color!r} of vertex {v} is outside the palette")
-            colors.add(color)
-        key = frozenset(colors)
-        if key not in meets:
-            meets[key] = lattice.meet(gen[c] for c in sorted(key))
-        values[s] = meets[key]
-    return FuzzySubcomplex(K, lattice, values)
+    color = {}
+    for (v,) in K.simplices(0):
+        if v not in labels:
+            raise FuzzyError(f"vertex {v} has no label")
+        color[v] = str(labels[v])
+        if color[v] not in gen:
+            raise FuzzyError(f"label {color[v]!r} of vertex {v} is outside the palette")
+    coding = ValueCoding(lattice)
+    # a simplex's value depends only on its set of colours
+    meet = cache(lambda key: coding.code(lattice.meet(gen[c] for c in sorted(key))))
+    return FuzzySubcomplex._coded(K, coding, lambda s: meet(frozenset(map(color.__getitem__, s))))
 
 
 @dataclass(frozen=True)
@@ -300,8 +343,8 @@ def from_filtration(poset: Poset, stages) -> FuzzySubcomplex:
     if not union:
         raise FuzzyError("all stages are empty")
     K = SimplicialComplex(union)
-    values = {}
-    for s in K.all_simplices():
-        members = frozenset(p for p in poset.elements if s in stages[p])
-        values[s] = lattice.value_from_set(members)
-    return FuzzySubcomplex(K, lattice, values)
+    coding = ValueCoding(lattice)
+    # a simplex's value depends only on the set of stages containing it
+    upset = cache(lambda members: coding.code(lattice.value_from_set(members)))
+    return FuzzySubcomplex._coded(
+        K, coding, lambda s: upset(frozenset(p for p in poset.elements if s in stages[p])))

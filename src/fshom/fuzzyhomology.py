@@ -69,7 +69,8 @@ class NotComputableError(RuntimeError):
 
 
 class FuzzyHomologyContext:
-    """Shared state for fuzzy homology queries over one subcomplex and ring."""
+    """Shared state for fuzzy homology queries over one subcomplex and ring;
+    simplex values are read as codes of the subcomplex's `ValueCoding`."""
 
     def __init__(self, mu: FuzzySubcomplex, ring=ZZ):
         if not mu.lattice.zero_is_meet_prime:
@@ -82,16 +83,7 @@ class FuzzyHomologyContext:
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._sweeps = {}
-        # each simplex value as a position in the distinct values of its
-        # degree, so that an index set compares each distinct value once
-        self._distinct, self._codes = [], []
-        for d in range(self.reduced.top + 1):
-            vals = [self.mu.value(s) for s in self.mu.complex.simplices(d)]
-            distinct = sorted(set(vals), key=format_value)
-            pos = {v: k for k, v in enumerate(distinct)}
-            self._distinct.append(distinct)
-            self._codes.append([pos[v] for v in vals])
-        self._kappa_values = [_meet_closure(self.lattice, vals) for vals in self._distinct]
+        self._kappa_values = [_meet_closure(self.mu, d) for d in range(self.reduced.top + 1)]
 
     # -- value sets ---------------------------------------------------
 
@@ -104,12 +96,13 @@ class FuzzyHomologyContext:
     # -- level submodules ----------------------------------------------
 
     def index_set(self, d: int, level: LatticeValue) -> tuple:
-        """0-based indices of d-simplices whose value does not dominate level."""
-        self.lattice._check(level)
+        """0-based indices of d-simplices whose value does not dominate level (by code)."""
+        coding, lc = self.mu.coding, self.mu.coding.code(level)
         if not 0 <= d <= self.reduced.top:
             return ()
-        fails = [not self.lattice.leq(level, v) for v in self._distinct[d]]
-        return tuple(i for i, k in enumerate(self._codes[d]) if fails[k])
+        fails = [not coding.leq(lc, c) for c in range(len(coding.values))]
+        codes = map(self.mu.code, self.mu.complex.simplices(d))
+        return tuple(i for i, c in enumerate(codes) if fails[c])
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.
@@ -217,19 +210,20 @@ class FuzzyHomologyContext:
         return self.lattice.meet([s for s in values if self.lattice.leq(level, s)])
 
 
-def _meet_closure(lattice, values) -> list:
-    """The meet-closure of the non-zero values plus 1, deterministically ordered."""
-    seed = {v for v in values if v != lattice.bottom}
-    seed.add(lattice.top)
-    closed = set(seed)
-    frontier = set(seed)
+def _meet_closure(mu, d) -> list:
+    """The meet-closure of the non-zero values of the d-simplices plus 1, in
+    text order; each meet is formed once per pair of codes of mu's coding."""
+    coding, bottom = mu.coding, mu.lattice.bottom
+    seed = {c for c in set(map(mu.code, mu.complex.simplices(d))) if coding.values[c] != bottom}
+    seed.add(coding.code(mu.lattice.top))
+    closed, frontier = set(seed), set(seed)
     while frontier:
         fresh = set()
         for a in frontier:
             for b in closed:
-                m = lattice.meet([a, b])
-                if m not in closed and m not in fresh:
+                m = coding.meet(a, b)
+                if m not in closed:
                     fresh.add(m)
         closed |= fresh
         frontier = fresh
-    return sorted(closed, key=format_value)
+    return sorted((coding.values[c] for c in closed), key=format_value)

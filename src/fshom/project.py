@@ -89,8 +89,11 @@ def _load_mu_entries(entries, complex, lattice):
             s = Simplex(entry["simplex"])
         except (ValueError, TypeError) as e:
             raise ProjectError(f"mu entry {i}: {e}") from None
-        _require(s in complex, f"mu entry {i}: {s!r} is not in the complex")
-        _require(s not in explicit, f"mu entry {i}: duplicate value for {s!r}")
+        # these two messages name the simplex, so they are formatted only on failure
+        if s not in complex:
+            raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
+        if s in explicit:
+            raise ProjectError(f"mu entry {i}: duplicate value for {s!r}")
         text = str(entry["value"])
         if text not in parsed:
             try:
@@ -108,7 +111,7 @@ def read_chromatic_csv(path) -> ChromaticDataset:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise ProjectError(f"cannot read {path}: {e}") from None
     _require(rows, f"{path}: empty CSV")
     header = [cell.strip() for cell in rows[0]]
@@ -229,8 +232,8 @@ def load_project_file(path: str, ring_override: str | None = None) -> LoadedProj
 def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
     """Normal-form project dict for a fuzzy subcomplex (values on all simplices)."""
     maximal = [list(s.vertices) for s in mu.complex.maximal_simplices()]
-    entries = [{"simplex": list(s.vertices), "value": format_value(v)}
-               for s, v in mu.items()]
+    texts = [format_value(v) for v in mu.coding.values]
+    entries = [{"simplex": list(s), "value": texts[mu.code(s)]} for s in mu.complex.all_simplices()]
     return {
         "lattice": lattice_to_spec(mu.lattice),
         "complex": {"maximal": maximal},

@@ -217,6 +217,15 @@ class TestProjectBuilders:
             outs.append(out.encode())
         assert outs[0] == outs[1]
 
+    def test_build_chromatic_field_over_the_csv_limit_exits_two(self, capsys, tmp_path):
+        """A field longer than the csv module's field limit is a readable
+        input error naming the file, not a traceback."""
+        path = tmp_path / "long.csv"
+        path.write_text("x,y,label\n0,0," + "a" * 200_000 + "\n1,0,b\n")
+        code, out, err = run(capsys, "build-chromatic", str(path), "--radius", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
     def test_import_filtration(self, capsys, fixture_path):
         code, out, err = run(capsys, "import-filtration",
                              fixture_path("filtration_chain.json"))

@@ -17,6 +17,7 @@ from fshom.fuzzy import (
 )
 from fshom.lattice import (
     FreeDistributiveLattice,
+    LatticeError,
     Poset,
     TotalOrder,
     UpSetLattice,
@@ -93,6 +94,51 @@ class TestValidation:
             assert list(values.items()) == list(expected.items())
             bad = explicit_violations(explicit, lattice)
             assert bad == pairwise_explicit_violations(explicit, lattice)
+
+    def test_completion_and_violations_match_pairwise_definitions_at_bench_scale(self):
+        """The same on a chromatic complex of about 860 simplices, for every
+        lattice family: a random part of a face-monotone assignment (the meet
+        of random vertex values), and random values on a random part."""
+        rng = random.Random(13)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        K, _ = vietoris_rips(ChromaticDataset(points, ("a",) * 130), 5, 2)
+        assert 700 <= len(K) <= 1000
+        simplices = list(K.all_simplices())
+        seen_violations = False
+        for lattice in lattice_family():
+            elements = list(carrier(lattice))
+            at = {v: rng.choice(elements) for (v,) in K.simplices(0)}
+            monotone = {s: lattice.meet(at[v] for v in s) for s in simplices}
+            for explicit in (
+                    {s: monotone[s] for s in rng.sample(simplices, len(simplices) // 3)},
+                    {s: rng.choice(elements) for s in rng.sample(simplices, len(simplices) // 4)}):
+                values = complete_values(K, lattice, explicit)
+                expected = pairwise_complete_values(K, lattice, explicit)
+                assert list(values.items()) == list(expected.items())
+                bad = explicit_violations(explicit, lattice)
+                assert bad == pairwise_explicit_violations(explicit, lattice)
+                seen_violations = seen_violations or bool(bad)
+            assert explicit_violations(monotone, lattice) == []
+        assert seen_violations
+
+    @pytest.mark.parametrize("foreign", [TotalOrder(("lo", "hi")).top, "x", ["x"]],
+                             ids=["other-lattice", "string", "unhashable-list"])
+    def test_foreign_values_are_refused_with_lattice_error(self, foreign):
+        L = fdl2()
+        K = from_maximal([[0, 1]])
+        values = {s: L.parse("x") for s in K.all_simplices()}
+        for s in K.all_simplices():
+            with pytest.raises(LatticeError):
+                FuzzySubcomplex(K, L, {**values, s: foreign})
+            with pytest.raises(LatticeError):
+                complete_values(K, L, {**values, s: foreign})
+
+    def test_values_are_held_as_codes_of_the_distinct_values(self, reference_mu):
+        coding = reference_mu.coding
+        distinct = {v for _, v in reference_mu.items()}
+        assert len(coding.values) == len(distinct) and set(coding.values) == distinct
+        for s, v in reference_mu.items():
+            assert coding.values[reference_mu.code(s)] == v
 
 
 class TestCuts:

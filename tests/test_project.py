@@ -1,11 +1,13 @@
 """Project file loading: sources, rings, derived lattices, normalization."""
 
 import json
+import os
 
 import pytest
 
+from fshom.cli import main
 from fshom.exact import ZZ
-from fshom.lattice import format_value
+from fshom.lattice import CdlLattice, format_value
 from fshom.project import (
     ProjectError,
     dump_project,
@@ -107,6 +109,16 @@ class TestErrors:
             with pytest.raises(ProjectError):
                 load_project(complex_source(mu=mu))
 
+    def test_bad_entry_messages_name_entry_and_simplex(self):
+        for mu, message in (
+                ([{"simplex": [0, 2], "value": "x"}], "mu entry 0: <0,2> is not in the complex"),
+                ([{"simplex": [0], "value": "x"}, {"simplex": [0], "value": "y"}],
+                 "mu entry 1: duplicate value for <0>"),
+                ([{"simplex": [0]}], "mu entry 0 must have 'simplex' and 'value'")):
+            with pytest.raises(ProjectError) as exc:
+                load_project(complex_source(mu=mu))
+            assert str(exc.value) == message
+
     def test_bad_files(self, tmp_path, fixture_path):
         with pytest.raises(ProjectError):
             load_project_file(str(tmp_path / "missing.json"))
@@ -136,3 +148,28 @@ class TestNormalization:
         p = load_project_file(str(path))
         assert {s: format_value(v) for s, v in p.mu.items()} == \
             {s: format_value(v) for s, v in reference_project.mu.items()}
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_load_compares_each_pair_of_distinct_values_once(tmp_path, monkeypatch):
+    """Loading the benchmark's 130-point 3-colour chromatic project (seed 0)
+    makes at most k^2 lattice comparisons, k the number of distinct values:
+    they are bounded by value pairs, not by the face pairs of the complex."""
+    monkeypatch.syspath_prepend(BENCH)  # bench/inputs.py imports its sibling gen.py
+    import inputs
+
+    with open(os.path.join(BENCH, "workloads.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)["workloads"]["chromatic-ingest"]
+    inputs.make_inputs("chromatic-ingest", spec["params"], 0, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-chromatic", "ingest.csv", "--radius", "5", "--max-dim", "2",
+                 "--out", "ingest.json"]) == 0
+    calls = []
+    leq = CdlLattice.leq
+    monkeypatch.setattr(CdlLattice, "leq", lambda self, a, b: calls.append(1) or leq(self, a, b))
+    project = load_project_file("ingest.json")
+    k = len({v for _, v in project.mu.items()})
+    assert len(project.complex) > 800 and project.is_valid
+    assert 0 < len(calls) <= k * k, (len(calls), k)
