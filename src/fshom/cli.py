@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .homology import ReducedChainComplex
 from .lattice import LatticeError, format_value, parse_value
 from .project import (
     ProjectError,
+    dump_json,
     dump_project,
     load_project,
     load_project_file,
@@ -78,7 +78,7 @@ def _emit(text: str, out_path) -> None:
 def _write(args, report: dict, render) -> None:
     """Emit the report as JSON under --json, else the text lines of render(report)."""
     if args.json:
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dump_json(report) + "\n", args.out)
     else:
         _emit("\n".join(render(report)) + "\n", args.out)
 

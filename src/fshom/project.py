@@ -12,7 +12,14 @@ coefficient ring. Complex sources:
   the up-sets of the poset.
 
 Loading normalizes everything to (lattice, complex, fuzzy subcomplex) and
-keeps the monotonicity violations of the explicit values for reporting.
+keeps the monotonicity violations of the explicit values for reporting. A mu
+entry whose simplex is a sorted list of ints is read off the complex in one
+lookup; any other entry is parsed by `Simplex`, so a malformed one keeps its
+message. A mu value must be a string.
+
+`dump_json` writes every project and CLI report: it gives the bytes of
+`json.dumps(obj, indent=2, sort_keys=True)` without the standard library's
+pure-Python encoder, which is what `json.dumps` runs under `indent`.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .exact import ZZ, format_ring, parse_ring
 from .fuzzy import (
@@ -85,16 +93,23 @@ def _load_mu_entries(entries, complex, lattice):
     for i, entry in enumerate(entries):
         _require(isinstance(entry, dict) and "simplex" in entry and "value" in entry,
                  f"mu entry {i} must have 'simplex' and 'value'")
-        try:
-            s = Simplex(entry["simplex"])
-        except (ValueError, TypeError) as e:
-            raise ProjectError(f"mu entry {i}: {e}") from None
-        # these two messages name the simplex, so they are formatted only on failure
-        if s not in complex:
-            raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
+        vertices, text = entry["simplex"], entry["value"]
+        # a sorted list of ints is looked up as a tuple in one step; bool and
+        # float vertices would compare equal to ints, so they go to Simplex()
+        s = (complex.get(tuple(vertices))
+             if type(vertices) is list and {*map(type, vertices)} == {int} else None)
+        if s is None:
+            try:
+                s = Simplex(vertices)
+            except (ValueError, TypeError) as e:
+                raise ProjectError(f"mu entry {i}: {e}") from None
+            # messages that name the simplex are formatted only on failure
+            if s not in complex:
+                raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
         if s in explicit:
             raise ProjectError(f"mu entry {i}: duplicate value for {s!r}")
-        text = str(entry["value"])
+        if not isinstance(text, str):
+            raise ProjectError(f"mu entry {i}: value must be a string")
         if text not in parsed:
             try:
                 parsed[text] = parse_value(text, lattice)
@@ -243,4 +258,60 @@ def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
 
 
 def dump_project(project: dict) -> str:
-    return json.dumps(project, indent=2, sort_keys=True) + "\n"
+    return dump_json(project) + "\n"
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+           bool: {True: "true", False: "false"}.__getitem__}
+
+
+def dump_json(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for
+    str-keyed dicts, lists, tuples, str, int, bool and None (anything else is
+    a TypeError). The pure-Python encoder that `json.dumps` runs under
+    `indent` builds a generator per container; this writer appends chunks to
+    one list and encodes each scalar in C. A scalar goes into one chunk with
+    the separator and key before it, which halves the live chunks and so the
+    writer's peak memory."""
+    chunks = []
+    out, leaf, key = chunks.append, _LEAVES.get, encode_basestring_ascii
+
+    def write(o, newline):
+        inner = newline + "  "
+        sep = "," + inner
+        if type(o) is dict:
+            if not o:
+                out("{}")
+                return
+            start = "{" + inner
+            for k, v in sorted(o.items()):
+                f = leaf(type(v))
+                if f:
+                    out(start + key(k) + ": " + f(v))
+                else:
+                    out(start + key(k) + ": ")
+                    write(v, inner)
+                start = sep
+            out(newline + "}")
+        elif type(o) is list or type(o) is tuple:
+            if not o:
+                out("[]")
+                return
+            start = "[" + inner
+            for v in o:
+                f = leaf(type(v))
+                if f:
+                    out(start + f(v))
+                else:
+                    out(start)
+                    write(v, inner)
+                start = sep
+            out(newline + "]")
+        else:
+            f = leaf(type(o))
+            if f is None:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            out(f(o))
+
+    write(obj, "\n")
+    return "".join(chunks)

@@ -12,12 +12,14 @@ sorts its input. `Simplex._sorted(t)` wraps a tuple that is already known to
 be a valid simplex (strictly increasing non-negative ints) without checking
 it again; faces, boundaries, the `from_maximal` closure and the Rips cliques
 are built that way, because sub-tuples of a valid simplex and cliques grown
-in increasing vertex order are valid by construction.
+in increasing vertex order are valid by construction. Where a face is only
+looked up (the face-closure check, `maximal_simplices`, `boundary_columns`),
+it stays the plain tuple that `itertools.combinations` yields.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 
 class Simplex(tuple):
@@ -73,6 +75,11 @@ class Simplex(tuple):
         return "<" + ",".join(map(str, self)) + ">"
 
 
+def _facets(simplices, d: int):
+    """The codimension-1 faces of the given d-simplices, as plain tuples."""
+    return chain.from_iterable(map(combinations, simplices, repeat(d)))
+
+
 class SimplicialComplex:
     """A face-closed set of simplices with lexicographic per-dimension bases."""
 
@@ -80,25 +87,29 @@ class SimplicialComplex:
 
     def __init__(self, simplices):
         pool = set(simplices)
+        by_dim = {}
         for s in pool:
             if not isinstance(s, Simplex):
                 raise TypeError(f"not a Simplex: {s!r}")
-        by_dim = {}
-        for s in pool:
-            by_dim.setdefault(s.dim, []).append(s)
-        # every facet present implies every face present, by induction on dimension
-        for group in by_dim.values():
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        # every facet present implies every face present, by induction on
+        # dimension; faces are plain tuples (equal to and hashed like their
+        # Simplex), and only a failing group is walked again to name the face
+        for d, group in by_dim.items():
             group.sort()
-            for s in group:
-                for _, face in s.boundary():
-                    if face not in pool:
-                        raise ValueError(f"complex is not face-closed: missing {face!r} of {s!r}")
+            if d and not pool.issuperset(_facets(group, d)):
+                for s in group:
+                    for _, face in s.boundary():
+                        if face not in pool:
+                            raise ValueError(f"complex is not face-closed: missing {face!r} of {s!r}")
         dims = sorted(by_dim)
         if dims and dims != list(range(dims[-1] + 1)):
             raise ValueError("dimension gap in complex")
         object.__setattr__(self, "_by_dim", tuple(tuple(by_dim[d]) for d in dims))
-        object.__setattr__(self, "_index",
-                           {s: i for group in self._by_dim for i, s in enumerate(group)})
+        index = {}
+        for group in self._by_dim:
+            index.update(zip(group, range(len(group))))
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -148,12 +159,20 @@ class SimplicialComplex:
     def __contains__(self, s) -> bool:
         return s in self._index
 
+    def get(self, vertices: tuple):
+        """The complex's own simplex equal to the tuple `vertices`, or None."""
+        i = self._index.get(vertices)
+        return None if i is None else self._by_dim[len(vertices) - 1][i]
+
     def __len__(self) -> int:
         return len(self._index)
 
     def maximal_simplices(self) -> list:
         """Simplices that are not a facet of any simplex one dimension up, in (dim, vertices) order."""
-        facets = {face for s in self.all_simplices() for _, face in s.boundary()}
+        facets = set()
+        for d, group in enumerate(self._by_dim):
+            if d:
+                facets.update(_facets(group, d))
         return [s for s in self.all_simplices() if s not in facets]
 
     def boundary_columns(self, d: int) -> list:
@@ -165,8 +184,12 @@ class SimplicialComplex:
             return [{} for _ in range(self.n(0))]
         if d == self.dim + 1:
             return [{}]
-        index = self._index
-        return [{index[face]: sign for sign, face in s.boundary()} for s in self.simplices(d)]
+        # combinations() yields the face without the last vertex first; reversed,
+        # the face without vertex j comes j-th with sign (-1)^j, as in boundary()
+        row = self._index.__getitem__
+        signs = [-1 if j % 2 else 1 for j in range(d + 1)]
+        return [dict(zip(map(row, tuple(combinations(s, d))[::-1]), signs))
+                for s in self.simplices(d)]
 
     def boundary_matrix(self, d: int) -> list:
         """The matrix of the boundary map in the lexicographic bases.

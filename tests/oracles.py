@@ -316,6 +316,23 @@ def kernel_hdl_submodule(ctx, d, level):
     return SubmoduleOfHomology(ambient, [s.Q.col(j)[len(iu):] for j in range(s.rank, G.cols)])
 
 
+def boundary_walk_closure_error(simplices):
+    """The message naming the first face missing from a set of simplices, or
+    None when it is face-closed: the simplices are grouped by dimension in the
+    order the set iterates them, and each group is walked in sorted order,
+    every simplex's `boundary()` in turn."""
+    pool = set(simplices)
+    by_dim = {}
+    for s in pool:
+        by_dim.setdefault(s.dim, []).append(s)
+    for group in by_dim.values():
+        for s in sorted(group):
+            for _, face in s.boundary():
+                if face not in pool:
+                    return f"complex is not face-closed: missing {face!r} of {s!r}"
+    return None
+
+
 def pairwise_complete_values(complex, lattice, explicit):
     """Each simplex's value is the join of the explicit values on every
     simplex that contains it, found by comparing every pair."""

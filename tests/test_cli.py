@@ -306,6 +306,28 @@ class TestErrorsAndDeterminism:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_reports_and_projects_have_one_writer(self, capsys, monkeypatch, fixture_path):
+        """Every JSON report and project goes through `dump_json`: the
+        standard encoder refuses here, and the bytes are still its own."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the standard JSON encoder was called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+        reference = fixture_path("reference.json")
+        runs = [("build-chromatic", fixture_path("points.csv"), "--radius", "2"),
+                ("import-filtration", fixture_path("filtration_chain.json"))]
+        runs += [(command, reference, "--json")
+                 for command in ("validate", "homology", "eta", "cuts", "rank-table")]
+        outs = []
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            outs.append(out)
+        monkeypatch.undo()
+        for out in outs:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
     def test_out_flag_writes_file(self, capsys, fixture_path, tmp_path):
         target = tmp_path / "report.json"
         code = main(["homology", "--json", fixture_path("reference.json"),
@@ -338,6 +360,11 @@ def lattice_project(lattice):
     return {"lattice": lattice, "complex": {"maximal": [[0, 1]]}}
 
 
+def mu_project(simplex, value="x"):
+    return {**lattice_project({"kind": "fdl", "generators": ["x"]}),
+            "mu": [{"simplex": simplex, "value": value}]}
+
+
 class TestMalformedSpecs:
     """A spec of the wrong shape exits 2 with one `error:` line, not a traceback."""
 
@@ -364,10 +391,19 @@ class TestMalformedSpecs:
           "mu": [{"simplex": [0], "value": "(" * 3000 + "x" + ")" * 3000}]},
          "mu entry 0: expression nested too deeply to parse"),
         ("[" * 100000 + "]" * 100000, "JSON nested too deeply to parse"),
+        (mu_project([0], 1), "mu entry 0: value must be a string"),
+        (mu_project([0], None), "mu entry 0: value must be a string"),
+        (mu_project([0], ["x"]), "mu entry 0: value must be a string"),
+        # equal as tuples to the edge <0,1>, but not integer vertex lists
+        (mu_project([0, 1.0]), "mu entry 0: vertex ids must be integers, not 1.0"),
+        (mu_project([0, True]), "mu entry 0: vertex ids must be integers, not True"),
+        (mu_project([True, 1]), "mu entry 0: vertex ids must be integers, not True"),
+        (mu_project([1, 1]), "mu entry 0: duplicate vertices in (1, 1)"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
             "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
             "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int",
-            "mu-value-nested", "json-nested"])
+            "mu-value-nested", "json-nested", "mu-value-int", "mu-value-null", "mu-value-list",
+            "mu-vertex-float", "mu-vertex-bool", "mu-vertex-bool-first", "mu-vertex-repeated"])
     def test_exits_two(self, capsys, tmp_path, fixture_path, data, message):
         """`data` is the project, or the project file's text when a string."""
         project = tmp_path / "project.json"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from fshom.exact import ZZ
 from fshom.lattice import CdlLattice, format_value
 from fshom.project import (
     ProjectError,
+    dump_json,
     dump_project,
     load_project,
     load_project_file,
@@ -119,6 +121,12 @@ class TestErrors:
                 load_project(complex_source(mu=mu))
             assert str(exc.value) == message
 
+    def test_unsorted_mu_simplex_loads(self):
+        data = complex_source(complex={"maximal": [[0, 1, 2]]},
+                              mu=[{"simplex": [2, 1, 0], "value": "x"}])
+        p = load_project(data)
+        assert p.is_valid and format_value(p.mu.value(Simplex((0, 1, 2)))) == "x"
+
     def test_bad_files(self, tmp_path, fixture_path):
         with pytest.raises(ProjectError):
             load_project_file(str(tmp_path / "missing.json"))
@@ -148,6 +156,51 @@ class TestNormalization:
         p = load_project_file(str(path))
         assert {s: format_value(v) for s, v in p.mu.items()} == \
             {s: format_value(v) for s, v in reference_project.mu.items()}
+
+
+# every character class that the encoder escapes differently
+TEXT = ["", "a", "Z", " ", "~", "\u00e9", "\u2603", "\U0001f600", "\ud800", '"', "\\", "/",
+        "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f"]
+INTS = [0, 1, -1, 2 ** 63, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 1, 10 ** 40]
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 5)))
+
+
+def random_json(rng, depth):
+    """A random value of the types dump_json writes, nested at most `depth` deep."""
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice(INTS + [rng.randint(-2 ** 70, 2 ** 70), rng.randint(-9, 9)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([[], (), {}, [[]], [()], {"": {}}, [{}, []], {"a": [{}]}])
+    items = [random_json(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {random_text(rng): v for v in items}
+
+
+class TestDumpJson:
+    def test_equals_the_standard_encoder(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            value = random_json(rng, rng.randint(0, 4))
+            assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "x"}, [{"a": 1.0}], {"a": {None: 1}},
+                                       ("x", frozenset()), b"x"],
+                             ids=["float", "set", "int-key", "nested-float", "none-key",
+                                  "frozenset", "bytes"])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")

@@ -13,6 +13,7 @@ from fshom.simplicial import (
     SimplicialComplex,
     from_maximal,
 )
+from oracles import boundary_walk_closure_error
 from randgen import random_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -137,6 +138,30 @@ class TestComplexConstruction:
                 else:
                     assert set(SimplicialComplex(rest).all_simplices()) == rest
 
+    def test_closure_error_names_the_boundary_walks_first_missing_face(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(80):
+            simplices = list(random_complex(rng, max_vertices=9, per_dim_cap=30).all_simplices())
+            rng.shuffle(simplices)
+            missing = set(rng.sample(simplices, min(len(simplices), rng.randint(2, 5))))
+            rest = [s for s in simplices if s not in missing]
+            expected = boundary_walk_closure_error(rest)
+            if expected is None:
+                assert set(SimplicialComplex(rest).all_simplices()) == set(rest)
+                continue
+            with pytest.raises(ValueError) as exc:
+                SimplicialComplex(rest)
+            assert str(exc.value) == expected
+            checked += 1
+        assert checked > 40
+
+    def test_get_returns_the_complexs_own_simplex(self):
+        K = from_maximal(REFERENCE_MAXIMAL)
+        for s in K.all_simplices():
+            assert K.get(s.vertices) is s
+        assert K.get((0, 2)) is None and K.get((5,)) is None
+
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
             from_maximal([])
@@ -169,6 +194,15 @@ class TestBoundaryMatrices:
             for d in range(1, K.dim + 1):
                 prod = matmul(K.boundary_matrix(d), K.boundary_matrix(d + 1))
                 assert all(all(v == 0 for v in row) for row in prod)
+
+    def test_columns_list_faces_in_boundary_order(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            K = random_complex(rng, max_vertices=9, max_dim=4, per_dim_cap=40)
+            for d in range(1, K.dim + 1):
+                expected = [{K.index(f): sign for sign, f in s.boundary()} for s in K.simplices(d)]
+                assert [list(c.items()) for c in K.boundary_columns(d)] == \
+                    [list(c.items()) for c in expected]
 
     def test_single_point(self):
         K = from_maximal([[0]])
