@@ -321,30 +321,47 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
 def from_filtration(poset: Poset, stages) -> FuzzySubcomplex:
     """Encode a poset-indexed filtration as an up-set valued subcomplex.
 
-    Requires stages to be monotone: p <= q implies stages[p] is a subcomplex
-    of stages[q]. The value of a simplex is the up-set of stages containing
-    it, so cutting at a principal filter recovers the stage exactly.
+    Each stage is a `SimplicialComplex` or its face set: a face-closed set of
+    strictly increasing tuples of non-negative int vertex ids (taken as is,
+    as `fshom.project.load_project` builds them). Stages must be monotone:
+    p <= q implies stage p is contained in stage q. The order is the
+    reflexive-transitive closure of the covers, so inclusion along every
+    cover gives it for every comparable pair, and only the covers are
+    checked; when one fails, the comparable pairs are scanned in element
+    order, so the error names the first failing (p, q).
+
+    The value of a simplex is the up-set of stages containing it, so cutting
+    at a principal filter recovers the stage exactly. It is the union of the
+    principal filters of the stages where the simplex is new, in none of the
+    stages that the covers put directly below, so each stage is compared with
+    its lower covers once and no stage is asked about every simplex.
     """
     if not poset.elements:
         raise FuzzyError("empty poset")
+    faces = {}
     for p in poset.elements:
         if p not in stages:
             raise FuzzyError(f"no stage for poset element {p!r}")
+        stage = stages[p]
+        faces[p] = frozenset(stage.all_simplices()) if isinstance(stage, SimplicialComplex) else stage
+    lower = {p: [] for p in poset.elements}
+    for a, b in poset.covers:
+        lower[b].append(faces[a])
+        if not faces[a] <= faces[b]:
+            for p in poset.elements:
+                for q in poset.elements:
+                    if p != q and poset.leq(p, q) and not faces[p] <= faces[q]:
+                        raise FuzzyError(
+                            f"filtration is not monotone: stage {p!r} is not contained in stage {q!r}")
+    new_at = {}  # simplex -> the stages where it is new (the minimal stages containing it)
     for p in poset.elements:
-        for q in poset.elements:
-            if p != q and poset.leq(p, q):
-                if not stages[p].is_subcomplex_of(stages[q]):
-                    raise FuzzyError(
-                        f"filtration is not monotone: stage {p!r} is not contained in stage {q!r}")
-    lattice = UpSetLattice(poset)
-    union = set()
-    for p in poset.elements:
-        union.update(stages[p].all_simplices())
-    if not union:
+        for s in faces[p].difference(*lower[p]):
+            new_at.setdefault(s, []).append(p)
+    if not new_at:
         raise FuzzyError("all stages are empty")
-    K = SimplicialComplex(union)
+    K = SimplicialComplex(map(Simplex._sorted, new_at))
+    lattice = UpSetLattice(poset)
     coding = ValueCoding(lattice)
-    # a simplex's value depends only on the set of stages containing it
-    upset = cache(lambda members: coding.code(lattice.value_from_set(members)))
-    return FuzzySubcomplex._coded(
-        K, coding, lambda s: upset(frozenset(p for p in poset.elements if s in stages[p])))
+    upset = cache(lambda minimal: coding.code(
+        LatticeValue(lattice, frozenset().union(*map(poset.up, minimal)))))
+    return FuzzySubcomplex._coded(K, coding, lambda s: upset(tuple(new_at[s])))

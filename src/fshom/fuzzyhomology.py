@@ -83,14 +83,14 @@ class FuzzyHomologyContext:
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._sweeps = {}
-        self._kappa_values = [_meet_closure(self.mu, d) for d in range(self.reduced.top + 1)]
+        self._kappa_codes = [_meet_closure(self.mu, d) for d in range(self.reduced.top + 1)]
 
     # -- value sets ---------------------------------------------------
 
     def kappa_value_set(self, d: int) -> list:
         """L(kappa_d): the meet-closure of the non-zero simplex values plus 1."""
         if 0 <= d <= self.reduced.top:
-            return list(self._kappa_values[d])
+            return [self.mu.coding.values[c] for c in self._kappa_codes[d]]
         return [self.lattice.top]
 
     # -- level submodules ----------------------------------------------
@@ -141,7 +141,8 @@ class FuzzyHomologyContext:
         iu, it, _, if_ = self.reduced.block_indices(d)
         n_U = len(iu)
         G = self.reduced.to_delta[d].column_block([*iu, *it, *if_])
-        rows = {lv: frozenset(self.index_set(d, lv)) for lv in self._kappa_values[d]}
+        values = self.mu.coding.values
+        rows = {values[c]: frozenset(self.index_set(d, values[c])) for c in self._kappa_codes[d]}
         # greedy chain cover of the index sets under inclusion, smallest first
         pending = sorted(rows, key=lambda lv: len(rows[lv]))
         sweeps = {}
@@ -205,14 +206,20 @@ class FuzzyHomologyContext:
         return reduce(lambda a, b: a.intersect(b), parts)
 
     def _least_above(self, d: int, level: LatticeValue) -> LatticeValue:
-        """The meet of the values of L(kappa_d) above the level (1 outside 0..top)."""
-        values = self._kappa_values[d] if 0 <= d <= self.reduced.top else ()
-        return self.lattice.meet([s for s in values if self.lattice.leq(level, s)])
+        """The meet of the values of L(kappa_d) above the level (1 outside
+        0..top), folded over codes from the code of 1."""
+        coding = self.mu.coding
+        lc, m = coding.code(level), coding.code(self.lattice.top)
+        for c in self._kappa_codes[d] if 0 <= d <= self.reduced.top else ():
+            if coding.leq(lc, c):
+                m = coding.meet(m, c)
+        return coding.values[m]
 
 
 def _meet_closure(mu, d) -> list:
-    """The meet-closure of the non-zero values of the d-simplices plus 1, in
-    text order; each meet is formed once per pair of codes of mu's coding."""
+    """The codes of the meet-closure of the non-zero values of the d-simplices
+    plus 1, in value-text order; each meet is formed once per pair of codes
+    of mu's coding."""
     coding, bottom = mu.coding, mu.lattice.bottom
     seed = {c for c in set(map(mu.code, mu.complex.simplices(d))) if coding.values[c] != bottom}
     seed.add(coding.code(mu.lattice.top))
@@ -226,4 +233,4 @@ def _meet_closure(mu, d) -> list:
                     fresh.add(m)
         closed |= fresh
         frontier = fresh
-    return sorted((coding.values[c] for c in closed), key=format_value)
+    return sorted(closed, key=lambda c: format_value(coding.values[c]))

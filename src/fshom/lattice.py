@@ -43,7 +43,8 @@ class LatticeValue:
                 and self.payload == other.payload)
 
     def __hash__(self):
-        return hash((self.lattice.key, self.payload))
+        # equal values have equal payloads; the lattice key is left to __eq__
+        return hash(self.payload)
 
     def __le__(self, other):
         return self.lattice.leq(self, other)

@@ -9,7 +9,9 @@ coefficient ring. Complex sources:
 - "chromatic": a labeled point cloud in a CSV file plus a Vietoris-Rips
   radius and dimension cap, lattice derived from the labels;
 - "filtration": a poset with one complex per element, lattice derived as
-  the up-sets of the poset.
+  the up-sets of the poset. Each stage becomes the face set of its maximal
+  simplices (no complex is built per stage), and `from_filtration` builds
+  one complex, for their union.
 
 Loading normalizes everything to (lattice, complex, fuzzy subcomplex) and
 keeps the monotonicity violations of the explicit values for reporting. A mu
@@ -28,6 +30,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from .exact import ZZ, format_ring, parse_ring
@@ -84,6 +87,28 @@ def _load_complex_spec(spec) -> SimplicialComplex:
         return SimplicialComplex.from_maximal(maximal)
     except (ValueError, TypeError) as e:
         raise ProjectError(f"bad complex: {e}") from None
+
+
+def _stage_faces(p, maximal, closures) -> frozenset:
+    """The faces of filtration stage p, given by its maximal simplices, as
+    sorted vertex tuples. A list of ints is validated and closed once for all
+    stages: `closures` maps it, as a tuple, to its faces. A malformed entry
+    is never cached, so every stage that lists it gets the same message."""
+    _require(isinstance(maximal, list) and maximal, f"stage {p!r}: 'maximal' must be a non-empty list")
+    faces = set()
+    for vertices in maximal:
+        key = tuple(vertices) if type(vertices) is list and {*map(type, vertices)} == {int} else None
+        closed = closures.get(key)
+        if closed is None:
+            try:
+                s = Simplex(vertices)
+            except (ValueError, TypeError) as e:
+                raise ProjectError(f"stage {p!r}: bad complex: {e}") from None
+            closed = [face for k in range(1, len(s) + 1) for face in combinations(s, k)]
+            if key is not None:
+                closures[key] = closed
+        faces.update(closed)
+    return frozenset(faces)
 
 
 def _load_mu_entries(entries, complex, lattice):
@@ -203,12 +228,12 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         except LatticeError as e:
             raise ProjectError(f"bad poset: {e}") from None
         _require(poset.elements, "empty poset")
-        stages = {}
+        stages, closures = {}, {}
         raw_stages = spec["stages"]
         _require(isinstance(raw_stages, dict), "'stages' must map poset elements to complexes")
         for p in poset.elements:
             _require(p in raw_stages, f"no stage for poset element {p!r}")
-            stages[p] = _load_complex_spec({"maximal": raw_stages[p]})
+            stages[p] = _stage_faces(p, raw_stages[p], closures)
         extra = set(raw_stages) - set(poset.elements)
         _require(not extra, f"stages for unknown poset elements: {sorted(extra)}")
         try:

@@ -3,10 +3,10 @@
 from itertools import combinations
 
 from fshom.exact import ExactMatrix, SmithDecomposition, snf
-from fshom.fuzzy import FuzzySubcomplex, Violation, _as_number
+from fshom.fuzzy import FuzzyError, FuzzySubcomplex, Violation, _as_number
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import (
-    FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, format_value,
+    FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, UpSetLattice, format_value,
 )
 from fshom.modules import SubmoduleOfHomology
 from fshom.simplicial import Simplex, SimplicialComplex
@@ -382,3 +382,29 @@ def pairwise_vietoris_rips(data, radius, max_dim):
     values = {s: lattice.meet([lattice.generator(str(data.labels[v])) for v in s.vertices])
               for s in K.all_simplices()}
     return K, FuzzySubcomplex(K, lattice, values)
+
+
+def pairwise_from_filtration(poset, stages):
+    """The up-set valued subcomplex of a filtration given by maximal simplex
+    lists: a complex per stage, monotonicity checked on every comparable pair
+    in element order, and each simplex's value the set of stages that
+    contain it, asked of every stage."""
+    if not poset.elements:
+        raise FuzzyError("empty poset")
+    for p in poset.elements:
+        if p not in stages:
+            raise FuzzyError(f"no stage for poset element {p!r}")
+    complexes = {p: SimplicialComplex.from_maximal(stages[p]) for p in poset.elements}
+    for p in poset.elements:
+        for q in poset.elements:
+            if p != q and poset.leq(p, q) and not complexes[p].is_subcomplex_of(complexes[q]):
+                raise FuzzyError(
+                    f"filtration is not monotone: stage {p!r} is not contained in stage {q!r}")
+    union = set()
+    for K in complexes.values():
+        union.update(K.all_simplices())
+    K = SimplicialComplex(union)
+    lattice = UpSetLattice(poset)
+    values = {s: lattice.value_from_set(p for p in poset.elements if s in complexes[p])
+              for s in K.all_simplices()}
+    return FuzzySubcomplex(K, lattice, values)

@@ -352,6 +352,12 @@ def filtration_project(covers):
                            "stages": {"a": [[0]], "b": [[0]], "c": [[0]]}}}
 
 
+def filtration_stages(**stages):
+    """A filtration over the chain a < b < c, every stage [[0]] unless given."""
+    return {"filtration": {"poset": {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]},
+                           "stages": {"a": [[0]], "b": [[0]], "c": [[0]], **stages}}}
+
+
 def chromatic_project(**spec):
     return {"chromatic": {"csv": "points.csv", "radius": 2, **spec}}
 
@@ -399,11 +405,25 @@ class TestMalformedSpecs:
         (mu_project([0, True]), "mu entry 0: vertex ids must be integers, not True"),
         (mu_project([True, 1]), "mu entry 0: vertex ids must be integers, not True"),
         (mu_project([1, 1]), "mu entry 0: duplicate vertices in (1, 1)"),
+        (filtration_stages(b=5), "stage 'b': 'maximal' must be a non-empty list"),
+        (filtration_stages(c=[]), "stage 'c': 'maximal' must be a non-empty list"),
+        (filtration_stages(b=[[0], [1, 1]]), "stage 'b': bad complex: duplicate vertices in (1, 1)"),
+        (filtration_stages(c=["01"]), "stage 'c': bad complex: vertex ids must be integers, not '0'"),
+        # equal as tuples to a simplex that an earlier stage lists
+        (filtration_stages(a=[[0, 1]], b=[[0, 1.0]]),
+         "stage 'b': bad complex: vertex ids must be integers, not 1.0"),
+        (filtration_stages(a=[[1, 2]], b=[[True, 2]]),
+         "stage 'b': bad complex: vertex ids must be integers, not True"),
+        # the cover b < c fails; the first failing comparable pair is a < c
+        (filtration_stages(a=[[0]], b=[[0], [1]], c=[[1]]),
+         "filtration is not monotone: stage 'a' is not contained in stage 'c'"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
             "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
             "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int",
             "mu-value-nested", "json-nested", "mu-value-int", "mu-value-null", "mu-value-list",
-            "mu-vertex-float", "mu-vertex-bool", "mu-vertex-bool-first", "mu-vertex-repeated"])
+            "mu-vertex-float", "mu-vertex-bool", "mu-vertex-bool-first", "mu-vertex-repeated",
+            "stage-int", "stage-empty", "stage-vertex-repeated", "stage-string-simplex",
+            "stage-vertex-float", "stage-vertex-bool", "stage-not-monotone"])
     def test_exits_two(self, capsys, tmp_path, fixture_path, data, message):
         """`data` is the project, or the project file's text when a string."""
         project = tmp_path / "project.json"

@@ -132,6 +132,30 @@ class TestUpSetLattice:
             Poset(("a",), (("a", "b"),))
 
 
+class TestValueHash:
+    """A value hashes its payload only; the lattice is compared by `__eq__`."""
+
+    @pytest.mark.parametrize("spec, text", [
+        ({"kind": "total", "levels": ["0", "lo", "1"]}, "lo"),
+        ({"kind": "fdl", "generators": ["x", "y"]}, "x & y | x"),
+        ({"kind": "upset", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}, "b | c"),
+    ])
+    def test_equal_values_of_one_spec_hash_equal(self, spec, text):
+        u, v = (parse_value(text, lattice_from_spec(spec)) for _ in range(2))
+        assert u.lattice is not v.lattice
+        assert u == v and hash(u) == hash(v) and len({u, v}) == 1
+
+    def test_equal_payloads_in_different_lattices_stay_unequal(self):
+        pairs = [(TotalOrder(("0", "1")).top, TotalOrder(("0", "a", "1")).parse("a")),
+                 (fdl("x").parse("x"), fdl("x", "y").parse("x")),
+                 (UpSetLattice(Poset(("a", "b"), ())).parse("a"),
+                  UpSetLattice(Poset(("a", "b"), (("b", "a"),))).parse("{a}")),
+                 (UpSetLattice(Poset(("a",), ())).bottom, fdl("a").bottom)]
+        for u, v in pairs:
+            assert u.payload == v.payload and hash(u) == hash(v)
+            assert u != v and len({u, v}) == 2
+
+
 class TestMeetPrimeZero:
     def test_cases(self):
         assert TotalOrder(("a", "b")).zero_is_meet_prime
