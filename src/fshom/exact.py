@@ -434,19 +434,6 @@ class SmithDecomposition:
         bad = [i for i, x in c.items() if i >= rank or not divides(factors[i], x)]
         return min(bad) if bad else None
 
-    def solve(self, b) -> DiophantineSolution:
-        """Solve A x = b for the factored A: x = Q y with y_i = c_i / d_i."""
-        ring = self.ring
-        row, c = self.failing_row(b)
-        cols = self.Q.rows
-        hom = tuple(tuple(self.Q.col(j)) for j in range(self.rank, cols))
-        if row is not None:
-            return DiophantineSolution(False, None, hom, certificate_row=row)
-        y = [ring.of(0)] * cols
-        for i, d in enumerate(self.invariant_factors):
-            y[i] = ring.exact_div(c.get(i, 0), d)
-        return DiophantineSolution(True, tuple(self.Q.apply(y)), hom)
-
 
 class _Side:
     """One side of a Smith reduction, as sparse lines; `snf` uses it twice.
@@ -705,7 +692,14 @@ def kernel(A: ExactMatrix) -> list:
 
 
 def solve(A: ExactMatrix, b) -> DiophantineSolution:
-    """Solve the linear system A x = b exactly via the Smith form."""
+    """Solve the linear system A x = b exactly via the Smith form P A Q = D:
+    x = Q y with y_i = c_i / d_i for c = P b."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length does not match row count")
-    return snf(A).solve(b)
+    S, ring = snf(A), A.ring
+    row, c = S.failing_row(b)
+    hom = tuple(tuple(S.Q.col(j)) for j in range(S.rank, A.cols))
+    if row is not None:
+        return DiophantineSolution(False, None, hom, certificate_row=row)
+    y = [ring.exact_div(c.get(i, 0), d) for i, d in enumerate(S.invariant_factors)]
+    return DiophantineSolution(True, tuple(S.Q.apply(y + [ring.of(0)] * (A.cols - S.rank))), hom)

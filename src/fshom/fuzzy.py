@@ -65,10 +65,10 @@ class ValueCoding:
 
 
 class FuzzySubcomplex:
-    """A total assignment of lattice values to a complex (`validate` lists
-    where it fails to be face-monotone). Simplex s holds `code(s)`, a code
-    of `coding`, the `ValueCoding` of its distinct values; the coding may gain
-    codes later (say, the meets of a `FuzzyHomologyContext`)."""
+    """A total assignment of lattice values to a complex (`explicit_violations`
+    of its items lists where it fails to be face-monotone). Simplex s holds
+    `code(s)`, a code of `coding`, the `ValueCoding` of its distinct values;
+    the coding may gain codes later (say, the meets of a `FuzzyHomologyContext`)."""
 
     def __init__(self, complex: SimplicialComplex, lattice: CdlLattice, values):
         missing = [s for s in complex.all_simplices() if s not in values]
@@ -97,17 +97,6 @@ class FuzzySubcomplex:
 
     def items(self):
         return ((s, self.coding.values[c]) for s, c in self._code.items())
-
-    def validate(self) -> list:
-        """Violating codimension-1 (face, coface) pairs; empty means valid."""
-        coding, values = self.coding, self.coding.values
-        out = []
-        for s, c in self._code.items():
-            for _, face in s.boundary():
-                fc = self._code[face]
-                if not coding.leq(c, fc):
-                    out.append(Violation(face, s, values[fc], values[c]))
-        return out
 
     def cut(self, level: LatticeValue) -> SimplicialComplex:
         """The crisp subcomplex of simplices with value >= level."""
@@ -144,14 +133,19 @@ class FuzzySubcomplex:
         return f"FuzzySubcomplex({self.complex!r} over {self.lattice!r})"
 
 
-def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -> dict:
-    """Extend a partial assignment to all simplices.
+def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -> FuzzySubcomplex:
+    """The fuzzy subcomplex that extends a partial assignment to all simplices.
 
     Each simplex receives the join of every explicit value on itself and its
     cofaces. This is the least face-monotone assignment dominating the
     explicit one, so values may be given on maximal simplices only; a simplex
-    with no assigned coface gets 0. Values are joined as `ValueCoding` codes,
-    each pair of distinct values once.
+    with no assigned coface gets 0. Values are joined as codes of the
+    subcomplex's own `ValueCoding`, each pair of distinct values once.
+
+    >>> L, K = FreeDistributiveLattice(("x", "y")), SimplicialComplex.from_maximal([[0, 1], [2]])
+    >>> mu = complete_values(K, L, {Simplex((0, 1)): L.parse("x"), Simplex((1,)): L.parse("y")})
+    >>> [format_value(mu.value(Simplex((v,)))) for v in (0, 1, 2)]
+    ['x', 'x | y', '0']
     """
     for s in explicit:
         if s not in complex:
@@ -168,7 +162,7 @@ def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -
                 f = codes[face]
                 if not coding.leq(c, f):
                     codes[face] = coding.join(f, c)
-    return {s: coding.values[c] for s, c in codes.items()}
+    return FuzzySubcomplex._coded(complex, coding, codes.__getitem__)
 
 
 def explicit_violations(explicit, lattice: CdlLattice) -> list:

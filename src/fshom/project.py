@@ -13,11 +13,11 @@ coefficient ring. Complex sources:
   simplices (no complex is built per stage), and `from_filtration` builds
   one complex, for their union.
 
-Loading normalizes everything to (lattice, complex, fuzzy subcomplex) and
-keeps the monotonicity violations of the explicit values for reporting. A mu
-entry whose simplex is a sorted list of ints is read off the complex in one
-lookup; any other entry is parsed by `Simplex`, so a malformed one keeps its
-message. A mu value must be a string.
+Loading normalizes everything to (lattice, complex, fuzzy subcomplex); the
+monotonicity violations of explicit mu values are listed for reporting when
+the completion moves one. A mu entry whose simplex is a sorted list of ints
+is read off the complex in one lookup; any other entry is parsed by
+`Simplex`, so a malformed one keeps its message. A mu value must be a string.
 
 `dump_json` writes every project and CLI report: it gives the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)` without the standard library's
@@ -180,8 +180,7 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
     except ValueError as e:
         raise ProjectError(str(e)) from None
 
-    warnings = []
-    violations = []
+    warnings, violations = [], []
 
     if source == "complex":
         _require("lattice" in data, "a 'lattice' spec is required with a 'complex' source")
@@ -190,12 +189,13 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         except LatticeError as e:
             raise ProjectError(f"bad lattice: {e}") from None
         complex = _load_complex_spec(data["complex"])
-        explicit = _load_mu_entries(data.get("mu", []), complex, lattice)
-        if not explicit:
-            explicit = {s: lattice.top for s in complex.all_simplices()}
-        violations = explicit_violations(explicit, lattice)
-        values = complete_values(complex, lattice, explicit)
-        mu = FuzzySubcomplex(complex, lattice, values)
+        explicit = (_load_mu_entries(data.get("mu", []), complex, lattice)
+                    or {s: lattice.top for s in complex.all_simplices()})
+        mu = complete_values(complex, lattice, explicit)
+        # an explicit f completes to v_f joined with the values of its explicit
+        # cofaces, so it moves exactly when one of those is not below v_f
+        if any(mu.code(s) != mu.coding.code(v) for s, v in explicit.items()):
+            violations = explicit_violations(explicit, lattice)
     elif source == "chromatic":
         _require("lattice" not in data and "mu" not in data,
                  "chromatic projects derive the lattice and values from the labels")

@@ -82,7 +82,7 @@ def random_mu(rng: random.Random, K: SimplicialComplex, lattice,
     if not allow_zero:
         elements = [v for v in elements if v != lattice.join(())]
     raw = {s: rng.choice(elements) for s in K.all_simplices()}
-    return FuzzySubcomplex(K, lattice, complete_values(K, lattice, raw))
+    return complete_values(K, lattice, raw)
 
 
 def random_value(rng: random.Random, elements):

@@ -40,17 +40,15 @@ def vertex_names(K):
 
 class TestValidation:
     def test_reference_is_monotone(self, reference_mu):
-        assert reference_mu.validate() == []
+        assert explicit_violations(dict(reference_mu.items()), reference_mu.lattice) == []
 
     def test_smaller_face_value_flagged(self):
         L = fdl2()
-        K = from_maximal([[0, 1]])
-        mu = FuzzySubcomplex(K, L, {
+        bad = explicit_violations({
             Simplex((0,)): L.parse("x & y"),
             Simplex((1,)): L.parse("1"),
             Simplex((0, 1)): L.parse("x"),
-        })
-        bad = mu.validate()
+        }, L)
         assert len(bad) == 1
         v = bad[0]
         assert v.face == Simplex((0,)) and v.coface == Simplex((0, 1))
@@ -59,8 +57,19 @@ class TestValidation:
     def test_constant_top_ok(self):
         L = fdl2()
         K = from_maximal([[0, 1, 2]])
-        mu = FuzzySubcomplex(K, L, {s: L.parse("1") for s in K.all_simplices()})
-        assert mu.validate() == []
+        assert explicit_violations({s: L.parse("1") for s in K.all_simplices()}, L) == []
+
+    def test_total_assignment_lists_every_violating_pair(self):
+        """On a total assignment every (face, coface) pair is checked, of
+        any codimension, in (face, coface) order."""
+        L = fdl2()
+        K = from_maximal([[0, 1, 2]])
+        values = {s: L.parse("x") for s in K.all_simplices()}
+        values[Simplex((0,))] = L.parse("0")
+        bad = explicit_violations(values, L)
+        assert [(v.face, v.coface) for v in bad] == [
+            (Simplex((0,)), Simplex((0, 1))), (Simplex((0,)), Simplex((0, 2))),
+            (Simplex((0,)), Simplex((0, 1, 2)))]
 
     def test_values_must_cover_every_simplex(self):
         L = fdl2()
@@ -207,8 +216,8 @@ class TestCompletion:
             Simplex((0, 1, 2)): L.parse("x & y"),
             Simplex((3,)): L.parse("y"),
         })
-        assert format_value(full[Simplex((0,))]) == "x & y"
-        assert format_value(full[Simplex((3,))]) == "y"
+        assert format_value(full.value(Simplex((0,)))) == "x & y"
+        assert format_value(full.value(Simplex((3,)))) == "y"
 
     def test_explicit_values_joined_in(self):
         L = fdl2()
@@ -218,8 +227,8 @@ class TestCompletion:
             Simplex((0, 1)): L.parse("y"),
         })
         # the vertex keeps its own value joined with the edge's
-        assert format_value(full[Simplex((0,))]) == "x | y"
-        assert format_value(full[Simplex((1,))]) == "y"
+        assert format_value(full.value(Simplex((0,)))) == "x | y"
+        assert format_value(full.value(Simplex((1,)))) == "y"
 
     def test_unknown_simplex_rejected(self):
         L = fdl2()

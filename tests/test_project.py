@@ -6,9 +6,12 @@ import random
 
 import pytest
 
+import fshom.fuzzy
+import fshom.project
 from fshom.cli import main
 from fshom.exact import ZZ
-from fshom.lattice import CdlLattice, format_value
+from fshom.fuzzy import ChromaticDataset, vietoris_rips
+from fshom.lattice import CdlLattice, format_value, lattice_to_spec, parse_value
 from fshom.project import (
     ProjectError,
     dump_json,
@@ -19,6 +22,8 @@ from fshom.project import (
     read_chromatic_csv,
 )
 from fshom.simplicial import Simplex
+from oracles import carrier, pairwise_complete_values, pairwise_explicit_violations
+from randgen import lattice_family
 
 
 def complex_source(**extra):
@@ -226,3 +231,60 @@ def test_load_compares_each_pair_of_distinct_values_once(tmp_path, monkeypatch):
     k = len({v for _, v in project.mu.items()})
     assert len(project.complex) > 800 and project.is_valid
     assert 0 < len(calls) <= k * k, (len(calls), k)
+
+
+def test_load_completes_once_and_lists_violations_only_on_failure(monkeypatch):
+    """Complex-source projects on a chromatic complex of about 860 simplices,
+    for every lattice family: mu on every simplex of a face-monotone
+    assignment (the meet of random vertex values), the same with one vertex
+    lowered to 0, a random part of it, random values on a random part, and
+    no mu. The completed values and the violations, in order, equal the
+    pairwise definitions; a valid load builds one `ValueCoding` and lists no
+    violations."""
+    codings, listings = [], []
+
+    class CountedCoding(fshom.fuzzy.ValueCoding):
+        def __init__(self, lattice):
+            codings.append(1)
+            super().__init__(lattice)
+
+    listed = fshom.project.explicit_violations
+    monkeypatch.setattr(fshom.fuzzy, "ValueCoding", CountedCoding)
+    monkeypatch.setattr(fshom.project, "explicit_violations",
+                        lambda *a: listings.append(1) or listed(*a))
+    rng = random.Random(29)
+    points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+    K, _ = vietoris_rips(ChromaticDataset(points, ("a",) * 130), 5, 2)
+    assert 700 <= len(K) <= 1000
+    simplices = list(K.all_simplices())
+    seen_violations = False
+    for lattice in lattice_family():
+        elements = list(carrier(lattice))
+        at = {v: rng.choice(elements) for (v,) in K.simplices(0)}
+        monotone = {s: lattice.meet(at[v] for v in s) for s in simplices}
+        # one vertex lowered to 0 below a non-zero coface: a single moved value
+        coface = rng.choice([s for s in simplices if s.dim and monotone[s] != lattice.bottom])
+        lowered = {**monotone, K.get(coface[:1]): lattice.bottom}
+        for explicit in (
+                monotone,
+                lowered,
+                {s: monotone[s] for s in rng.sample(simplices, len(simplices) // 3)},
+                {s: rng.choice(elements) for s in rng.sample(simplices, len(simplices) // 4)},
+                {}):
+            data = {"lattice": lattice_to_spec(lattice),
+                    "complex": {"maximal": [list(s) for s in K.maximal_simplices()]},
+                    "mu": [{"simplex": list(s), "value": format_value(v)}
+                           for s, v in explicit.items()]}
+            codings.clear()
+            listings.clear()
+            p = load_project(data)
+            L = p.lattice
+            given = ({s: parse_value(format_value(v), L) for s, v in explicit.items()}
+                     or {s: L.top for s in K.maximal_simplices()})
+            expected = pairwise_explicit_violations(given, L)
+            assert p.violations == expected
+            assert list(p.mu.items()) == list(pairwise_complete_values(p.complex, L, given).items())
+            # the listing, run on failure only, codes the explicit values itself
+            assert len(listings) == (1 if expected else 0) and len(codings) == 1 + len(listings)
+            seen_violations = seen_violations or bool(expected)
+    assert seen_violations
