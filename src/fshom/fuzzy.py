@@ -11,10 +11,10 @@ filtrations as up-set valued subcomplexes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import mul, sub
 
 from .lattice import CdlLattice, FreeDistributiveLattice, LatticeValue, Poset, UpSetLattice, format_value
 from .simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
@@ -24,14 +24,11 @@ class FuzzyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A face whose value fails to dominate one of its cofaces."""
+class Violation(namedtuple("Violation", "face coface face_value coface_value")):
+    """A face whose value fails to dominate one of its cofaces: face and
+    coface (Simplex), face_value and coface_value (LatticeValue)."""
 
-    face: Simplex
-    coface: Simplex
-    face_value: LatticeValue
-    coface_value: LatticeValue
+    __slots__ = ()
 
     def message(self) -> str:
         return (f"mu({self.face!r}) = {format_value(self.face_value)} does not dominate "
@@ -207,34 +204,43 @@ def chromatic(K: SimplicialComplex, labels, palette) -> FuzzySubcomplex:
     return FuzzySubcomplex._coded(K, coding, lambda s: meet(frozenset(map(color.__getitem__, s))))
 
 
-@dataclass(frozen=True)
-class ChromaticDataset:
-    """A labeled point cloud: coordinate vectors plus one color per point."""
+class ChromaticDataset(namedtuple("ChromaticDataset", "points labels")):
+    """A labeled point cloud: points (a tuple of coordinate tuples, all of
+    one length) and labels (a tuple holding one color per point). `_replace`
+    builds through `_make`, so it checks them too."""
 
-    points: tuple
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) != len(self.labels):
+    def __new__(cls, points, labels):
+        if len(points) != len(labels):
             raise FuzzyError("points and labels must have equal length")
-        dims = {len(p) for p in self.points}
-        if len(dims) > 1:
+        if len({len(p) for p in points}) > 1:
             raise FuzzyError("points have mixed dimensions")
+        return super().__new__(cls, points, labels)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def palette(self) -> list:
         return sorted(set(str(c) for c in self.labels))
 
 
 def _as_number(x):
-    """Exact rational when possible, float otherwise."""
+    """An int or float as is, text without "_" that `int()` reads as that int
+    (which `Fraction` reads as the same integer), and any other value as an
+    exact `Fraction` of its text ("5/1", "0.5", "1_0"; `Fraction` reads "_"
+    from Python 3.11 on); `fractions` is imported only then."""
     if isinstance(x, bool):
         raise FuzzyError("boolean is not a coordinate")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return x
+    if isinstance(x, str) and "_" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    from fractions import Fraction
     try:
-        return Fraction(str(x))
+        return Fraction(x if isinstance(x, Fraction) else str(x))
     except (ValueError, ZeroDivisionError):
         raise FuzzyError(f"cannot read number {x!r}") from None
 
@@ -268,7 +274,7 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
     """
     if max_dim < 0:
         raise FuzzyError("max_dim must be >= 0")
-    coords = [tuple(_as_number(x) for x in p) for p in data.points]
+    coords = [tuple(map(_as_number, p)) for p in data.points]
     r = _as_number(radius)
     if r < 0:
         raise FuzzyError("radius must be >= 0")
@@ -295,7 +301,8 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
             j = order[b]
             if (first[j] - fi) ** 2 > rr:
                 break
-            if sum((x - y) ** 2 for x, y in zip(ci, coords[j])) <= rr:
+            gap = [*map(sub, ci, coords[j])]
+            if sum(map(pow, gap, repeat(2)) if use_float else map(mul, gap, gap)) <= rr:
                 up[min(i, j)].append(max(i, j))
     adjacent = [set(u) for u in up]
     frontier = [((i,), sorted(u)) for i, u in enumerate(up)]

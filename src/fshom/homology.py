@@ -24,33 +24,24 @@ only by the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import ExactMatrix, snf
 from .modules import HomologyAmbient, ModuleStructure
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
-class DegreePartition:
-    """Counts of the U/T/R/F blocks in one degree."""
+class DegreePartition(namedtuple("DegreePartition", "n_U n_T n_R n_F")):
+    """Counts of the U/T/R/F blocks in one degree (four ints)."""
 
-    n_U: int
-    n_T: int
-    n_R: int
-    n_F: int
-
-    def as_tuple(self) -> tuple:
-        return (self.n_U, self.n_T, self.n_R, self.n_F)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassCoordinates:
-    """Coordinates of a homology class: torsion residues and free part."""
+class ClassCoordinates(namedtuple("ClassCoordinates", "degree alpha phi")):
+    """Coordinates of a homology class in degree (an int): torsion residues
+    alpha and free part phi, tuples of ring elements."""
 
-    degree: int
-    alpha: tuple
-    phi: tuple
+    __slots__ = ()
 
     def vector(self) -> tuple:
         return self.alpha + self.phi
@@ -60,18 +51,15 @@ class ClassCoordinates:
         return all(x == 0 for x in self.vector())
 
 
-@dataclass(frozen=True)
-class DegreeHomology:
+class DegreeHomology(namedtuple("DegreeHomology", "degree structure torsion_generators free_generators")):
     """Structure and generating cycles of one homology group.
 
-    Each generating cycle is a sparse column {d-simplex index: coefficient}
-    of `to_delta[degree]`, shared with it and not to be changed.
+    degree is an int and structure a ModuleStructure. The cycles in the tuples
+    torsion_generators and free_generators are sparse columns {d-simplex
+    index: coefficient} of `to_delta[degree]`, shared with it and not to be changed.
     """
 
-    degree: int
-    structure: ModuleStructure
-    torsion_generators: tuple
-    free_generators: tuple
+    __slots__ = ()
 
 
 class ReducedChainComplex:

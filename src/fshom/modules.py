@@ -16,8 +16,8 @@ submodule equality is mutual membership of generators.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 
 # `solve` is unused here but stays bound, because the benchmark's
@@ -27,12 +27,10 @@ from .exact import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class ModuleStructure:
-    """Isomorphism type: D^betti plus one cyclic summand per torsion entry."""
+class ModuleStructure(namedtuple("ModuleStructure", "betti torsion")):
+    """Isomorphism type: D^betti (an int) plus one cyclic summand per entry of the tuple torsion."""
 
-    betti: int
-    torsion: tuple
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -50,13 +48,10 @@ class ModuleStructure:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class HomologyAmbient:
-    """The ambient group a submodule lives in: torsion coefficients + free rank."""
+class HomologyAmbient(namedtuple("HomologyAmbient", "ring torsion free_rank")):
+    """The group a submodule lives in, over `ring`: torsion coefficients (a tuple) + free_rank."""
 
-    ring: object
-    torsion: tuple
-    free_rank: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:

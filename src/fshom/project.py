@@ -29,8 +29,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
-from itertools import combinations
+from collections import namedtuple
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 
 from .exact import ZZ, format_ring, parse_ring
@@ -58,15 +58,11 @@ class ProjectError(ValueError):
     pass
 
 
-@dataclass
-class LoadedProject:
-    lattice: object
-    complex: SimplicialComplex
-    mu: FuzzySubcomplex
-    ring: object
-    source: str
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class LoadedProject(namedtuple("LoadedProject", "lattice complex mu ring source violations warnings")):
+    """A loaded project: lattice, complex (SimplicialComplex), mu (FuzzySubcomplex), ring,
+    source (str), violations (list of Violation) and warnings (list of str)."""
+
+    __slots__ = ()
 
     @property
     def is_valid(self) -> bool:
@@ -91,13 +87,16 @@ def _load_complex_spec(spec) -> SimplicialComplex:
 
 def _stage_faces(p, maximal, closures) -> frozenset:
     """The faces of filtration stage p, given by its maximal simplices, as
-    sorted vertex tuples. A list of ints is validated and closed once for all
-    stages: `closures` maps it, as a tuple, to its faces. A malformed entry
-    is never cached, so every stage that lists it gets the same message."""
+    sorted vertex tuples. In a stage whose entries are all lists of ints, each
+    entry is validated and closed once for all stages: `closures` maps it, as
+    a tuple, to its faces. Any other stage is not cached, and `Simplex` names
+    its first malformed entry."""
     _require(isinstance(maximal, list) and maximal, f"stage {p!r}: 'maximal' must be a non-empty list")
     faces = set()
+    # one type pass over the stage; a stage that is not all lists of ints is not cached
+    ints = {*map(type, maximal)} == {list} and {*map(type, chain.from_iterable(maximal))} == {int}
     for vertices in maximal:
-        key = tuple(vertices) if type(vertices) is list and {*map(type, vertices)} == {int} else None
+        key = tuple(vertices) if ints else None
         closed = closures.get(key)
         if closed is None:
             try:

@@ -1,9 +1,10 @@
 """Independent reference computations that the tests compare fshom against."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from fshom.exact import ExactMatrix, SmithDecomposition, snf
-from fshom.fuzzy import FuzzyError, FuzzySubcomplex, Violation, _as_number
+from fshom.fuzzy import FuzzyError, FuzzySubcomplex, Violation
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import (
     FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, UpSetLattice, format_value,
@@ -352,13 +353,27 @@ def pairwise_explicit_violations(explicit, lattice):
             if s1 in s2 and not lattice.leq(v2, v1)]
 
 
+def fraction_number(x):
+    """A coordinate as a Fraction of its value, or of its text, or a float as
+    is; no int fast path. Unreadable input is the FuzzyError that
+    `vietoris_rips` raises for it."""
+    if isinstance(x, bool):
+        raise FuzzyError("boolean is not a coordinate")
+    if isinstance(x, float):
+        return x
+    try:
+        return Fraction(x if isinstance(x, (int, Fraction)) else str(x))
+    except (ValueError, ZeroDivisionError):
+        raise FuzzyError(f"cannot read number {x!r}") from None
+
+
 def pairwise_vietoris_rips(data, radius, max_dim):
     """Vietoris-Rips complex by testing every pair of points and extending
     every clique by every higher vertex, with exact Fraction distances (or
     floats when any input is a float); each simplex's value is the meet of
     its vertex colours, taken simplex by simplex."""
-    coords = [tuple(_as_number(x) for x in p) for p in data.points]
-    r = _as_number(radius)
+    coords = [tuple(map(fraction_number, p)) for p in data.points]
+    r = fraction_number(radius)
     use_float = isinstance(r, float) or any(isinstance(x, float) for p in coords for x in p)
     if use_float:
         coords = [tuple(float(x) for x in p) for p in coords]

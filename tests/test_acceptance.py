@@ -71,8 +71,8 @@ def test_criterion_02_reference_matrices_and_partitions():
     R = ReducedChainComplex(K, ZZ)
     for d in range(R.top + 1):
         assert not any(any(row) for row in (R.D[d] @ R.D[d + 1]).data)
-    assert R.partition[0].as_tuple() == (3, 0, 0, 2)
-    assert R.partition[1].as_tuple() == (1, 0, 3, 1)
+    assert R.partition[0] == (3, 0, 0, 2)
+    assert R.partition[1] == (1, 0, 3, 1)
     watch.check()
 
 

@@ -17,6 +17,13 @@ from oracles import cycle_of_class
 from randgen import random_torsion_complex
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that finds the package where
+    this process found it."""
+    src = os.path.dirname(os.path.dirname(fshom.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -337,14 +344,21 @@ class TestErrorsAndDeterminism:
         assert json.loads(target.read_text())["ring"] == "z"
 
     def test_module_entry_point(self, fixture_path):
-        # the child finds the package where this process found it
-        src = os.path.dirname(os.path.dirname(fshom.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "fshom.cli", "validate",
              fixture_path("reference.json")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and "valid" in proc.stdout
+
+    def test_start_up_imports_no_dataclasses_or_fractions(self):
+        # every CLI run pays for its imports; no computation needs these, and
+        # fractions is imported only for a coordinate that is not int text
+        # (-S: a site hook may import them itself)
+        code = ("import sys, fshom.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def filtration_project(covers):

@@ -1,6 +1,7 @@
 """Fuzzy subcomplexes: validation, cuts, chromatic and filtration builders."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,16 @@ class TestChromatic:
 
 
 class TestVietorisRips:
+    def test_dataset_checks_every_way_it_is_built(self):
+        data = ChromaticDataset((("0", "0"), ("1", "0")), ("r", "b"))
+        assert data == ((("0", "0"), ("1", "0")), ("r", "b")) and data.labels == ("r", "b")
+        for build in (lambda: ChromaticDataset((("0",),), ("r", "b")),
+                      lambda: ChromaticDataset._make(((("0",), ("1", "0")), ("r", "b"))),
+                      lambda: data._replace(labels=("r",)),
+                      lambda: data._replace(points=(("0",), ("1", "0")))):
+            with pytest.raises(FuzzyError):
+                build()
+
     def test_closed_threshold_exact(self):
         data = ChromaticDataset((("0", "0"), ("1", "0")), ("r", "b"))
         K, _ = vietoris_rips(data, "1", 1)
@@ -319,7 +330,7 @@ class TestVietorisRips:
             vietoris_rips(data, "1", 1)
 
     def test_matches_pairwise_oracle(self):
-        rng = random.Random(41)
+        rng, spell_rng = random.Random(41), random.Random(43)
         kinds = ("int", "rational", "decimal", "mixed", "float")
         columns = (0, 1, 2, 3)
         for trial in range(320):
@@ -331,6 +342,23 @@ class TestVietorisRips:
             K_ref, mu_ref = pairwise_vietoris_rips(data, radius, max_dim)
             assert K == K_ref, (kind, cols, data, radius, max_dim)
             assert mu == mu_ref, (kind, cols, data, radius, max_dim)
+            if kind != "float":
+                # the same numbers as text: int() reads some spellings, Fraction the rest
+                text = ChromaticDataset(tuple(tuple(as_text(spell_rng, x) for x in p) for p in data.points),
+                                        data.labels)
+                r_text = as_text(spell_rng, radius)
+                got = vietoris_rips(text, r_text, max_dim)
+                assert got == pairwise_vietoris_rips(text, r_text, max_dim) == (K, mu), (text, r_text)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    def test_text_past_the_int_digit_limit_is_refused(self):
+        # int() and Fraction both refuse it, so it reads as any unreadable text
+        digits = "9" * 5000
+        for data, radius in ((ChromaticDataset(((digits,),), ("r",)), "1"),
+                             (ChromaticDataset((("0",),), ("r",)), digits)):
+            with pytest.raises(FuzzyError) as err:
+                vietoris_rips(data, radius, 1)
+            assert str(err.value) == f"cannot read number {digits!r}"
 
 
 def random_coordinate(rng, kind):
@@ -345,6 +373,28 @@ def random_coordinate(rng, kind):
     if kind == "decimal":
         return f"{rng.randint(-40, 40) / 10:.1f}"
     return rng.randint(-8, 8) * 0.1
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def as_text(rng, x):
+    """The number x as text of the same value: int spellings that `int()`
+    reads (" 7 ", "+3", "007", "١٢"; "0_12", which `Fraction` reads from
+    Python 3.11 on) or only `Fraction` reads ("5/1", "50e-1", "5.0"), and
+    "p/q" for a non-integer. Text is kept as it is."""
+    if isinstance(x, str):
+        return x
+    x = Fraction(x)
+    if x.denominator != 1:
+        return rng.choice((f"{x.numerator}/{x.denominator}", f" {x.numerator}/{x.denominator} "))
+    v = x.numerator
+    sign, digits = "-" if v < 0 else rng.choice(("", "+")), str(abs(v))
+    spellings = [f" {v} ", sign + digits, f"{sign}00{digits}", sign + digits.translate(ARABIC_INDIC),
+                 f"{v}/1", f"{v}0e-1", f"{v}.0"]
+    if sys.version_info >= (3, 11):
+        spellings.append(f"{sign}0_{digits}")
+    return rng.choice(spellings)
 
 
 def random_cloud(rng, kind, cols):

@@ -33,9 +33,9 @@ def betti_list(maximal, ring=ZZ):
 class TestReduction:
     def test_reference_partitions(self):
         R = ReducedChainComplex(from_maximal(REFERENCE_MAXIMAL), ZZ)
-        assert R.partition[0].as_tuple() == (3, 0, 0, 2)
-        assert R.partition[1].as_tuple() == (1, 0, 3, 1)
-        assert R.partition[2].as_tuple() == (0, 0, 1, 0)
+        assert R.partition[0] == (3, 0, 0, 2)
+        assert R.partition[1] == (1, 0, 3, 1)
+        assert R.partition[2] == (0, 0, 1, 0)
 
     def check_invariants(self, K, ring):
         R = ReducedChainComplex(K, ring)
