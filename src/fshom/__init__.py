@@ -32,7 +32,6 @@ from .homology import (
     DegreeHomology,
     DegreePartition,
     ReducedChainComplex,
-    homology,
 )
 from .lattice import (
     CdlLattice,
@@ -66,7 +65,6 @@ from .simplicial import (
     EMPTY_COMPLEX,
     Simplex,
     SimplicialComplex,
-    from_maximal,
 )
 
 __version__ = "1.0.0"

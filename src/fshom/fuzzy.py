@@ -108,9 +108,6 @@ class FuzzySubcomplex:
         keep = [s for s, c in self._code.items() if nonzero[c]]
         return SimplicialComplex(keep) if keep else EMPTY_COMPLEX
 
-    def core(self) -> SimplicialComplex:
-        return self.cut(self.lattice.top)
-
     def restrict_to_support(self) -> "FuzzySubcomplex":
         # without a code for 0, no simplex has the value 0
         if not self.complex.is_empty and self.lattice.bottom not in self.coding._code:

@@ -44,21 +44,22 @@ the index set of m, the meet of the values of L(kappa_d) above l: every
 simplex value lies in L(kappa_d) (the support is the whole complex), and
 such a value dominates l exactly when it dominates m.
 
-Two standing assumptions are enforced at construction: the support of the
-subcomplex is the whole complex (arranged by restriction), and 0 is
-meet-prime in the value lattice. Without meet-primeness eta_d does not live
-on the homology module and no algorithm is provided, so construction is
-refused.
+Three standing assumptions are enforced at construction: the subcomplex is
+face-monotone (else it is refused, as its cuts are not complexes), its
+support is the whole complex (arranged by restriction), and 0 is meet-prime
+in the value lattice. Without meet-primeness eta_d does not live on the
+homology module and no algorithm is provided, so construction is refused.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 
 # `kernel` and `solve` are unused here but stay bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
 from .exact import kernel, nested_kernels, solve, ZZ  # noqa: F401
-from .fuzzy import FuzzySubcomplex
+from .fuzzy import FuzzyError, FuzzySubcomplex, Violation
 from .homology import ClassCoordinates, ReducedChainComplex
 from .lattice import LatticeValue, format_value
 from .modules import SubmoduleOfHomology
@@ -77,6 +78,7 @@ class FuzzyHomologyContext:
             raise NotComputableError(
                 "0 is not meet-prime in the value lattice; fuzzy homology is "
                 "only computed when a & b = 0 forces a = 0 or b = 0")
+        _check_monotone(mu)
         self.mu = mu.restrict_to_support()
         self.lattice = mu.lattice
         self.ring = ring
@@ -114,7 +116,7 @@ class FuzzyHomologyContext:
         """
         self.lattice._check(level)
         if not 0 <= d <= self.reduced.top:
-            return SubmoduleOfHomology.zero(self.reduced.ambient(d))
+            return SubmoduleOfHomology(self.reduced.ambient(d), [])
         levels = self._hdl_cache.setdefault(d, {})
         if level not in levels:
             if d not in self._sweeps:
@@ -214,6 +216,18 @@ class FuzzyHomologyContext:
             if coding.leq(lc, c):
                 m = coding.meet(m, c)
         return coding.values[m]
+
+
+def _check_monotone(mu: FuzzySubcomplex) -> None:
+    """A FuzzyError naming one face whose value does not dominate its coface's,
+    if mu has one; by transitivity, the facets of each simplex suffice."""
+    coding, code, K = mu.coding, mu._code, mu.complex
+    for d in range(1, K.dim + 1):
+        for s in K.simplices(d):
+            for face in combinations(s, d):
+                if not coding.leq(code[s], code[face]):
+                    raise FuzzyError(Violation(K.get(face), s, coding.values[code[face]],
+                                               coding.values[code[s]]).message())
 
 
 def _meet_closure(mu, d) -> list:

@@ -151,17 +151,19 @@ class ReducedChainComplex:
         if not 0 <= d <= self.top:
             raise ValueError(f"degree {d} out of range")
         bd = self.boundary[d].apply(chain)
-        if any(not self.ring.is_zero(x) for x in bd):
+        if any(bd):
             raise ValueError(f"chain is not a cycle; boundary = {bd}")
         coords = self.from_delta[d].apply(chain)
         _, it, ir, if_ = self.block_indices(d)
-        if any(not self.ring.is_zero(coords[i]) for i in ir):
+        if any(coords[i] for i in ir):
             raise AssertionError("cycle has non-zero non-cycle block")
         return self.class_from_vector(d, [coords[i] for i in (*it, *if_)])
 
     def class_from_vector(self, d: int, vec) -> ClassCoordinates:
+        """The class of these coordinates (torsion, then free), reduced."""
         amb = self.ambient(d)
-        reduced = amb.reduce_vector(vec)
+        column = amb.reduce_column(vec)
+        reduced = tuple(column.get(i, 0) for i in range(amb.length))
         m = len(amb.torsion)
         return ClassCoordinates(d, reduced[:m], reduced[m:])
 
@@ -171,9 +173,3 @@ def _boundary(complex: SimplicialComplex, ring, d: int) -> ExactMatrix:
     of = ring.of
     columns = [{i: of(x) for i, x in column.items()} for column in complex.boundary_columns(d)]
     return ExactMatrix(ring, 1 if d == 0 else complex.n(d - 1), len(columns), by_cols=columns)
-
-
-def homology(K: SimplicialComplex, ring) -> list:
-    """Per-degree homology of the complex, degrees 0..dim."""
-    R = ReducedChainComplex(K, ring)
-    return [R.homology(d) for d in range(R.top + 1)]

@@ -18,6 +18,7 @@ it and are join-prime.
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 
 
@@ -69,9 +70,8 @@ class LatticeValue:
 
 
 class CdlLattice:
-    """Common behaviour of the three lattice families."""
-
-    kind = "?"
+    """Common behaviour of the three lattice families. Each family names its
+    elements by `_name` (None for an unknown name) and by its `noun`."""
 
     def _check(self, v: LatticeValue) -> None:
         if not isinstance(v, LatticeValue) or v.lattice.key != self.key:
@@ -84,28 +84,30 @@ class CdlLattice:
 
     def join(self, values) -> LatticeValue:
         """The join, folded from the first value; bottom for no values."""
-        vals = list(values)
-        for v in vals:
-            self._check(v)
-        if not vals:
-            return self.bottom
-        return LatticeValue(self, reduce(self._join2, (v.payload for v in vals)))
+        return self._fold(values, self._join2, self.bottom)
 
     def meet(self, values) -> LatticeValue:
         """The meet, folded from the first value; top for no values."""
+        return self._fold(values, self._meet2, self.top)
+
+    def _fold(self, values, op, empty: LatticeValue) -> LatticeValue:
         vals = list(values)
         for v in vals:
             self._check(v)
         if not vals:
-            return self.top
-        return LatticeValue(self, reduce(self._meet2, (v.payload for v in vals)))
+            return empty
+        return LatticeValue(self, reduce(op, (v.payload for v in vals)))
+
+    def _atom(self, name: str) -> LatticeValue:
+        """The value a name denotes: the family's own name first, then the
+        literals 0 and 1."""
+        value = self._name(name) or {"0": self.bottom, "1": self.top}.get(name)
+        if value is None:
+            raise LatticeError(f"unknown {self.noun} {name!r}")
+        return value
 
     def parse(self, text: str) -> LatticeValue:
         return parse_value(text, self)
-
-    def format(self, v: LatticeValue) -> str:
-        self._check(v)
-        return self._format(v.payload)
 
     def __eq__(self, other):
         return isinstance(other, CdlLattice) and self.key == other.key
@@ -125,7 +127,7 @@ class TotalOrder(CdlLattice):
     True
     """
 
-    kind = "total"
+    noun = "level"
 
     def __init__(self, levels):
         levels = tuple(str(x) for x in levels)
@@ -157,14 +159,8 @@ class TotalOrder(CdlLattice):
         self._check(v)
         return [v] if v.payload else []
 
-    def _atom(self, name):
-        if name in self._index:
-            return LatticeValue(self, self._index[name])
-        if name == "0":
-            return self.bottom
-        if name == "1":
-            return self.top
-        raise LatticeError(f"unknown level {name!r}")
+    def _name(self, name):
+        return LatticeValue(self, self._index[name]) if name in self._index else None
 
 
 def _minimal_antichain(subsets) -> frozenset:
@@ -185,7 +181,7 @@ class FreeDistributiveLattice(CdlLattice):
     '1'
     """
 
-    kind = "fdl"
+    noun = "generator"
 
     def __init__(self, generators):
         generators = tuple(str(g) for g in generators)
@@ -222,14 +218,8 @@ class FreeDistributiveLattice(CdlLattice):
         self._check(v)
         return [LatticeValue(self, frozenset([term])) for term in sorted(v.payload, key=sorted)]
 
-    def _atom(self, name):
-        if name in self.generators:
-            return LatticeValue(self, frozenset([frozenset([name])]))
-        if name == "0":
-            return self.bottom
-        if name == "1":
-            return self.top
-        raise LatticeError(f"unknown generator {name!r}")
+    def _name(self, name):
+        return LatticeValue(self, frozenset([frozenset([name])])) if name in self.generators else None
 
     def generator(self, name) -> LatticeValue:
         return self._atom(str(name))
@@ -290,7 +280,7 @@ class Poset:
 class UpSetLattice(CdlLattice):
     """The lattice of up-sets of a finite poset, ordered by inclusion."""
 
-    kind = "upset"
+    noun = "poset element"
 
     def __init__(self, poset: Poset):
         self.poset = poset
@@ -323,14 +313,8 @@ class UpSetLattice(CdlLattice):
         return [LatticeValue(self, self.poset.up(p)) for p in self.poset.elements
                 if p in v.payload and not any(q != p and p in self.poset.up(q) for q in v.payload)]
 
-    def _atom(self, name):
-        if name in self.poset.elements:
-            return LatticeValue(self, self.poset.up(name))
-        if name == "0":
-            return self.bottom
-        if name == "1":
-            return self.top
-        raise LatticeError(f"unknown poset element {name!r}")
+    def _name(self, name):
+        return LatticeValue(self, self.poset.up(name)) if name in self.poset.elements else None
 
     def value_from_set(self, names) -> LatticeValue:
         members = frozenset(str(x) for x in names)
@@ -345,112 +329,83 @@ class UpSetLattice(CdlLattice):
 
 
 def format_value(v: LatticeValue) -> str:
-    return v.lattice.format(v)
+    return v.lattice._format(v.payload)
 
 
-# expression parser: NAME, '&' (binds tighter), '|', parentheses, literals
-# 0 and 1; up-set lattices additionally accept explicit sets like {a,b}
-
-_SYMBOLS = ("&", "|", "(", ")", "{", "}", ",")
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _SYMBOLS:
-            j += 1
-        tokens.append(text[i:j])
-        i = j
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, lattice):
-        self.tokens = tokens
-        self.pos = 0
-        self.lattice = lattice
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise LatticeError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise LatticeError(f"expected {tok!r}, got {got!r}")
-
-    def expr(self):
-        terms = [self.term()]
-        while self.peek() == "|":
-            self.next()
-            terms.append(self.term())
-        return self.lattice.join(terms) if len(terms) > 1 else terms[0]
-
-    def term(self):
-        atoms = [self.atom()]
-        while self.peek() == "&":
-            self.next()
-            atoms.append(self.atom())
-        return self.lattice.meet(atoms) if len(atoms) > 1 else atoms[0]
-
-    def atom(self):
-        tok = self.next()
-        if tok == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
-        if tok == "{":
-            if not isinstance(self.lattice, UpSetLattice):
-                raise LatticeError("set syntax {..} is only valid in up-set lattices")
-            names = []
-            if self.peek() == "}":
-                self.next()
-                return self.lattice.bottom
-            names.append(self.next())
-            while self.peek() == ",":
-                self.next()
-                names.append(self.next())
-            self.expect("}")
-            return self.lattice.value_from_set(names)
-        if tok in _SYMBOLS:
-            raise LatticeError(f"unexpected {tok!r}")
-        return self.lattice._atom(tok)
+# Lattice expressions: names, "&" (binding tighter), "|", parentheses, and
+# in up-set lattices explicit sets such as {a,b}. A token is one of the
+# symbols or a maximal run of other characters that are not white space.
+_TOKENS = re.compile(r"[&|(){},]|[^\s&|(){},]+").findall
+_MAX_NESTING = 1000
 
 
 def parse_value(text: str, lattice: CdlLattice) -> LatticeValue:
     """Parse a lattice expression into a canonical value.
 
+    Parentheses nest at most 1000 deep.
+
     >>> L = FreeDistributiveLattice(["x", "y"])
     >>> format_value(parse_value("y & x | x & y", L))
     'x & y'
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    tokens = iter(_TOKENS(text))
+
+    def take() -> str:
+        tok = next(tokens, None)
+        if tok is None:
+            raise LatticeError("unexpected end of expression")
+        return tok
+
+    tok = next(tokens, None)
+    if tok is None:
         raise LatticeError("empty expression")
-    p = _Parser(tokens, lattice)
-    try:
-        v = p.expr()
-    except RecursionError:
-        raise LatticeError("expression nested too deeply to parse") from None
-    if p.peek() is not None:
-        raise LatticeError(f"trailing input starting at {p.peek()!r}")
-    return v
+    # the terms joined so far in the current level and the atoms met so far
+    # in its current term; `outer` holds those of each enclosing level
+    terms, atoms, outer = [], [], []
+    while True:
+        if tok == "(":
+            if len(outer) == _MAX_NESTING:
+                raise LatticeError("expression nested too deeply to parse")
+            outer.append((terms, atoms))
+            terms, atoms = [], []
+            tok = take()
+            continue
+        if tok == "{":
+            if not isinstance(lattice, UpSetLattice):
+                raise LatticeError("set syntax {..} is only valid in up-set lattices")
+            names = []
+            tok = take()
+            if tok != "}":
+                names.append(tok)
+                while (tok := take()) == ",":
+                    names.append(take())
+                if tok != "}":
+                    raise LatticeError(f"expected '}}', got {tok!r}")
+            atoms.append(lattice.value_from_set(names))
+        elif tok in ("&", "|", ")", "}", ","):
+            raise LatticeError(f"unexpected {tok!r}")
+        else:
+            atoms.append(lattice._atom(tok))
+        tok = next(tokens, None)
+        # past an atom: "&" continues the term, "|" the level, ")" closes
+        # the level, and anything else ends the expression
+        while tok != "&":
+            terms.append(lattice.meet(atoms) if len(atoms) > 1 else atoms[0])
+            atoms = []
+            if tok == "|":
+                break
+            value = lattice.join(terms) if len(terms) > 1 else terms[0]
+            if not outer:
+                if tok is not None:
+                    raise LatticeError(f"trailing input starting at {tok!r}")
+                return value
+            if tok != ")":
+                raise LatticeError("unexpected end of expression" if tok is None
+                                   else f"expected ')', got {tok!r}")
+            terms, atoms = outer.pop()
+            atoms.append(value)
+            tok = next(tokens, None)
+        tok = take()
 
 
 def lattice_from_spec(spec: dict) -> CdlLattice:

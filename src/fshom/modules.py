@@ -76,11 +76,6 @@ class HomologyAmbient(namedtuple("HomologyAmbient", "ring torsion free_rank")):
                 column[i] = x
         return column
 
-    def reduce_vector(self, vec) -> tuple:
-        """Canonicalize coordinates as a dense tuple (see `reduce_column`)."""
-        column = self.reduce_column(vec)
-        return tuple(column.get(i, 0) for i in range(self.length))
-
 
 class SubmoduleOfHomology:
     """A submodule of the ambient group, generated by coordinate vectors.
@@ -101,10 +96,6 @@ class SubmoduleOfHomology:
                 seen.add(key)
                 gens.append(column)
         self.generators = tuple(gens)
-
-    @classmethod
-    def zero(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
-        return cls(ambient, [])
 
     @classmethod
     def full(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
@@ -197,12 +188,12 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
         row = {}
         for j, p in P[i].items():
             if j < m:
-                y = ring.exact_div(ring.mul(coeffs[j], p), d)
+                y = ring.exact_div(coeffs[j] * p, d)
                 if y:
                     row[j] = y
         rows.append(row)
     for i in range(r, n):
-        if any(j < m and not ring.is_zero(ring.mul(coeffs[j], p)) for j, p in P[i].items()):
+        if any(j < m and ring.of(coeffs[j] * p) for j, p in P[i].items()):
             raise AssertionError("relation vector escapes the lifted lattice")
     Y = ExactMatrix(ring, r, m, by_rows=rows)
     sy = snf(Y)

@@ -7,14 +7,14 @@ positions define the chain basis used by every boundary matrix, so results
 are reproducible across runs.
 
 A `Simplex` is its sorted vertex tuple: a `tuple` subclass, equal to that
-tuple and hashed and ordered like it. `Simplex(vertices)` validates and
-sorts its input. `Simplex._sorted(t)` wraps a tuple that is already known to
-be a valid simplex (strictly increasing non-negative ints) without checking
-it again; faces, boundaries, the `from_maximal` closure and the Rips cliques
-are built that way, because sub-tuples of a valid simplex and cliques grown
-in increasing vertex order are valid by construction. Where a face is only
-looked up (the face-closure check, `maximal_simplices`, `boundary_columns`),
-it stays the plain tuple that `itertools.combinations` yields.
+tuple and hashed, ordered and searched (`in`) like it. `Simplex(vertices)`
+validates and sorts its input. `Simplex._sorted(t)` wraps a tuple known to be
+a valid simplex (strictly increasing non-negative ints) without checking it
+again; faces, boundaries, the `from_maximal` closure and the Rips cliques are
+built that way, as sub-tuples of a valid simplex and cliques grown in
+increasing vertex order are valid by construction. Where a face is only looked
+up (the face-closure check, `maximal_simplices`, `boundary_columns`), it stays
+the plain tuple that `itertools.combinations` yields.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class Simplex(tuple):
         if len(self) == 1:
             return []
         return [(-1 if j % 2 else 1, Simplex._sorted(self[:j] + self[j + 1:])) for j in range(len(self))]
-
-    def __contains__(self, other: "Simplex") -> bool:
-        """Whether `other` is a face of this simplex (not vertex membership)."""
-        return set(other) <= set(self)
 
     def __repr__(self):
         return "<" + ",".join(map(str, self)) + ">"
@@ -222,7 +218,3 @@ class SimplicialComplex:
 
 
 EMPTY_COMPLEX = SimplicialComplex(())
-
-
-def from_maximal(simplices) -> SimplicialComplex:
-    return SimplicialComplex.from_maximal(simplices)

@@ -63,45 +63,43 @@ class _DenseWorker:
         self.Qi[i], self.Qi[j] = self.Qi[j], self.Qi[i]
 
     def row_addmul(self, i, j, c):
-        """row_i += c * row_j (i != j)."""
-        ring = self.ring
-        if ring.is_zero(c):
+        """row_i += c * row_j (i != j, c canonical)."""
+        if not c:
             return
-        add, sub, mul = ring.add, ring.sub, ring.mul
+        of = self.ring.of
         for mat in (self.D, self.P):
             ri = mat[i]
             for k, x in enumerate(mat[j]):
                 if x:
-                    ri[k] = add(ri[k], mul(c, x))
+                    ri[k] = of(ri[k] + c * x)
         # inverse update: column j -= c * column i
         for row in self.Pi:
             if row[i]:
-                row[j] = sub(row[j], mul(c, row[i]))
+                row[j] = of(row[j] - c * row[i])
 
     def col_addmul(self, j, k, c):
-        """col_j += c * col_k (j != k)."""
-        ring = self.ring
-        if ring.is_zero(c):
+        """col_j += c * col_k (j != k, c canonical)."""
+        if not c:
             return
-        add, sub, mul = ring.add, ring.sub, ring.mul
+        of = self.ring.of
         for mat in (self.D, self.Q):
             for row in mat:
                 if row[k]:
-                    row[j] = add(row[j], mul(c, row[k]))
+                    row[j] = of(row[j] + c * row[k])
         # inverse update: row k -= c * row j
         rk = self.Qi[k]
         for t, x in enumerate(self.Qi[j]):
             if x:
-                rk[t] = sub(rk[t], mul(c, x))
+                rk[t] = of(rk[t] - c * x)
 
     def row_scale(self, i, u):
         """row_i *= u for a unit u."""
-        ring = self.ring
-        ui = ring.inv(u)
-        self.D[i] = [ring.mul(u, x) for x in self.D[i]]
-        self.P[i] = [ring.mul(u, x) for x in self.P[i]]
+        of = self.ring.of
+        ui = self.ring.inv(u)
+        self.D[i] = [of(u * x) for x in self.D[i]]
+        self.P[i] = [of(u * x) for x in self.P[i]]
         for row in self.Pi:
-            row[i] = ring.mul(ui, row[i])
+            row[i] = of(ui * row[i])
 
     def find_pivot(self, t):
         """Smallest non-zero entry of D[t:, t:] by (|entry|, row, col).
@@ -140,10 +138,10 @@ def dense_snf(A):
         while True:
             restart = False
             for i in range(t + 1, m):
-                if not ring.is_zero(w.D[i][t]):
+                if w.D[i][t]:
                     q = ring.quo(w.D[i][t], w.D[t][t])
-                    w.row_addmul(i, t, ring.neg(q))
-                    if not ring.is_zero(w.D[i][t]):
+                    w.row_addmul(i, t, ring.of(-q))
+                    if w.D[i][t]:
                         # non-zero remainder is strictly smaller; make it the pivot
                         w.row_swap(t, i)
                         restart = True
@@ -151,10 +149,10 @@ def dense_snf(A):
             if restart:
                 continue
             for j in range(t + 1, n):
-                if not ring.is_zero(w.D[t][j]):
+                if w.D[t][j]:
                     q = ring.quo(w.D[t][j], w.D[t][t])
-                    w.col_addmul(j, t, ring.neg(q))
-                    if not ring.is_zero(w.D[t][j]):
+                    w.col_addmul(j, t, ring.of(-q))
+                    if w.D[t][j]:
                         w.col_swap(t, j)
                         restart = True
                         break
@@ -176,7 +174,7 @@ def dense_snf(A):
                 break
             w.row_addmul(t, bad, ring.of(1))
         u = ring.normalizer(w.D[t][t])
-        if not ring.is_zero(ring.sub(u, ring.of(1))):
+        if ring.of(u - 1):
             w.row_scale(t, u)
         t += 1
     return SmithDecomposition(
@@ -252,7 +250,7 @@ def kappa(ctx, d, chain):
     if len(chain) != len(values):
         raise ValueError("chain length does not match the simplex basis")
     ring = ctx.ring
-    return ctx.lattice.meet(v for c, v in zip(chain, values) if not ring.is_zero(ring.of(c)))
+    return ctx.lattice.meet(v for c, v in zip(chain, values) if ring.of(c))
 
 
 def delta_value_set(ctx, d) -> list:
@@ -266,7 +264,7 @@ def cycle_of_class(R, d, coords) -> tuple:
     _, T, _, F = R.blocks(d)
     chain = T.apply(list(coords.alpha))
     free_part = F.apply(list(coords.phi))
-    return tuple(R.ring.add(a, b) for a, b in zip(chain, free_part))
+    return tuple(R.ring.of(a + b) for a, b in zip(chain, free_part))
 
 
 def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
@@ -282,7 +280,7 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
     if p ** U.cols > cap:
         raise NotComputableError(f"boundary space {p}^{U.cols} exceeds the cap {cap}")
     z = cycle_of_class(ctx.reduced, d, h)
-    basis = [U.col(j) for j in range(U.cols)]
+    basis = [dense(column, U.rows) for column in U.by_cols]
     best = []
     coeffs = [0] * len(basis)
     ring = ctx.ring
@@ -291,7 +289,7 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
         for c, vec in zip(coeffs, basis):
             if c:
                 for i, x in enumerate(vec):
-                    b[i] = ring.add(b[i], ring.mul(c, x))
+                    b[i] = ring.of(b[i] + c * x)
         best.append(kappa(ctx, d, b))
         i = 0
         while i < len(coeffs) and coeffs[i] == p - 1:
@@ -309,12 +307,13 @@ def kernel_hdl_submodule(ctx, d, level):
     Smith form, read past the U block."""
     ambient = ctx.reduced.ambient(d)
     if not 0 <= d <= ctx.reduced.top:
-        return SubmoduleOfHomology.zero(ambient)
+        return SubmoduleOfHomology(ambient, [])
     iu, it, _, if_ = ctx.reduced.block_indices(d)
     restricted = ctx.reduced.to_delta[d].take_rows(ctx.index_set(d, level))
     G = restricted.column_block([*iu, *it, *if_])
     s = snf(G)
-    return SubmoduleOfHomology(ambient, [s.Q.col(j)[len(iu):] for j in range(s.rank, G.cols)])
+    return SubmoduleOfHomology(ambient, [dense(s.Q.by_cols[j], G.cols)[len(iu):]
+                                         for j in range(s.rank, G.cols)])
 
 
 def boundary_walk_closure_error(simplices):
@@ -350,7 +349,7 @@ def pairwise_explicit_violations(explicit, lattice):
     order, where the face's value fails to dominate the coface's."""
     items = sorted(explicit.items(), key=lambda kv: (kv[0].dim, kv[0].vertices))
     return [Violation(s1, s2, v1, v2) for (s1, v1), (s2, v2) in combinations(items, 2)
-            if s1 in s2 and not lattice.leq(v2, v1)]
+            if set(s1) <= set(s2) and not lattice.leq(v2, v1)]
 
 
 def fraction_number(x):
@@ -423,3 +422,125 @@ def pairwise_from_filtration(poset, stages):
     values = {s: lattice.value_from_set(p for p in poset.elements if s in complexes[p])
               for s in K.all_simplices()}
     return FuzzySubcomplex(K, lattice, values)
+
+
+def reference_atom(lattice, name):
+    """The value of a name as each family resolved it on its own: the
+    family's own names first, then the literals 0 and 1."""
+    if isinstance(lattice, TotalOrder) and name in lattice.levels:
+        return LatticeValue(lattice, lattice.levels.index(name))
+    if isinstance(lattice, FreeDistributiveLattice) and name in lattice.generators:
+        return LatticeValue(lattice, frozenset([frozenset([name])]))
+    if isinstance(lattice, UpSetLattice) and name in lattice.poset.elements:
+        return LatticeValue(lattice, lattice.poset.up(name))
+    if name == "0":
+        return lattice.bottom
+    if name == "1":
+        return lattice.top
+    noun = {TotalOrder: "level", FreeDistributiveLattice: "generator",
+            UpSetLattice: "poset element"}[type(lattice)]
+    raise LatticeError(f"unknown {noun} {name!r}")
+
+
+_SYMBOLS = ("&", "|", "(", ")", "{", "}", ",")
+
+
+def reference_tokenize(text: str) -> list:
+    """Lattice expression tokens, character by character: `str.isspace`
+    separates, each symbol is a token, and so is each maximal run of other
+    characters."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(ch)
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in _SYMBOLS:
+            j += 1
+        tokens.append(text[i:j])
+        i = j
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over the tokens: expr := term ("|" term)*,
+    term := atom ("&" atom)*, atom := "(" expr ")" | "{" names "}" | name."""
+
+    def __init__(self, tokens, lattice):
+        self.tokens = tokens
+        self.pos = 0
+        self.lattice = lattice
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise LatticeError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok):
+        got = self.next()
+        if got != tok:
+            raise LatticeError(f"expected {tok!r}, got {got!r}")
+
+    def expr(self):
+        terms = [self.term()]
+        while self.peek() == "|":
+            self.next()
+            terms.append(self.term())
+        return self.lattice.join(terms) if len(terms) > 1 else terms[0]
+
+    def term(self):
+        atoms = [self.atom()]
+        while self.peek() == "&":
+            self.next()
+            atoms.append(self.atom())
+        return self.lattice.meet(atoms) if len(atoms) > 1 else atoms[0]
+
+    def atom(self):
+        tok = self.next()
+        if tok == "(":
+            v = self.expr()
+            self.expect(")")
+            return v
+        if tok == "{":
+            if not isinstance(self.lattice, UpSetLattice):
+                raise LatticeError("set syntax {..} is only valid in up-set lattices")
+            names = []
+            if self.peek() == "}":
+                self.next()
+                return self.lattice.bottom
+            names.append(self.next())
+            while self.peek() == ",":
+                self.next()
+                names.append(self.next())
+            self.expect("}")
+            return self.lattice.value_from_set(names)
+        if tok in _SYMBOLS:
+            raise LatticeError(f"unexpected {tok!r}")
+        return reference_atom(self.lattice, tok)
+
+
+def reference_parse_value(text, lattice):
+    """A lattice expression's value by recursive descent over
+    `reference_tokenize`, with `reference_atom` for names."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise LatticeError("empty expression")
+    p = _ReferenceParser(tokens, lattice)
+    try:
+        v = p.expr()
+    except RecursionError:
+        raise LatticeError("expression nested too deeply to parse") from None
+    if p.peek() is not None:
+        raise LatticeError(f"trailing input starting at {p.peek()!r}")
+    return v

@@ -5,7 +5,7 @@ from itertools import combinations
 
 from fshom.fuzzy import FuzzySubcomplex, complete_values
 from fshom.lattice import FreeDistributiveLattice, TotalOrder
-from fshom.simplicial import SimplicialComplex, from_maximal
+from fshom.simplicial import SimplicialComplex
 from oracles import carrier, enumerate_fdl
 
 
@@ -19,7 +19,7 @@ def random_complex(rng: random.Random, max_vertices: int = 7, max_dim: int = 3,
         for _ in range(rng.randint(1, 4)):
             size = rng.randint(1, min(max_dim + 1, nv))
             maximal.append(rng.sample(pool, size))
-        K = from_maximal(maximal)
+        K = SimplicialComplex.from_maximal(maximal)
         if all(K.n(d) <= per_dim_cap for d in range(K.dim + 1)):
             return K
 
@@ -32,7 +32,7 @@ def rips_complex(rng: random.Random, n: int, side: int = 20, radius: int = 5,
             if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= radius * radius}
     cliques = [c for k in range(1, max_dim + 2) for c in combinations(range(n), k)
                if all(e in near for e in combinations(c, 2))]
-    return from_maximal(cliques)
+    return SimplicialComplex.from_maximal(cliques)
 
 
 def moore_space(k: int) -> list:
@@ -66,7 +66,7 @@ def random_torsion_complex(rng: random.Random) -> SimplicialComplex:
         offset += top
     labels = list(range(offset + 1))
     rng.shuffle(labels)
-    return from_maximal([[labels[v] for v in s] for s in maximal])
+    return SimplicialComplex.from_maximal([[labels[v] for v in s] for s in maximal])
 
 
 def random_fdl(rng: random.Random, max_generators: int = 3) -> FreeDistributiveLattice:

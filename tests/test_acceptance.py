@@ -15,7 +15,7 @@ from fshom.exact import ExactMatrix, PrimeField, ZZ, snf, solve
 from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
 from fshom.lattice import FreeDistributiveLattice, format_value
-from fshom.simplicial import from_maximal
+from fshom.simplicial import SimplicialComplex
 from oracles import brute_force_eta, carrier, dense, enumerate_fdl
 from randgen import lattice_family, random_complex, random_fdl, random_mu
 
@@ -46,7 +46,7 @@ def free_class(ctx, d, k):
 
 def test_criterion_01_reference_crisp_homology():
     watch = Stopwatch(1.0)
-    R = ReducedChainComplex(from_maximal(REFERENCE_MAXIMAL), ZZ)
+    R = ReducedChainComplex(SimplicialComplex.from_maximal(REFERENCE_MAXIMAL), ZZ)
     h0 = R.homology(0)
     assert h0.structure.betti == 2 and h0.structure.torsion == ()
     assert [dense(g, 5) for g in h0.free_generators] == \
@@ -59,7 +59,7 @@ def test_criterion_01_reference_crisp_homology():
 
 def test_criterion_02_reference_matrices_and_partitions():
     watch = Stopwatch(1.0)
-    K = from_maximal(REFERENCE_MAXIMAL)
+    K = SimplicialComplex.from_maximal(REFERENCE_MAXIMAL)
     assert K.boundary_matrix(1) == [
         [-1, -1, 0, 0, 0],
         [1, 0, -1, -1, 0],

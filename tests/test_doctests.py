@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import pkgutil
+import sys
 
 import fshom
 
@@ -11,6 +12,10 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(fshom.__path__, "fsh
 
 def test_every_module_is_listed():
     assert "fshom.exact" in MODULES and "fshom.simplicial" in MODULES
+    # no name that the package exports shadows one of its submodules
+    for name in MODULES:
+        importlib.import_module(name)
+        assert getattr(fshom, name.rpartition(".")[2]) is sys.modules[name], name
 
 
 def test_package_doctests_pass():

@@ -24,7 +24,7 @@ from fshom.lattice import (
     UpSetLattice,
     format_value,
 )
-from fshom.simplicial import EMPTY_COMPLEX, Simplex, from_maximal
+from fshom.simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
 from oracles import (
     carrier, pairwise_complete_values, pairwise_explicit_violations, pairwise_vietoris_rips,
 )
@@ -57,14 +57,14 @@ class TestValidation:
 
     def test_constant_top_ok(self):
         L = fdl2()
-        K = from_maximal([[0, 1, 2]])
+        K = SimplicialComplex.from_maximal([[0, 1, 2]])
         assert explicit_violations({s: L.parse("1") for s in K.all_simplices()}, L) == []
 
     def test_total_assignment_lists_every_violating_pair(self):
         """On a total assignment every (face, coface) pair is checked, of
         any codimension, in (face, coface) order."""
         L = fdl2()
-        K = from_maximal([[0, 1, 2]])
+        K = SimplicialComplex.from_maximal([[0, 1, 2]])
         values = {s: L.parse("x") for s in K.all_simplices()}
         values[Simplex((0,))] = L.parse("0")
         bad = explicit_violations(values, L)
@@ -74,7 +74,7 @@ class TestValidation:
 
     def test_values_must_cover_every_simplex(self):
         L = fdl2()
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         with pytest.raises(FuzzyError):
             FuzzySubcomplex(K, L, {Simplex((0,)): L.parse("x")})
 
@@ -135,7 +135,7 @@ class TestValidation:
                              ids=["other-lattice", "string", "unhashable-list"])
     def test_foreign_values_are_refused_with_lattice_error(self, foreign):
         L = fdl2()
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         values = {s: L.parse("x") for s in K.all_simplices()}
         for s in K.all_simplices():
             with pytest.raises(LatticeError):
@@ -177,13 +177,13 @@ class TestCuts:
 
     def test_support_and_core(self, reference_mu):
         assert reference_mu.support() == reference_mu.complex
-        assert reference_mu.core().is_empty
+        assert reference_mu.cut(reference_mu.lattice.top).is_empty
         assert reference_mu.restrict_to_support().complex == reference_mu.complex
         assert reference_mu.restrict_to_support() is reference_mu
 
     def test_zero_vertex_dropped(self):
         L = fdl2()
-        K = from_maximal([[0, 1], [2]])
+        K = SimplicialComplex.from_maximal([[0, 1], [2]])
         mu = FuzzySubcomplex(K, L, {
             Simplex((0,)): L.parse("x"),
             Simplex((1,)): L.parse("x"),
@@ -195,7 +195,7 @@ class TestCuts:
 
     def test_all_zero_support_empty(self):
         L = fdl2()
-        K = from_maximal([[0]])
+        K = SimplicialComplex.from_maximal([[0]])
         mu = FuzzySubcomplex(K, L, {Simplex((0,)): L.parse("0")})
         assert mu.support().is_empty
         with pytest.raises(FuzzyError):
@@ -212,7 +212,7 @@ class TestCuts:
 class TestCompletion:
     def test_join_of_cofaces(self):
         L = fdl2()
-        K = from_maximal([[0, 1, 2], [3]])
+        K = SimplicialComplex.from_maximal([[0, 1, 2], [3]])
         full = complete_values(K, L, {
             Simplex((0, 1, 2)): L.parse("x & y"),
             Simplex((3,)): L.parse("y"),
@@ -222,7 +222,7 @@ class TestCompletion:
 
     def test_explicit_values_joined_in(self):
         L = fdl2()
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         full = complete_values(K, L, {
             Simplex((0,)): L.parse("x"),
             Simplex((0, 1)): L.parse("y"),
@@ -233,14 +233,14 @@ class TestCompletion:
 
     def test_unknown_simplex_rejected(self):
         L = fdl2()
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         with pytest.raises(FuzzyError):
             complete_values(K, L, {Simplex((5,)): L.parse("x")})
 
 
 class TestChromatic:
     def test_reference_values(self, reference_mu):
-        K = from_maximal([[0, 1], [0, 3], [1, 2, 3], [4]])
+        K = SimplicialComplex.from_maximal([[0, 1], [0, 3], [1, 2, 3], [4]])
         L = FreeDistributiveLattice(("x", "y"))
         labels = {0: "x", 1: "x", 2: "y", 3: "x", 4: "y"}
         mu = chromatic(K, labels, ("x", "y"))
@@ -249,12 +249,12 @@ class TestChromatic:
         assert mu.lattice == L
 
     def test_monochromatic(self):
-        K = from_maximal([[0, 1, 2]])
+        K = SimplicialComplex.from_maximal([[0, 1, 2]])
         mu = chromatic(K, {0: "r", 1: "r", 2: "r"}, ("r",))
         assert all(format_value(v) == "r" for _, v in mu.items())
 
     def test_unlabeled_vertex_rejected(self):
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         with pytest.raises(FuzzyError):
             chromatic(K, {0: "r"}, ("r",))
         with pytest.raises(FuzzyError):
@@ -419,7 +419,8 @@ def random_cloud(rng, kind, cols):
 class TestFiltration:
     def test_chain_filtration(self):
         P = Poset(("a", "b"), (("a", "b"),))
-        stages = {"a": from_maximal([[0]]), "b": from_maximal([[0, 1]])}
+        stages = {"a": SimplicialComplex.from_maximal([[0]]),
+                  "b": SimplicialComplex.from_maximal([[0, 1]])}
         mu = from_filtration(P, stages)
         assert isinstance(mu.lattice, UpSetLattice)
         got = {s.vertices: format_value(v) for s, v in mu.items()}
@@ -427,13 +428,14 @@ class TestFiltration:
 
     def test_constant_filtration_is_top(self):
         P = Poset(("a", "b"), (("a", "b"),))
-        K = from_maximal([[0, 1]])
+        K = SimplicialComplex.from_maximal([[0, 1]])
         mu = from_filtration(P, {"a": K, "b": K})
         assert all(format_value(v) == "{a,b}" for _, v in mu.items())
 
     def test_cut_recovers_stages(self):
         P = Poset(("a", "b"), ())
-        stages = {"a": from_maximal([[0], [1]]), "b": from_maximal([[1], [2]])}
+        stages = {"a": SimplicialComplex.from_maximal([[0], [1]]),
+                  "b": SimplicialComplex.from_maximal([[1], [2]])}
         mu = from_filtration(P, stages)
         L = mu.lattice
         for p in ("a", "b"):
@@ -443,7 +445,8 @@ class TestFiltration:
 
     def test_non_monotone_rejected(self):
         P = Poset(("a", "b"), (("a", "b"),))
-        stages = {"a": from_maximal([[0, 1]]), "b": from_maximal([[0]])}
+        stages = {"a": SimplicialComplex.from_maximal([[0, 1]]),
+                  "b": SimplicialComplex.from_maximal([[0]])}
         with pytest.raises(FuzzyError) as err:
             from_filtration(P, stages)
         assert "a" in str(err.value) and "b" in str(err.value)
@@ -451,4 +454,4 @@ class TestFiltration:
     def test_missing_stage_rejected(self):
         P = Poset(("a", "b"), (("a", "b"),))
         with pytest.raises(FuzzyError):
-            from_filtration(P, {"a": from_maximal([[0]])})
+            from_filtration(P, {"a": SimplicialComplex.from_maximal([[0]])})

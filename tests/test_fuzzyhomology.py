@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fshom.exact import PrimeField, ZZ
-from fshom.fuzzy import ChromaticDataset, FuzzySubcomplex, chromatic, vietoris_rips
+from fshom.fuzzy import ChromaticDataset, FuzzyError, FuzzySubcomplex, chromatic, vietoris_rips
 from fshom.fuzzyhomology import FuzzyHomologyContext, NotComputableError
 from fshom.homology import ReducedChainComplex
 from fshom.lattice import (
@@ -18,7 +18,7 @@ from fshom.lattice import (
     format_value,
 )
 from fshom.project import load_project_file
-from fshom.simplicial import Simplex, from_maximal
+from fshom.simplicial import Simplex, SimplicialComplex
 from fshom.modules import SubmoduleOfHomology
 from oracles import (
     brute_force_eta, carrier, delta_value_set, dense, kappa, kernel_hdl_submodule,
@@ -148,7 +148,7 @@ def cut_image(ctx, d, level):
     ambient = ctx.reduced.ambient(d)
     cut = ctx.mu.cut(level)
     if cut.is_empty or d > cut.dim:
-        return SubmoduleOfHomology.zero(ambient)
+        return SubmoduleOfHomology(ambient, [])
     H = ReducedChainComplex(cut, ctx.ring).homology(d)
     position = {s: i for i, s in enumerate(ctx.mu.complex.simplices(d))}
     images = []
@@ -335,7 +335,7 @@ class TestEtaCuts:
 class TestDegenerateAndRefusals:
     def test_two_level_chain_reduces_to_crisp(self):
         T = TotalOrder(("lo", "hi"))
-        K = from_maximal([[0, 1], [1, 2], [0, 2]])
+        K = SimplicialComplex.from_maximal([[0, 1], [1, 2], [0, 2]])
         mu = FuzzySubcomplex(K, T, {s: T.parse("hi") for s in K.all_simplices()})
         ctx = FuzzyHomologyContext(mu, ZZ)
         assert fmt_set(ctx.kappa_value_set(1)) == ["hi"]
@@ -346,7 +346,7 @@ class TestDegenerateAndRefusals:
 
     def test_chain_fast_path_matches_hdl(self):
         T = TotalOrder(("l0", "l1", "l2", "l3"))
-        K = from_maximal([[0, 1], [1, 2], [0, 2], [3]])
+        K = SimplicialComplex.from_maximal([[0, 1], [1, 2], [0, 2], [3]])
         values = {
             Simplex((0,)): "l3", Simplex((1,)): "l2", Simplex((2,)): "l2",
             Simplex((3,)): "l1",
@@ -365,14 +365,14 @@ class TestDegenerateAndRefusals:
 
     def test_single_point_eta_is_vertex_value(self):
         L = FreeDistributiveLattice(("x", "y"))
-        K = from_maximal([[0]])
+        K = SimplicialComplex.from_maximal([[0]])
         mu = FuzzySubcomplex(K, L, {Simplex((0,)): L.parse("x")})
         ctx = FuzzyHomologyContext(mu, ZZ)
         assert ctx.eta_value(0, free_class(ctx, 0, 0)) == L.parse("x")
 
     def test_zero_vertex_dropped_without_changing_eta(self, reference_mu, ctx):
         L = reference_mu.lattice
-        K = from_maximal([[0, 1], [0, 3], [1, 2, 3], [4], [5]])
+        K = SimplicialComplex.from_maximal([[0, 1], [0, 3], [1, 2, 3], [4], [5]])
         values = {s: v for s, v in reference_mu.items()}
         values[Simplex((5,))] = L.parse("0")
         bigger = FuzzySubcomplex(K, L, values)
@@ -384,10 +384,21 @@ class TestDegenerateAndRefusals:
 
     def test_non_meet_prime_lattice_refused(self):
         U = UpSetLattice(Poset(("a", "b"), ()))
-        K = from_maximal([[0]])
+        K = SimplicialComplex.from_maximal([[0]])
         mu = FuzzySubcomplex(K, U, {Simplex((0,)): U.parse("a")})
         with pytest.raises(NotComputableError):
             FuzzyHomologyContext(mu, ZZ)
+
+    def test_subcomplex_that_is_not_face_monotone_refused(self):
+        # a face below its coface: the cut at 1 is no complex, so eta is undefined
+        T = TotalOrder(("0", "a", "1"))
+        K = SimplicialComplex.from_maximal([[0, 1]])
+        values = {Simplex((0,)): T.parse("a"), Simplex((1,)): T.top, Simplex((0, 1)): T.top}
+        mu = FuzzySubcomplex(K, T, values)
+        with pytest.raises(FuzzyError, match=r"^mu\(<0>\) = a does not dominate mu\(<0,1>\) = 1$"):
+            FuzzyHomologyContext(mu, ZZ)
+        with pytest.raises(ValueError, match="not face-closed"):
+            mu.cut(T.top)
 
 
 class TestBruteForceOracle:

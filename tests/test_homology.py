@@ -1,15 +1,15 @@
 """Basis reduction of chain complexes and homology structure."""
 
 import hashlib
-import importlib
 import json
 import random
 
 import pytest
 
+import fshom.homology
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
-from fshom.simplicial import from_maximal
+from fshom.simplicial import SimplicialComplex
 from oracles import cycle_of_class, dense, dense_snf
 from randgen import random_complex, random_torsion_complex, rips_complex
 
@@ -26,13 +26,13 @@ TORUS = [[(i + a) % 7, (i + b) % 7, (i + c) % 7]
 
 
 def betti_list(maximal, ring=ZZ):
-    R = ReducedChainComplex(from_maximal(maximal), ring)
+    R = ReducedChainComplex(SimplicialComplex.from_maximal(maximal), ring)
     return [R.homology(d).structure.betti for d in range(R.top + 1)]
 
 
 class TestReduction:
     def test_reference_partitions(self):
-        R = ReducedChainComplex(from_maximal(REFERENCE_MAXIMAL), ZZ)
+        R = ReducedChainComplex(SimplicialComplex.from_maximal(REFERENCE_MAXIMAL), ZZ)
         assert R.partition[0] == (3, 0, 0, 2)
         assert R.partition[1] == (1, 0, 3, 1)
         assert R.partition[2] == (0, 0, 1, 0)
@@ -133,7 +133,6 @@ class TestReductionOracle:
     @pytest.mark.parametrize("ring_name", ORACLE_RINGS)
     @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
     def test_against_dense_product(self, name, ring_name, monkeypatch):
-        homology_module = importlib.import_module("fshom.homology")
         smith = []
 
         def recording_snf(A):
@@ -141,7 +140,7 @@ class TestReductionOracle:
             smith.append((A, s))
             return s
 
-        monkeypatch.setattr(homology_module, "snf", recording_snf)
+        monkeypatch.setattr(fshom.homology, "snf", recording_snf)
         K = ORACLE_COMPLEXES[name]()
         R = ReducedChainComplex(K, ORACLE_RINGS[ring_name])
         assert len(smith) == R.top + 1
@@ -175,7 +174,6 @@ class TestRips60:
 
     @pytest.mark.parametrize("ring_name", ORACLE_RINGS)
     def test_every_smith_form_matches_the_dense_worker(self, ring_name, monkeypatch):
-        homology_module = importlib.import_module("fshom.homology")
         calls = []
 
         def recording_snf(A):
@@ -183,7 +181,7 @@ class TestRips60:
             calls.append((A, s))
             return s
 
-        monkeypatch.setattr(homology_module, "snf", recording_snf)
+        monkeypatch.setattr(fshom.homology, "snf", recording_snf)
         R = ReducedChainComplex(rips_complex(random.Random(0), 60), ORACLE_RINGS[ring_name])
         assert len(calls) == R.top + 1
         for A, s in calls:
@@ -192,7 +190,7 @@ class TestRips60:
             assert reduction_digest(R) == PINNED_RIPS60[ring_name]
 
 
-UCT_COMPLEXES = {"rp2": lambda: from_maximal(RP2)}
+UCT_COMPLEXES = {"rp2": lambda: SimplicialComplex.from_maximal(RP2)}
 UCT_COMPLEXES.update({f"torsion-{seed}": (lambda seed=seed: random_torsion_complex(random.Random(seed)))
                       for seed in range(8)})
 UCT_PRIMES = (2, 3, 5)
@@ -227,7 +225,7 @@ class TestUniversalCoefficients:
 
 class TestHomologyStructure:
     def test_reference(self):
-        R = ReducedChainComplex(from_maximal(REFERENCE_MAXIMAL), ZZ)
+        R = ReducedChainComplex(SimplicialComplex.from_maximal(REFERENCE_MAXIMAL), ZZ)
         assert [R.homology(d).structure.describe() for d in range(3)] == \
             ["Z^2", "Z", "0"]
         h0 = R.homology(0)
@@ -248,7 +246,7 @@ class TestHomologyStructure:
         assert betti_list(SPHERE) == [1, 0, 1]
 
     def test_projective_plane_torsion(self):
-        R = ReducedChainComplex(from_maximal(RP2), ZZ)
+        R = ReducedChainComplex(SimplicialComplex.from_maximal(RP2), ZZ)
         assert R.homology(0).structure.describe() == "Z"
         h1 = R.homology(1)
         assert h1.structure.betti == 0 and h1.structure.torsion == (2,)
@@ -285,9 +283,9 @@ class TestGeneratorColumns:
                 h = R.homology(d)
                 _, T, _, F = R.blocks(d)
                 assert [dense(g, K.n(d)) for g in h.torsion_generators] == \
-                    [T.col(j) for j in range(T.cols)]
+                    [dense(column, T.rows) for column in T.by_cols]
                 assert [dense(g, K.n(d)) for g in h.free_generators] == \
-                    [F.col(j) for j in range(F.cols)]
+                    [dense(column, F.rows) for column in F.by_cols]
                 gens = h.torsion_generators + h.free_generators
                 for k, g in enumerate(gens):
                     assert all(x for x in g.values())
@@ -298,7 +296,7 @@ class TestGeneratorColumns:
 
 class TestClassCoordinates:
     def reference(self):
-        return ReducedChainComplex(from_maximal(REFERENCE_MAXIMAL), ZZ)
+        return ReducedChainComplex(SimplicialComplex.from_maximal(REFERENCE_MAXIMAL), ZZ)
 
     def test_round_trip(self):
         R = self.reference()
@@ -329,7 +327,7 @@ class TestClassCoordinates:
             R.class_of_cycle(1, [1, 0, 0, 0, 0])
 
     def test_torsion_coordinates_reduced(self):
-        R = ReducedChainComplex(from_maximal(RP2), ZZ)
+        R = ReducedChainComplex(SimplicialComplex.from_maximal(RP2), ZZ)
         ambient = R.ambient(1)
         assert ambient.torsion == (2,) and ambient.free_rank == 0
         g = dense(R.homology(1).torsion_generators[0], R.complex.n(1))

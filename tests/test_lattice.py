@@ -16,7 +16,7 @@ from fshom.lattice import (
     lattice_to_spec,
     parse_value,
 )
-from oracles import carrier, enumerate_fdl
+from oracles import carrier, enumerate_fdl, reference_parse_value
 from randgen import lattice_family
 
 
@@ -183,6 +183,45 @@ class TestParsing:
         for bad in ("w", "x &", "x | | y", "(x", "x)", "{x}", ""):
             with pytest.raises(LatticeError):
                 L.parse(bad)
+
+    def test_agrees_with_the_reference_parser(self):
+        """Seeded random token strings: the same value, or the same error
+        type and message, as recursive descent over a character scan. Names
+        "0" and "1" shadow the literals in the last three lattices."""
+        rng = random.Random(41)
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        lattices = lattice_family() + [
+            TotalOrder(("1", "mid", "0")),
+            fdl("0", "x"),
+            UpSetLattice(Poset(("1", "a", "0"), (("a", "1"), ("0", "a")))),
+        ]
+        for L in lattices:
+            names = [format_value(j) for j in L.join_irreducibles(L.top)] + \
+                list(getattr(L, "levels", ())) + list(getattr(L, "generators", ()))
+            if isinstance(L, UpSetLattice):
+                names += L.poset.elements
+            pool = names + ["0", "1", "w", "x1", "\u00e9"] + list("&|(){},") * 2
+            for _ in range(3000):
+                parts = []
+                for _ in range(rng.randint(0, 9)):
+                    token = rng.choice(pool) if rng.random() < 0.95 else chr(rng.randrange(0x110000))
+                    parts += [token, rng.choice(("", "", " ", rng.choice(spaces)))]
+                text = "".join(parts)
+                outcomes = []
+                for parse in (parse_value, reference_parse_value):
+                    try:
+                        outcomes.append(parse(text, L))
+                    except Exception as e:  # the error type and message are compared
+                        outcomes.append((type(e), str(e)))
+                assert outcomes[0] == outcomes[1], (L, text)
+
+    def test_nesting_limit(self):
+        L = fdl("x", "y")
+        for depth in (330, 1000):
+            assert L.parse("(" * depth + "x | y" + ")" * depth) == L.parse("x | y")
+        for depth in (1001, 100_000):
+            with pytest.raises(LatticeError, match="^expression nested too deeply to parse$"):
+                L.parse("(" * depth + "x" + ")" * depth)
 
     def test_cross_lattice_operations_rejected(self):
         a = fdl("x").parse("x")
