@@ -79,11 +79,11 @@ class FuzzySubcomplex:
         self._code = {s: coding.code(values[s]) for s in complex.all_simplices()}
 
     @classmethod
-    def _coded(cls, complex: SimplicialComplex, coding: ValueCoding, code_of) -> "FuzzySubcomplex":
-        """The subcomplex in which simplex s has code code_of(s), unchecked."""
+    def _coded(cls, complex: SimplicialComplex, coding: ValueCoding, codes: dict) -> "FuzzySubcomplex":
+        """The subcomplex that holds `codes`, {simplex: code} over the
+        complex's simplices in its order, unchecked and not copied."""
         mu = object.__new__(cls)
-        mu.complex, mu.lattice, mu.coding = complex, coding.lattice, coding
-        mu._code = {s: code_of(s) for s in complex.all_simplices()}
+        mu.complex, mu.lattice, mu.coding, mu._code = complex, coding.lattice, coding, codes
         return mu
 
     def code(self, s: Simplex) -> int:
@@ -115,7 +115,8 @@ class FuzzySubcomplex:
         sup = self.support()
         if sup.is_empty:
             raise FuzzyError("support is empty: every simplex has value 0")
-        return FuzzySubcomplex._coded(sup, self.coding, self._code.__getitem__)
+        code = self._code
+        return FuzzySubcomplex._coded(sup, self.coding, {s: code[s] for s in sup.all_simplices()})
 
     def __eq__(self, other):
         return (isinstance(other, FuzzySubcomplex)
@@ -127,25 +128,32 @@ class FuzzySubcomplex:
         return f"FuzzySubcomplex({self.complex!r} over {self.lattice!r})"
 
 
-def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -> FuzzySubcomplex:
+def complete_values(complex: SimplicialComplex, coding: ValueCoding, explicit) -> FuzzySubcomplex:
     """The fuzzy subcomplex that extends a partial assignment to all simplices.
 
-    Each simplex receives the join of every explicit value on itself and its
-    cofaces. This is the least face-monotone assignment dominating the
-    explicit one, so values may be given on maximal simplices only; a simplex
-    with no assigned coface gets 0. Values are joined as codes of the
-    subcomplex's own `ValueCoding`, each pair of distinct values once.
+    `explicit` maps simplices of the complex to codes of `coding`, which
+    becomes the subcomplex's coding. Each simplex receives the join of every
+    explicit value on itself and its cofaces. This is the least face-monotone
+    assignment dominating the explicit one, so values may be given on maximal
+    simplices only; a simplex with no assigned coface gets 0, which is coded
+    only when some simplex has no explicit value. Values are joined as codes,
+    each pair of distinct values once.
 
     >>> L, K = FreeDistributiveLattice(("x", "y")), SimplicialComplex.from_maximal([[0, 1], [2]])
-    >>> mu = complete_values(K, L, {Simplex((0, 1)): L.parse("x"), Simplex((1,)): L.parse("y")})
+    >>> coding = ValueCoding(L)
+    >>> x, y = coding.code(L.parse("x")), coding.code(L.parse("y"))
+    >>> mu = complete_values(K, coding, {Simplex((0, 1)): x, Simplex((1,)): y})
     >>> [format_value(mu.value(Simplex((v,)))) for v in (0, 1, 2)]
     ['x', 'x | y', '0']
     """
-    for s in explicit:
-        if s not in complex:
-            raise FuzzyError(f"value given for {s!r}, which is not in the complex")
-    coding = ValueCoding(lattice)
-    codes = {s: coding.code(explicit.get(s, lattice.bottom)) for s in complex.all_simplices()}
+    bottom = coding.code(coding.lattice.bottom) if len(explicit) < len(complex) else None
+    codes = dict.fromkeys(complex.all_simplices(), bottom)
+    codes.update(explicit)
+    # a key outside the complex grows the dict; only then are the keys walked to name it
+    if len(codes) != len(complex):
+        for s in explicit:
+            if s not in complex:
+                raise FuzzyError(f"value given for {s!r}, which is not in the complex")
     # every coface reaches a simplex through a chain of facets, so joining
     # each value into its facets from the top dimension down covers them all;
     # a value already below the facet's leaves it unchanged, so it is skipped
@@ -156,7 +164,7 @@ def complete_values(complex: SimplicialComplex, lattice: CdlLattice, explicit) -
                 f = codes[face]
                 if not coding.leq(c, f):
                     codes[face] = coding.join(f, c)
-    return FuzzySubcomplex._coded(complex, coding, codes.__getitem__)
+    return FuzzySubcomplex._coded(complex, coding, codes)
 
 
 def explicit_violations(explicit, lattice: CdlLattice) -> list:
@@ -198,7 +206,8 @@ def chromatic(K: SimplicialComplex, labels, palette) -> FuzzySubcomplex:
     coding = ValueCoding(lattice)
     # a simplex's value depends only on its set of colours
     meet = cache(lambda key: coding.code(lattice.meet(gen[c] for c in sorted(key))))
-    return FuzzySubcomplex._coded(K, coding, lambda s: meet(frozenset(map(color.__getitem__, s))))
+    return FuzzySubcomplex._coded(
+        K, coding, {s: meet(frozenset(map(color.__getitem__, s))) for s in K.all_simplices()})
 
 
 class ChromaticDataset(namedtuple("ChromaticDataset", "points labels")):
@@ -362,4 +371,4 @@ def from_filtration(poset: Poset, stages) -> FuzzySubcomplex:
     coding = ValueCoding(lattice)
     upset = cache(lambda minimal: coding.code(
         LatticeValue(lattice, frozenset().union(*map(poset.up, minimal)))))
-    return FuzzySubcomplex._coded(K, coding, lambda s: upset(tuple(new_at[s])))
+    return FuzzySubcomplex._coded(K, coding, {s: upset(tuple(new_at[s])) for s in K.all_simplices()})

@@ -54,7 +54,7 @@ homology module and no algorithm is provided, so construction is refused.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 # `kernel` and `solve` are unused here but stay bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
@@ -85,7 +85,8 @@ class FuzzyHomologyContext:
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._sweeps = {}
-        self._kappa_codes = [_meet_closure(self.mu, d) for d in range(self.reduced.top + 1)]
+        self._groups = [_value_groups(self.mu, d) for d in range(self.reduced.top + 1)]
+        self._kappa_codes = [_meet_closure(self.mu, groups) for groups in self._groups]
 
     # -- value sets ---------------------------------------------------
 
@@ -98,13 +99,18 @@ class FuzzyHomologyContext:
     # -- level submodules ----------------------------------------------
 
     def index_set(self, d: int, level: LatticeValue) -> tuple:
-        """0-based indices of d-simplices whose value does not dominate level (by code)."""
-        coding, lc = self.mu.coding, self.mu.coding.code(level)
+        """0-based indices of d-simplices whose value does not dominate level,
+        in ascending order: the union of the value groups of degree d whose
+        code is not above the level's."""
+        lc = self.mu.coding.code(level)
         if not 0 <= d <= self.reduced.top:
             return ()
-        fails = [not coding.leq(lc, c) for c in range(len(coding.values))]
-        codes = map(self.mu.code, self.mu.complex.simplices(d))
-        return tuple(i for i, c in enumerate(codes) if fails[c])
+        return tuple(sorted(self._failing(d, lc)))
+
+    def _failing(self, d: int, lc: int):
+        """The indices of the d-simplices whose code is not above code lc, group by group."""
+        leq = self.mu.coding.leq
+        return chain.from_iterable(g for c, g in self._groups[d].items() if not leq(lc, c))
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.
@@ -144,7 +150,7 @@ class FuzzyHomologyContext:
         n_U = len(iu)
         G = self.reduced.to_delta[d].column_block([*iu, *it, *if_])
         values = self.mu.coding.values
-        rows = {values[c]: frozenset(self.index_set(d, values[c])) for c in self._kappa_codes[d]}
+        rows = {values[c]: frozenset(self._failing(d, c)) for c in self._kappa_codes[d]}
         # greedy chain cover of the index sets under inclusion, smallest first
         pending = sorted(rows, key=lambda lv: len(rows[lv]))
         sweeps = {}
@@ -230,12 +236,20 @@ def _check_monotone(mu: FuzzySubcomplex) -> None:
                                                coding.values[code[s]]).message())
 
 
-def _meet_closure(mu, d) -> list:
-    """The codes of the meet-closure of the non-zero values of the d-simplices
-    plus 1, in value-text order; each meet is formed once per pair of codes
-    of mu's coding."""
+def _value_groups(mu, d) -> dict:
+    """Code -> the ascending indices of the d-simplices with that code."""
+    groups = {}
+    for i, c in enumerate(map(mu._code.__getitem__, mu.complex.simplices(d))):
+        groups.setdefault(c, []).append(i)
+    return groups
+
+
+def _meet_closure(mu, groups) -> list:
+    """The codes of the meet-closure of the non-zero codes among `groups`
+    (those of one degree) plus 1, in value-text order; each meet is formed
+    once per pair of codes of mu's coding."""
     coding, bottom = mu.coding, mu.lattice.bottom
-    seed = {c for c in set(map(mu.code, mu.complex.simplices(d))) if coding.values[c] != bottom}
+    seed = {c for c in groups if coding.values[c] != bottom}
     seed.add(coding.code(mu.lattice.top))
     closed, frontier = set(seed), set(seed)
     while frontier:

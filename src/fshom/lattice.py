@@ -222,7 +222,11 @@ class FreeDistributiveLattice(CdlLattice):
         return LatticeValue(self, frozenset([frozenset([name])])) if name in self.generators else None
 
     def generator(self, name) -> LatticeValue:
-        return self._atom(str(name))
+        """The generator of that name (the literals 0 and 1 only when they are generators)."""
+        value = self._name(str(name))
+        if value is None:
+            raise LatticeError(f"unknown generator {str(name)!r}")
+        return value
 
 
 class Poset:
@@ -317,15 +321,17 @@ class UpSetLattice(CdlLattice):
         return LatticeValue(self, self.poset.up(name)) if name in self.poset.elements else None
 
     def value_from_set(self, names) -> LatticeValue:
-        members = frozenset(str(x) for x in names)
+        """The up-set of the named elements; the first bad name, in the order
+        given, is the one an error names."""
+        members = dict.fromkeys(str(x) for x in names)
         for x in members:
             if x not in self.poset.elements:
                 raise LatticeError(f"unknown poset element {x!r}")
-            missing = self.poset.up(x) - members
+            missing = self.poset.up(x).difference(members)
             if missing:
                 raise LatticeError(
                     f"set is not upward closed: contains {x!r} but not {sorted(missing)!r}")
-        return LatticeValue(self, members)
+        return LatticeValue(self, frozenset(members))
 
 
 def format_value(v: LatticeValue) -> str:

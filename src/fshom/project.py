@@ -13,11 +13,18 @@ coefficient ring. Complex sources:
   simplices (no complex is built per stage), and `from_filtration` builds
   one complex, for their union.
 
-Loading normalizes everything to (lattice, complex, fuzzy subcomplex); the
-monotonicity violations of explicit mu values are listed for reporting when
-the completion moves one. A mu entry whose simplex is a sorted list of ints
-is read off the complex in one lookup; any other entry is parsed by
-`Simplex`, so a malformed one keeps its message. A mu value must be a string.
+Loading normalizes everything to (lattice, complex, fuzzy subcomplex). A
+complex source is read in bulk passes: the maximal list and the mu list are
+each checked once at C level (entry and vertex types, vertex ranges, the mu
+simplices looked up in the complex as vertex tuples, no repeats), each
+distinct mu value text is parsed and coded once into the subcomplex's
+`ValueCoding`, and `complete_values` takes the codes, so a load makes one
+`code` call per distinct value. A list that fails a bulk check is walked
+again entry by entry, only to name its first bad entry with the message of
+that entry, or to read a valid entry in another form (say, unsorted
+vertices). A mu value must be a string. The monotonicity violations of
+explicit mu values are listed for reporting only when the completion moves
+one.
 
 `dump_json` writes every project and CLI report: it gives the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)` without the standard library's
@@ -30,14 +37,16 @@ import csv
 import json
 import os
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .exact import ZZ, format_ring, parse_ring
 from .fuzzy import (
     ChromaticDataset,
     FuzzyError,
     FuzzySubcomplex,
+    ValueCoding,
     complete_values,
     explicit_violations,
     from_filtration,
@@ -110,36 +119,60 @@ def _stage_faces(p, maximal, closures) -> frozenset:
     return frozenset(faces)
 
 
-def _load_mu_entries(entries, complex, lattice):
-    explicit = {}
-    parsed = {}  # value text -> value: each distinct text is parsed once
+def _load_mu_entries(entries, complex, coding) -> dict:
+    """The explicit mu entries as {simplex: code of `coding`}, each distinct
+    value text parsed and coded once, in order of first appearance.
+
+    The whole list is checked in bulk passes: every entry a dict with
+    'simplex' and 'value', every simplex a list of ints found in the complex
+    (as a sorted tuple) and none repeated, every value a string that parses.
+    Any other list is walked entry by entry, which names the first bad entry
+    and reads what is valid but not in that form (say, unsorted vertices)."""
     _require(isinstance(entries, list), "'mu' must be a list of {simplex, value} objects")
+    if {*map(type, entries)} <= {dict} and all(map(dict.__contains__, entries, repeat("simplex"))) \
+            and all(map(dict.__contains__, entries, repeat("value"))):
+        simplices = [*map(itemgetter("simplex"), entries)]
+        texts = [*map(itemgetter("value"), entries)]
+        # bool and float vertices would compare equal to ints, so the type test is exact
+        if ({*map(type, simplices)} <= {list} and {*map(type, chain.from_iterable(simplices))} <= {int}
+                and {*map(type, texts)} <= {str}):
+            found = [*map(complex.get, map(tuple, simplices))]
+            if None not in found and len(set(found)) == len(found):
+                lattice = coding.lattice
+                try:
+                    code = {t: coding.code(parse_value(t, lattice)) for t in dict.fromkeys(texts)}
+                except LatticeError:
+                    pass
+                else:
+                    return dict(zip(found, map(code.__getitem__, texts)))
+    return _walk_mu_entries(entries, complex, coding)
+
+
+def _walk_mu_entries(entries, complex, coding) -> dict:
+    """`_load_mu_entries` entry by entry: the first bad entry is a
+    ProjectError naming its index, and a valid entry in any form is read."""
+    explicit = {}
+    code = {}  # value text -> code: each distinct text is parsed once
     for i, entry in enumerate(entries):
         _require(isinstance(entry, dict) and "simplex" in entry and "value" in entry,
                  f"mu entry {i} must have 'simplex' and 'value'")
         vertices, text = entry["simplex"], entry["value"]
-        # a sorted list of ints is looked up as a tuple in one step; bool and
-        # float vertices would compare equal to ints, so they go to Simplex()
-        s = (complex.get(tuple(vertices))
-             if type(vertices) is list and {*map(type, vertices)} == {int} else None)
-        if s is None:
-            try:
-                s = Simplex(vertices)
-            except (ValueError, TypeError) as e:
-                raise ProjectError(f"mu entry {i}: {e}") from None
-            # messages that name the simplex are formatted only on failure
-            if s not in complex:
-                raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
+        try:
+            s = Simplex(vertices)
+        except (ValueError, TypeError) as e:
+            raise ProjectError(f"mu entry {i}: {e}") from None
+        if s not in complex:
+            raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
         if s in explicit:
             raise ProjectError(f"mu entry {i}: duplicate value for {s!r}")
         if not isinstance(text, str):
             raise ProjectError(f"mu entry {i}: value must be a string")
-        if text not in parsed:
+        if text not in code:
             try:
-                parsed[text] = parse_value(text, lattice)
+                code[text] = coding.code(parse_value(text, coding.lattice))
             except LatticeError as e:
                 raise ProjectError(f"mu entry {i}: {e}") from None
-        explicit[s] = parsed[text]
+        explicit[s] = code[text]
     return explicit
 
 
@@ -188,13 +221,15 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         except LatticeError as e:
             raise ProjectError(f"bad lattice: {e}") from None
         complex = _load_complex_spec(data["complex"])
-        explicit = (_load_mu_entries(data.get("mu", []), complex, lattice)
-                    or {s: lattice.top for s in complex.all_simplices()})
-        mu = complete_values(complex, lattice, explicit)
+        coding = ValueCoding(lattice)
+        explicit = (_load_mu_entries(data.get("mu", []), complex, coding)
+                    or dict.fromkeys(complex.all_simplices(), coding.code(lattice.top)))
+        mu = complete_values(complex, coding, explicit)
         # an explicit f completes to v_f joined with the values of its explicit
         # cofaces, so it moves exactly when one of those is not below v_f
-        if any(mu.code(s) != mu.coding.code(v) for s, v in explicit.items()):
-            violations = explicit_violations(explicit, lattice)
+        if not explicit.items() <= mu._code.items():
+            violations = explicit_violations(
+                {s: coding.values[c] for s, c in explicit.items()}, lattice)
     elif source == "chromatic":
         _require("lattice" not in data and "mu" not in data,
                  "chromatic projects derive the lattice and values from the labels")

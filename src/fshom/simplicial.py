@@ -10,15 +10,17 @@ A `Simplex` is its sorted vertex tuple: a `tuple` subclass, equal to that
 tuple and hashed, ordered and searched (`in`) like it. `Simplex(vertices)`
 validates and sorts its input. `Simplex._sorted(t)` wraps a tuple known to be
 a valid simplex (strictly increasing non-negative ints) without checking it
-again; faces, boundaries, the `from_maximal` closure and the Rips cliques are
-built that way, as sub-tuples of a valid simplex and cliques grown in
-increasing vertex order are valid by construction. Where a face is only looked
+again, in one C-level call (`tuple.__new__` bound to `Simplex`); faces,
+boundaries, the `from_maximal` closure, the Rips cliques and the filtration
+union are built that way, as sub-tuples of a valid simplex and cliques grown
+in increasing vertex order are valid by construction. Where a face is only looked
 up (the face-closure check, `maximal_simplices`, `boundary_columns`), it stays
 the plain tuple that `itertools.combinations` yields.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, combinations, repeat
 
 
@@ -39,11 +41,6 @@ class Simplex(tuple):
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate vertices in {vs}")
         return tuple.__new__(cls, sorted(int(v) for v in vs))
-
-    @classmethod
-    def _sorted(cls, vertices: tuple) -> "Simplex":
-        """Wrap a strictly increasing tuple of non-negative ints, unchecked."""
-        return tuple.__new__(cls, vertices)
 
     @property
     def vertices(self) -> tuple:
@@ -69,6 +66,10 @@ class Simplex(tuple):
 
     def __repr__(self):
         return "<" + ",".join(map(str, self)) + ">"
+
+
+# wraps a strictly increasing tuple of non-negative ints, unchecked
+Simplex._sorted = partial(tuple.__new__, Simplex)
 
 
 def _facets(simplices, d: int):
@@ -114,6 +115,10 @@ class SimplicialComplex:
     def from_maximal(cls, simplices) -> "SimplicialComplex":
         """Downward closure of the given simplices.
 
+        When every entry is a list of ints, the vertex checks run once per
+        list at C level; any other input, or a list that fails them, is
+        parsed by `Simplex`, which names the first bad entry.
+
         >>> K = SimplicialComplex.from_maximal([[0, 1, 2, 3]])
         >>> [K.n(d) for d in range(4)]
         [4, 6, 4, 1]
@@ -121,11 +126,16 @@ class SimplicialComplex:
         listed = list(simplices)
         if not listed:
             raise ValueError("at least one simplex is required")
+        # bool and float vertices compare equal to ints, so the type test is exact
+        if ({*map(type, listed)} == {list} and {*map(type, chain.from_iterable(listed))} == {int}
+                and all(listed) and min(chain.from_iterable(listed)) >= 0
+                and [*map(len, listed)] == [*map(len, map(set, listed))]):
+            valid = [*map(tuple, map(sorted, listed))]
+        else:
+            valid = [vs if isinstance(vs, Simplex) else Simplex(vs) for vs in listed]
         closure = set()
-        for vs in listed:
-            s = vs if isinstance(vs, Simplex) else Simplex(vs)
-            for k in range(1, len(s) + 1):
-                closure.update(combinations(s, k))
+        for k in range(1, max(map(len, valid)) + 1):
+            closure.update(chain.from_iterable(map(combinations, valid, repeat(k))))
         return cls(map(Simplex._sorted, closure))
 
     @property

@@ -8,8 +8,10 @@ from fshom.fuzzy import FuzzyError, FuzzySubcomplex, Violation
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import (
     FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, UpSetLattice, format_value,
+    parse_value,
 )
 from fshom.modules import SubmoduleOfHomology
+from fshom.project import ProjectError
 from fshom.simplicial import Simplex, SimplicialComplex
 
 DEFAULT_BRUTE_FORCE_CAP = 1 << 20
@@ -301,6 +303,15 @@ def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
     return ctx.lattice.join(best)
 
 
+def per_simplex_index_set(ctx, d, level) -> tuple:
+    """0-based indices of the d-simplices whose value does not dominate the
+    level, asked of the lattice simplex by simplex."""
+    if not 0 <= d <= ctx.reduced.top:
+        return ()
+    leq, value = ctx.lattice.leq, ctx.mu.value
+    return tuple(i for i, s in enumerate(ctx.mu.complex.simplices(d)) if not leq(level, value(s)))
+
+
 def kernel_hdl_submodule(ctx, d, level):
     """H_d(level) level by level: the kernel of (U_d | T_d | F_d) restricted
     to the rows of the index set, from the columns of Q past the rank of its
@@ -309,7 +320,7 @@ def kernel_hdl_submodule(ctx, d, level):
     if not 0 <= d <= ctx.reduced.top:
         return SubmoduleOfHomology(ambient, [])
     iu, it, _, if_ = ctx.reduced.block_indices(d)
-    restricted = ctx.reduced.to_delta[d].take_rows(ctx.index_set(d, level))
+    restricted = ctx.reduced.to_delta[d].take_rows(per_simplex_index_set(ctx, d, level))
     G = restricted.column_block([*iu, *it, *if_])
     s = snf(G)
     return SubmoduleOfHomology(ambient, [dense(s.Q.by_cols[j], G.cols)[len(iu):]
@@ -331,6 +342,49 @@ def boundary_walk_closure_error(simplices):
                 if face not in pool:
                     return f"complex is not face-closed: missing {face!r} of {s!r}"
     return None
+
+
+def walk_from_maximal(simplices) -> SimplicialComplex:
+    """`SimplicialComplex.from_maximal` entry by entry: every entry is
+    parsed by `Simplex`, which names the first bad one."""
+    listed = list(simplices)
+    if not listed:
+        raise ValueError("at least one simplex is required")
+    closure = set()
+    for vs in listed:
+        s = vs if isinstance(vs, Simplex) else Simplex(vs)
+        for k in range(1, len(s) + 1):
+            closure.update(combinations(s, k))
+    return SimplicialComplex(map(Simplex._sorted, closure))
+
+
+def walk_mu_entries(entries, complex, lattice) -> dict:
+    """A project's mu entries as {simplex: value}, entry by entry; the first
+    bad entry is the ProjectError that `fshom.project.load_project` raises."""
+    explicit, parsed = {}, {}
+    if not isinstance(entries, list):
+        raise ProjectError("'mu' must be a list of {simplex, value} objects")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "simplex" in entry and "value" in entry):
+            raise ProjectError(f"mu entry {i} must have 'simplex' and 'value'")
+        vertices, text = entry["simplex"], entry["value"]
+        try:
+            s = Simplex(vertices)
+        except (ValueError, TypeError) as e:
+            raise ProjectError(f"mu entry {i}: {e}") from None
+        if s not in complex:
+            raise ProjectError(f"mu entry {i}: {s!r} is not in the complex")
+        if s in explicit:
+            raise ProjectError(f"mu entry {i}: duplicate value for {s!r}")
+        if not isinstance(text, str):
+            raise ProjectError(f"mu entry {i}: value must be a string")
+        if text not in parsed:
+            try:
+                parsed[text] = parse_value(text, lattice)
+            except LatticeError as e:
+                raise ProjectError(f"mu entry {i}: {e}") from None
+        explicit[s] = parsed[text]
+    return explicit
 
 
 def pairwise_complete_values(complex, lattice, explicit):

@@ -3,7 +3,7 @@
 import random
 from itertools import combinations
 
-from fshom.fuzzy import FuzzySubcomplex, complete_values
+from fshom.fuzzy import FuzzySubcomplex, ValueCoding, complete_values
 from fshom.lattice import FreeDistributiveLattice, TotalOrder
 from fshom.simplicial import SimplicialComplex
 from oracles import carrier, enumerate_fdl
@@ -82,7 +82,13 @@ def random_mu(rng: random.Random, K: SimplicialComplex, lattice,
     if not allow_zero:
         elements = [v for v in elements if v != lattice.join(())]
     raw = {s: rng.choice(elements) for s in K.all_simplices()}
-    return complete_values(K, lattice, raw)
+    return complete(K, lattice, raw)
+
+
+def complete(K: SimplicialComplex, lattice, explicit) -> FuzzySubcomplex:
+    """`complete_values` of a {simplex: value} assignment, coded by a new coding."""
+    coding = ValueCoding(lattice)
+    return complete_values(K, coding, {s: coding.code(v) for s, v in explicit.items()})
 
 
 def random_value(rng: random.Random, elements):

@@ -10,8 +10,8 @@ from fshom.fuzzy import (
     ChromaticDataset,
     FuzzyError,
     FuzzySubcomplex,
+    ValueCoding,
     chromatic,
-    complete_values,
     explicit_violations,
     from_filtration,
     vietoris_rips,
@@ -28,7 +28,7 @@ from fshom.simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
 from oracles import (
     carrier, pairwise_complete_values, pairwise_explicit_violations, pairwise_vietoris_rips,
 )
-from randgen import lattice_family, random_complex
+from randgen import complete, lattice_family, random_complex
 
 
 def fdl2():
@@ -99,7 +99,7 @@ class TestValidation:
             simplices = list(K.all_simplices())
             explicit = {s: rng.choice(elements)
                         for s in rng.sample(simplices, rng.randint(0, len(simplices)))}
-            values = complete_values(K, lattice, explicit)
+            values = complete(K, lattice, explicit)
             expected = pairwise_complete_values(K, lattice, explicit)
             assert list(values.items()) == list(expected.items())
             bad = explicit_violations(explicit, lattice)
@@ -122,7 +122,7 @@ class TestValidation:
             for explicit in (
                     {s: monotone[s] for s in rng.sample(simplices, len(simplices) // 3)},
                     {s: rng.choice(elements) for s in rng.sample(simplices, len(simplices) // 4)}):
-                values = complete_values(K, lattice, explicit)
+                values = complete(K, lattice, explicit)
                 expected = pairwise_complete_values(K, lattice, explicit)
                 assert list(values.items()) == list(expected.items())
                 bad = explicit_violations(explicit, lattice)
@@ -140,8 +140,9 @@ class TestValidation:
         for s in K.all_simplices():
             with pytest.raises(LatticeError):
                 FuzzySubcomplex(K, L, {**values, s: foreign})
+            # complete_values takes codes: the coding is what refuses the value
             with pytest.raises(LatticeError):
-                complete_values(K, L, {**values, s: foreign})
+                ValueCoding(L).code(foreign)
 
     def test_values_are_held_as_codes_of_the_distinct_values(self, reference_mu):
         coding = reference_mu.coding
@@ -213,7 +214,7 @@ class TestCompletion:
     def test_join_of_cofaces(self):
         L = fdl2()
         K = SimplicialComplex.from_maximal([[0, 1, 2], [3]])
-        full = complete_values(K, L, {
+        full = complete(K, L, {
             Simplex((0, 1, 2)): L.parse("x & y"),
             Simplex((3,)): L.parse("y"),
         })
@@ -223,7 +224,7 @@ class TestCompletion:
     def test_explicit_values_joined_in(self):
         L = fdl2()
         K = SimplicialComplex.from_maximal([[0, 1]])
-        full = complete_values(K, L, {
+        full = complete(K, L, {
             Simplex((0,)): L.parse("x"),
             Simplex((0, 1)): L.parse("y"),
         })
@@ -235,7 +236,7 @@ class TestCompletion:
         L = fdl2()
         K = SimplicialComplex.from_maximal([[0, 1]])
         with pytest.raises(FuzzyError):
-            complete_values(K, L, {Simplex((5,)): L.parse("x")})
+            complete(K, L, {Simplex((5,)): L.parse("x")})
 
 
 class TestChromatic:

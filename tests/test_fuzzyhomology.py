@@ -22,6 +22,7 @@ from fshom.simplicial import Simplex, SimplicialComplex
 from fshom.modules import SubmoduleOfHomology
 from oracles import (
     brute_force_eta, carrier, delta_value_set, dense, kappa, kernel_hdl_submodule,
+    per_simplex_index_set,
 )
 from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
 
@@ -74,6 +75,18 @@ class TestChainValues:
         assert ctx.index_set(0, L.parse("x & y")) == ()
         assert ctx.index_set(0, L.parse("1")) == (0, 1, 2, 3, 4)
         assert ctx.index_set(0, L.parse("y")) == (0, 1, 3)
+
+    def test_index_sets_by_value_group_match_the_per_simplex_definition(self):
+        """Seeded subcomplexes of every lattice family, at every level of the
+        lattice and in every degree (and one past the top)."""
+        rng = random.Random(31)
+        for _ in range(40):
+            lattice = rng.choice(lattice_family())
+            K = random_complex(rng, max_vertices=8, max_dim=3, per_dim_cap=20)
+            ctx = FuzzyHomologyContext(random_mu(rng, K, lattice), ZZ)
+            for level in carrier(lattice):
+                for d in range(ctx.reduced.top + 2):
+                    assert ctx.index_set(d, level) == per_simplex_index_set(ctx, d, level)
 
 
 class TestEtaValues:

@@ -1,7 +1,10 @@
 """Lattice values: orders, free distributive lattices, up-set lattices, parsing."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,15 @@ class TestFreeDistributiveLattice:
         with pytest.raises(LatticeError):
             fdl("x", "x")
 
+    def test_generator_accepts_only_generators(self):
+        L = fdl("x")
+        for name in ("0", "1", "y", "xy"):
+            with pytest.raises(LatticeError, match=f"unknown generator '{name}'"):
+                L.generator(name)
+        L = fdl("0", "1")
+        assert [format_value(L.generator(name)) for name in ("0", "1")] == ["0", "1"]
+        assert L.generator("0") not in (L.bottom, L.top) and L.generator(1) == L.parse("1")
+
 
 class TestUpSetLattice:
     def diamond(self):
@@ -117,6 +129,27 @@ class TestUpSetLattice:
             U.parse("{b}")
         with pytest.raises(LatticeError):
             U.value_from_set(("a",))
+
+    def test_set_errors_name_the_first_bad_name_under_every_hash_seed(self):
+        """Each of p, q, r and s lacks t, and none is known to the second
+        lattice: the error names 'p', the first name written, whatever order
+        a set of the names iterates in."""
+        code = ("from fshom.lattice import *\n"
+                "for U in (UpSetLattice(Poset('pqrst', [(x, 't') for x in 'pqrs'])),\n"
+                "          UpSetLattice(Poset('a', []))):\n"
+                "    try:\n"
+                "        parse_value('{p,q,r,s}', U)\n"
+                "    except LatticeError as e:\n"
+                "        print(e)\n")
+        src = os.path.dirname(os.path.dirname(sys.modules["fshom.lattice"].__file__))
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"set is not upward closed: contains 'p' but not ['t']\n"
+                           "unknown poset element 'p'\n"}
 
     def test_name_means_principal_filter(self):
         U = self.diamond()

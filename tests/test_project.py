@@ -1,5 +1,6 @@
 """Project file loading: sources, rings, derived lattices, normalization."""
 
+import copy
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import fshom.project
 from fshom.cli import main
 from fshom.exact import ZZ
 from fshom.fuzzy import ChromaticDataset, vietoris_rips
-from fshom.lattice import CdlLattice, format_value, lattice_to_spec, parse_value
+from fshom.lattice import CdlLattice, format_value, lattice_from_spec, lattice_to_spec, parse_value
 from fshom.project import (
     ProjectError,
     dump_json,
@@ -22,7 +23,10 @@ from fshom.project import (
     read_chromatic_csv,
 )
 from fshom.simplicial import Simplex
-from oracles import carrier, pairwise_complete_values, pairwise_explicit_violations
+from oracles import (
+    carrier, pairwise_complete_values, pairwise_explicit_violations, walk_from_maximal,
+    walk_mu_entries,
+)
 from randgen import lattice_family
 
 
@@ -213,8 +217,9 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_load_compares_each_pair_of_distinct_values_once(tmp_path, monkeypatch):
     """Loading the benchmark's 130-point 3-colour chromatic project (seed 0)
-    makes at most k^2 lattice comparisons, k the number of distinct values:
-    they are bounded by value pairs, not by the face pairs of the complex."""
+    makes at most k^2 lattice comparisons and k + 2 `ValueCoding.code`
+    calls, k the number of distinct values: they are bounded by the values,
+    not by the faces or face pairs of the complex."""
     monkeypatch.syspath_prepend(BENCH)  # bench/inputs.py imports its sibling gen.py
     import inputs
 
@@ -224,13 +229,23 @@ def test_load_compares_each_pair_of_distinct_values_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["build-chromatic", "ingest.csv", "--radius", "5", "--max-dim", "2",
                  "--out", "ingest.json"]) == 0
-    calls = []
+    calls, code_calls = [], []
     leq = CdlLattice.leq
     monkeypatch.setattr(CdlLattice, "leq", lambda self, a, b: calls.append(1) or leq(self, a, b))
+
+    class CountedCoding(fshom.fuzzy.ValueCoding):
+        def __init__(self, lattice):
+            super().__init__(lattice)
+            code = self.code
+            self.code = lambda v: code_calls.append(1) or code(v)
+
+    monkeypatch.setattr(fshom.project, "ValueCoding", CountedCoding)
     project = load_project_file("ingest.json")
     k = len({v for _, v in project.mu.items()})
     assert len(project.complex) > 800 and project.is_valid
     assert 0 < len(calls) <= k * k, (len(calls), k)
+    # the mu values arrive as codes: each distinct text is coded once
+    assert 0 < len(code_calls) <= k + 2, (len(code_calls), k)
 
 
 def test_load_completes_once_and_lists_violations_only_on_failure(monkeypatch):
@@ -249,6 +264,8 @@ def test_load_completes_once_and_lists_violations_only_on_failure(monkeypatch):
             super().__init__(lattice)
 
     listed = fshom.project.explicit_violations
+    # the load builds its coding in fshom.project; the listing builds its own in fshom.fuzzy
+    monkeypatch.setattr(fshom.project, "ValueCoding", CountedCoding)
     monkeypatch.setattr(fshom.fuzzy, "ValueCoding", CountedCoding)
     monkeypatch.setattr(fshom.project, "explicit_violations",
                         lambda *a: listings.append(1) or listed(*a))
@@ -288,3 +305,112 @@ def test_load_completes_once_and_lists_violations_only_on_failure(monkeypatch):
             assert len(listings) == (1 if expected else 0) and len(codings) == 1 + len(listings)
             seen_violations = seen_violations or bool(expected)
     assert seen_violations
+
+
+def walk_load(data):
+    """A complex-source project loaded by the entry-by-entry walks and the
+    pairwise definitions: (complex, completed values, violations), or the
+    ProjectError that names its first bad entry."""
+    lattice = lattice_from_spec(data["lattice"])
+    try:
+        K = walk_from_maximal(data["complex"]["maximal"])
+    except (ValueError, TypeError) as e:
+        raise ProjectError(f"bad complex: {e}") from None
+    given = walk_mu_entries(data["mu"], K, lattice) or {s: lattice.top for s in K.all_simplices()}
+    return K, pairwise_complete_values(K, lattice, given), pairwise_explicit_violations(given, lattice)
+
+
+# faults of one mu entry, made in place at index i
+ENTRY_FAULTS = ("not-a-dict", "no-simplex", "no-value", "bool-vertex", "float-vertex",
+                "negative-vertex", "unsorted", "repeated-vertex", "empty-simplex",
+                "not-in-complex", "duplicate", "non-string-value", "unparsable-value")
+# faults of one maximal simplex, made in place at index i
+MAXIMAL_FAULTS = ("bool-vertex", "float-vertex", "negative-vertex", "unsorted",
+                  "repeated-vertex", "empty-simplex", "not-a-list")
+
+
+def fault_entry(rng, entries, i, fault):
+    entry = entries[i]
+    simplex = entry["simplex"]
+    j = rng.randrange(len(simplex))
+    if fault == "not-a-dict":
+        entries[i] = [simplex, entry["value"]]
+    elif fault == "no-simplex":
+        del entry["simplex"]
+    elif fault == "no-value":
+        del entry["value"]
+    elif fault == "bool-vertex":
+        simplex[j] = bool(simplex[j] % 2)
+    elif fault == "float-vertex":
+        simplex[j] = float(simplex[j])
+    elif fault == "negative-vertex":
+        simplex[j] = -1 - simplex[j]
+    elif fault == "unsorted":
+        simplex.reverse()
+    elif fault == "repeated-vertex":
+        simplex.append(simplex[j])
+    elif fault == "empty-simplex":
+        simplex.clear()
+    elif fault == "not-in-complex":
+        simplex[j] = 1000
+    elif fault == "duplicate":
+        other = entries[rng.choice([k for k in range(len(entries)) if k != i])]
+        if isinstance(other, dict) and "simplex" in other:
+            entry["simplex"] = list(other["simplex"])
+    elif fault == "non-string-value":
+        entry["value"] = rng.choice([1, None, ["x"], True])
+    else:
+        entry["value"] = rng.choice(["(", "nope", "", "x &"])
+
+
+def fault_maximal(rng, maximal, i, fault):
+    simplex = maximal[i]
+    j = rng.randrange(len(simplex))
+    if fault == "not-a-list":
+        maximal[i] = rng.choice([3, "01", None])
+    else:
+        fault_entry(rng, [{"simplex": simplex, "value": ""}], 0, fault)
+
+
+def test_bulk_load_agrees_with_the_entry_walk():
+    """Seeded projects on a small Rips complex, for every lattice family,
+    each valid or with one or two faults of the mu list or of the maximal
+    list: `load_project` raises the walk's first message, and on valid input
+    gives the walk's complex, values (in order) and violations."""
+    rng = random.Random(47)
+    points = tuple((rng.randint(0, 12), rng.randint(0, 12)) for _ in range(24))
+    K, _ = vietoris_rips(ChromaticDataset(points, ("a",) * 24), 4, 2)
+    simplices = list(K.all_simplices())
+    outcomes = {True: 0, False: 0}
+    for trial in range(400):
+        lattice = lattice_family()[trial % len(lattice_family())]
+        elements = list(carrier(lattice))
+        data = {"lattice": lattice_to_spec(lattice),
+                "complex": {"maximal": [list(s) for s in K.maximal_simplices()]},
+                "mu": [{"simplex": list(s), "value": format_value(rng.choice(elements))}
+                       for s in rng.sample(simplices, rng.randint(2, len(simplices)))]}
+        kind = trial % 4  # valid, one mu fault, two mu faults, one maximal fault
+        entries, maximal = data["mu"], data["complex"]["maximal"]
+        if kind == 1 and trial % 20 == 1:
+            data["mu"] = rng.choice([{"simplex": [0], "value": "1"}, "x", None])
+        elif kind in (1, 2):
+            at = sorted(rng.sample(range(len(entries)), kind))
+            for i in reversed(at):
+                fault_entry(rng, entries, i, rng.choice(ENTRY_FAULTS))
+        elif kind == 3:
+            fault_maximal(rng, maximal, rng.randrange(len(maximal)), rng.choice(MAXIMAL_FAULTS))
+        try:
+            expected = walk_load(copy.deepcopy(data))
+        except ProjectError as e:
+            with pytest.raises(ProjectError) as exc:
+                load_project(data)
+            assert str(exc.value) == str(e), data
+            outcomes[False] += 1
+            continue
+        p = load_project(data)
+        complex_, values, violations = expected
+        assert p.complex == complex_
+        assert list(p.mu.items()) == list(values.items())
+        assert p.violations == violations
+        outcomes[True] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 150, outcomes

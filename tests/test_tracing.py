@@ -191,3 +191,20 @@ def test_eta_of_a_class_tests_each_level_once(fixture_path, capsys, reference_mu
                        "--class", cls)
     capsys.readouterr()
     assert names.count("modules.member") == len(levels)
+
+
+def test_load_phases_keep_their_spans(tmp_path, monkeypatch, capsys):
+    """`build-chromatic` then `validate` of the project it writes record the
+    spans that the benchmark's per-layer load metrics read, so a faster load
+    cannot hide its work from them."""
+    rng = random.Random(3)
+    rows = ["x,y,label"] + [f"{rng.randint(0, 12)},{rng.randint(0, 12)},{rng.choice('abc')}"
+                            for _ in range(30)]
+    (tmp_path / "cloud.csv").write_text("\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    built = traced_cli("build-chromatic", "cloud.csv", "--radius", "4", "--max-dim", "2",
+                       "--out", "cloud.json")
+    validated = traced_cli("validate", "cloud.json")
+    capsys.readouterr()
+    assert {"fuzzy.rips", "simplicial.build", "project.export"} <= set(built)
+    assert {"project.load", "simplicial.build", "fuzzy.complete_values"} <= set(validated)
