@@ -15,8 +15,11 @@ dense loops with the same pivot rule and order of operations.
 
 The elimination step of the Smith reduction is written once, on one side of
 D (`_Side`): the row side carries P and P_inv, the column side Q and Q_inv,
-and `snf` clears each pivot through both sides until neither swaps. The
-README's "Performance" section gives measured times and their hardware.
+and `snf` clears each pivot through both sides until neither swaps. A
+caller names the transforms it reads (`snf(A, keep=...)`), and only those
+are updated during the elimination; an unkept one is rebuilt by a second
+elimination if it is ever read. The README's "Performance" section gives
+measured times and their hardware.
 
 A ring element is a canonical int (`ring.of(x) == x`), computed with int
 arithmetic and reduced once by `ring.of`; a ring carries only what differs
@@ -264,15 +267,23 @@ class ExactMatrix:
         return cls(ring, rows, cols, by_rows=[{} for _ in range(rows)],
                    by_cols=[{} for _ in range(cols)])
 
+    # Only a `_DeferredTransform` holds neither view; its first read fills one.
+
     @property
     def by_rows(self) -> tuple:
         if self._by_rows is None:
+            if self._by_cols is None:
+                self._rebuild()
+                return self.by_rows
             self._by_rows = _transpose(self._by_cols, self.rows)
         return self._by_rows
 
     @property
     def by_cols(self) -> tuple:
         if self._by_cols is None:
+            if self._by_rows is None:
+                self._rebuild()
+                return self.by_cols
             self._by_cols = _transpose(self._by_rows, self.cols)
         return self._by_cols
 
@@ -347,16 +358,19 @@ def _line_products(ring, lines, factor) -> list:
     products sum_k line[k] * factor[k], keeping non-zero entries only.
 
     Entries are ints in both rings, so each sum is taken over the integers
-    and reduced into the ring once.
+    and, over Z/p, reduced mod p once.
     """
-    of = ring.of
+    p = ring.p if ring.is_field else 0
     out = []
     for line in lines:
         acc = {}
         for k, b in line.items():
             for i, a in factor[k].items():
                 acc[i] = acc.get(i, 0) + b * a
-        out.append({i: y for i, x in acc.items() if (y := of(x))})
+        if p:
+            out.append({i: y for i, x in acc.items() if (y := x % p)})
+        else:
+            out.append({i: x for i, x in acc.items() if x})
     return out
 
 
@@ -364,8 +378,11 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "ring P P_inv Q Q_inv 
     """P @ A @ Q == D with D diagonal, d_1 | d_2 | ... | d_rank.
 
     P, Q, their exact inverses P_inv, Q_inv and D are ExactMatrix over
-    `ring`; the inverses are carried along because the homology reduction
-    consumes them directly. rank is an int, invariant_factors a tuple.
+    `ring`; the inverses are there because the homology reduction consumes
+    them directly. rank is an int, invariant_factors a tuple. A transform
+    that `snf` was not asked to keep is a `_DeferredTransform`: it reads
+    the same as a kept one, at the cost of one more elimination of A on
+    first read.
     """
 
     __slots__ = ()
@@ -403,16 +420,16 @@ class _Side:
     same two views of D the other way round, Q by columns and Q_inv by rows.
     An operation on lines of D acts on the same lines of T, and inverted on
     lines of T_inv, so P @ A @ Q == D and the inverse pairs stay exact at
-    every step. Each operation touches only the non-zeros of the lines it
-    combines.
+    every step. A transform that is not kept is None and costs nothing.
+    Each operation touches only the non-zeros of the lines it combines.
     """
 
-    def __init__(self, ring, lines: list, mirror: list):
+    def __init__(self, ring, lines: list, mirror: list, keep_T: bool, keep_T_inv: bool):
         self.ring = ring
         self.lines = lines
         self.mirror = mirror
-        self.T = [{i: 1} for i in range(len(lines))]
-        self.T_inv = [{i: 1} for i in range(len(lines))]
+        self.T = [{i: 1} for i in range(len(lines))] if keep_T else None
+        self.T_inv = [{i: 1} for i in range(len(lines))] if keep_T_inv else None
 
     def swap(self, i, j):
         """Swap lines i and j; in the mirror, entries (k, i) and (k, j) trade places."""
@@ -430,7 +447,8 @@ class _Side:
             mirror[k][i] = x
         lines[i], lines[j] = lj, li
         for T in (self.T, self.T_inv):
-            T[i], T[j] = T[j], T[i]
+            if T is not None:
+                T[i], T[j] = T[j], T[i]
 
     def addmul(self, i, j, c):
         """line_i += c * line_j (i != j, c an int); inverse: T_inv line j -= c * line i."""
@@ -438,8 +456,10 @@ class _Side:
             return
         ring = self.ring
         _addmul(ring, self.lines[i], self.lines[j], c, self.mirror, i)
-        _addmul(ring, self.T[i], self.T[j], c)
-        _addmul(ring, self.T_inv[j], self.T_inv[i], -c)
+        if self.T is not None:
+            _addmul(ring, self.T[i], self.T[j], c)
+        if self.T_inv is not None:
+            _addmul(ring, self.T_inv[j], self.T_inv[i], -c)
 
     def scale(self, i, u):
         """line_i *= u for a unit u."""
@@ -447,10 +467,10 @@ class _Side:
         line = self.lines[i]
         for k, x in line.items():
             line[k] = self.mirror[k][i] = of(u * x)
-        for T, v in ((self.T, u), (self.T_inv, self.ring.inv(u))):
-            ti = T[i]
-            for k, x in ti.items():
-                ti[k] = of(v * x)
+        if self.T is not None:
+            _scale(of, self.T[i], u)
+        if self.T_inv is not None:
+            _scale(of, self.T_inv[i], self.ring.inv(u))
 
     def clear(self, t) -> bool:
         """Clear the entries at t of the lines past t, in order (clearing one
@@ -512,7 +532,17 @@ def _addmul(ring, target: dict, source: dict, c, mirror=None, index=None) -> Non
                 del mirror[k][index]
 
 
-def snf(A: ExactMatrix) -> SmithDecomposition:
+def _scale(of, line: dict, v) -> None:
+    for k, x in line.items():
+        line[k] = of(v * x)
+
+
+_TRANSFORMS = ("P", "P_inv", "Q", "Q_inv")
+_TRANSFORM_NAMES = frozenset(_TRANSFORMS)
+_BY_ROWS = (True, False, False, True)  # P and Q_inv are held by rows, P_inv and Q by columns
+
+
+def snf(A: ExactMatrix, keep=_TRANSFORMS) -> SmithDecomposition:
     """Smith normal form with transformation matrices.
 
     Pivot rule: the non-zero entry of minimal absolute value in the remaining
@@ -520,15 +550,50 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
     is cleared from its column (the row side) and its row (the column side)
     until neither side swaps in a smaller remainder.
 
-    >>> s = snf(ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]]))
+    `keep` names the transforms ("P", "P_inv", "Q", "Q_inv") the elimination
+    tracks; the default is all four. An unkept transform is not computed:
+    it is a `_DeferredTransform`, which one more elimination of A fills when
+    any unkept transform of this form is first read. The pivots depend on D
+    alone, so it equals the transform a full `snf(A)` returns.
+
+    >>> A = ExactMatrix.from_rows(ZZ, [[2, 0], [0, 3]])
+    >>> s = snf(A, keep=("P",))
     >>> s.invariant_factors
     (1, 6)
+    >>> s.Q == snf(A).Q
+    True
     """
+    if not _TRANSFORM_NAMES.issuperset(keep):
+        raise ValueError(f"keep names {sorted(set(keep) - _TRANSFORM_NAMES)}; "
+                         f"the transforms are {', '.join(_TRANSFORMS)}")
+    ring = A.ring
+    m, n = A.rows, A.cols
+    Dr, Dc, rank, lines = _eliminate(A, keep)
+    unkept = tuple(name for name, line in zip(_TRANSFORMS, lines) if line is None)
+    shared = [A, unkept] if unkept else None
+    P, P_inv, Q, Q_inv = (
+        _DeferredTransform(ring, size, shared, k) if line is None
+        else ExactMatrix(ring, size, size, by_rows=line) if _BY_ROWS[k]
+        else ExactMatrix(ring, size, size, by_cols=line)
+        for k, (size, line) in enumerate(zip((m, m, n, n), lines)))
+    return SmithDecomposition(
+        ring=ring, P=P, P_inv=P_inv, Q=Q, Q_inv=Q_inv,
+        D=ExactMatrix(ring, m, n, by_rows=Dr, by_cols=Dc),
+        rank=rank,
+        invariant_factors=tuple(Dr[i][i] for i in range(rank)),
+    )
+
+
+def _eliminate(A: ExactMatrix, keep) -> tuple:
+    """The elimination behind `snf`: (D by rows, D by columns, rank, lines),
+    where `lines` holds P by rows, P_inv by columns, Q by columns and Q_inv
+    by rows, and None for each transform that `keep` does not name."""
     ring = A.ring
     m, n = A.rows, A.cols
     Dr = [dict(line) for line in A.by_rows]
     Dc = [dict(line) for line in A.by_cols]
-    rows, cols = _Side(ring, Dr, Dc), _Side(ring, Dc, Dr)
+    rows = _Side(ring, Dr, Dc, "P" in keep, "P_inv" in keep)
+    cols = _Side(ring, Dc, Dr, "Q" in keep, "Q_inv" in keep)
     # No row past t turns non-empty: row clearing adds the pivot row only to
     # rows non-zero at column t, column clearing changes only row t, and a
     # swap moves a non-empty row onto a live one. So `live` never gains a row.
@@ -558,16 +623,40 @@ def snf(A: ExactMatrix) -> SmithDecomposition:
         if u != 1:
             rows.scale(t, u)
         t += 1
-    return SmithDecomposition(
-        ring=ring,
-        P=ExactMatrix(ring, m, m, by_rows=rows.T),
-        P_inv=ExactMatrix(ring, m, m, by_cols=rows.T_inv),
-        Q=ExactMatrix(ring, n, n, by_cols=cols.T),
-        Q_inv=ExactMatrix(ring, n, n, by_rows=cols.T_inv),
-        D=ExactMatrix(ring, m, n, by_rows=Dr, by_cols=Dc),
-        rank=t,
-        invariant_factors=tuple(Dr[i][i] for i in range(t)),
-    )
+    return Dr, Dc, t, (rows.T, rows.T_inv, cols.T, cols.T_inv)
+
+
+class _DeferredTransform(ExactMatrix):
+    """A square Smith transform that `snf` did not keep, held with neither
+    view of its lines until one is read.
+
+    The unkept transforms of one Smith form share one list, [A, names of
+    the unkept transforms]. The first read of any of them reruns the
+    elimination of A for those transforms only, and the list becomes
+    [None, their lines]; each transform then takes its own lines from it.
+    """
+
+    __slots__ = ("_shared", "_index")
+
+    def __init__(self, ring, n: int, shared: list, index: int):
+        self.ring = ring
+        self.rows = self.cols = n
+        self._by_rows = self._by_cols = self._dense = None
+        self._shared = shared
+        self._index = index
+
+    def _rebuild(self) -> None:
+        shared, k = self._shared, self._index
+        if shared[0] is not None:
+            A, names = shared
+            shared[:] = [None, list(_eliminate(A, names)[3])]
+        lines = shared[1]
+        if _BY_ROWS[k]:
+            self._by_rows = tuple(lines[k])
+        else:
+            self._by_cols = tuple(lines[k])
+        lines[k] = None
+        self._shared = None
 
 
 class DiophantineSolution(namedtuple("DiophantineSolution",
@@ -654,7 +743,7 @@ def solve(A: ExactMatrix, b) -> DiophantineSolution:
     x = Q y with y_i = c_i / d_i for c = P b."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length does not match row count")
-    S, ring = snf(A), A.ring
+    S, ring = snf(A, ("P", "Q")), A.ring
     row, c = S.failing_row(b)
     hom = tuple(tuple(_dense(S.Q.by_cols[j], A.cols)) for j in range(S.rank, A.cols))
     if row is not None:

@@ -20,11 +20,16 @@ and F columns of `to_delta[d]` (`homology`), and a cycle in the simplex basis
 converts to class coordinates through `from_delta[d]` (`class_of_cycle`).
 The inverse, a representative cycle of given class coordinates, is built
 only by the test oracles.
+
+The reduction keeps only what `to_delta` needs of each Smith form (P_inv
+and Q). `from_delta` is not part of it: its first read runs the Smith forms
+again with all four transforms, and builds every degree's inverse basis.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .exact import ExactMatrix, snf
 from .modules import HomologyAmbient, ModuleStructure
@@ -78,42 +83,62 @@ class ReducedChainComplex:
     def _reduce(self) -> None:
         ring = self.ring
         t = self.top
-        n = [self.boundary[d].cols for d in range(t + 2)]
         self.D = [None] * (t + 2)
         self.to_delta = [None] * (t + 1)    # E^H -> E^Delta change of basis
-        self.from_delta = [None] * (t + 1)  # E^Delta -> E^H change of basis
         self.rank = [0] * (t + 2)
         self.partition = [None] * (t + 1)
         self.torsion = [()] * (t + 1)
 
         self.D[t + 1] = self.boundary[t + 1]
-        P = ExactMatrix.identity(ring, n[t])      # row transform produced above
-        P_inv = ExactMatrix.identity(ring, n[t])
         factors_up = ()  # invariant factors of D_{d+1}; D_{t+1} is zero
-        for d in range(t, -1, -1):
-            r_up = self.rank[d + 1]
-            N = self.boundary[d] @ P_inv
-            if any(N.by_cols[:r_up]):
-                raise AssertionError("boundary columns expected to vanish did not")
-            N_prime = N.column_block(range(r_up, N.cols))
-            s = snf(N_prime)
-            zero_left = ExactMatrix.zeros(ring, N.rows, r_up)
-            self.D[d] = zero_left.hstack(s.D)
+        for d, P_inv, s in self._smith_forms(("P_inv", "Q")):
+            n_d, r_up = self.boundary[d].cols, self.rank[d + 1]
+            self.D[d] = ExactMatrix.zeros(ring, s.D.rows, r_up).hstack(s.D)
             self.rank[d] = s.rank
             # the column transform is diag(I_{r_up}, s.Q), composed block by block
-            kept, rest = range(r_up), range(r_up, n[d])
+            kept, rest = range(r_up), range(r_up, n_d)
             self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
-            self.from_delta[d] = P.take_rows(kept).vstack(s.Q_inv @ P.take_rows(rest))
-            P, P_inv = s.P, s.P_inv
             # the unit factors of D_{d+1} come first, as each divides the next
             torsion = tuple(a for a in factors_up if not ring.is_unit(a))
             n_U, n_T, n_R = len(factors_up) - len(torsion), len(torsion), s.rank
-            n_F = n[d] - n_U - n_T - n_R
+            n_F = n_d - n_U - n_T - n_R
             if n_F < 0:
                 raise AssertionError("inconsistent block counts")
             self.partition[d] = DegreePartition(n_U, n_T, n_R, n_F)
             self.torsion[d] = torsion
             factors_up = s.invariant_factors
+
+    def _smith_forms(self, keep):
+        """The Smith form of each degree, from the top down: yields (d,
+        P_inv, s), where P_inv is the inverse row transform of the degree
+        above (the identity at the top) and s = snf(N', keep) for N' the
+        columns of boundary[d] @ P_inv past the rank above. The columns
+        before it vanish, as D_d @ D_{d+1} = 0. `keep` must name P_inv.
+        """
+        P_inv = ExactMatrix.identity(self.ring, self.boundary[self.top].cols)
+        r_up = 0
+        for d in range(self.top, -1, -1):
+            N = self.boundary[d] @ P_inv
+            if any(N.by_cols[:r_up]):
+                raise AssertionError("boundary columns expected to vanish did not")
+            s = snf(N.column_block(range(r_up, N.cols)), keep)
+            yield d, P_inv, s
+            P_inv, r_up = s.P_inv, s.rank
+
+    @cached_property
+    def from_delta(self) -> list:
+        """The E^Delta -> E^H change of basis of each degree, the inverse of
+        `to_delta[d]`: diag(I_{r_up}, s.Q_inv) @ P, for P the row transform
+        of the degree above. The reduction keeps neither factor, so the
+        first read runs the Smith forms again with all four transforms;
+        the pivot rule is deterministic, so they are the same forms."""
+        from_delta = [None] * (self.top + 1)
+        P = ExactMatrix.identity(self.ring, self.boundary[self.top].cols)
+        for d, _, s in self._smith_forms(("P", "P_inv", "Q", "Q_inv")):
+            kept, rest = range(self.rank[d + 1]), range(self.rank[d + 1], P.rows)
+            from_delta[d] = P.take_rows(kept).vstack(s.Q_inv @ P.take_rows(rest))
+            P = s.P
+        return from_delta
 
     # block columns of the E^H basis inside M^{Delta,H}_d, in U,T,R,F order
 

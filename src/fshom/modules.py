@@ -108,8 +108,9 @@ class SubmoduleOfHomology:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        """The one Smith form of the lifted matrix, read by `member` and `structure`."""
-        return snf(self._lifted_matrix())
+        """The one Smith form of the lifted matrix, read by `member` and
+        `structure`; both read only P and D, so only P is kept."""
+        return snf(self._lifted_matrix(), ("P",))
 
     @cached_property
     def structure(self) -> ModuleStructure:
@@ -196,6 +197,6 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
         if any(j < m and ring.of(coeffs[j] * p) for j, p in P[i].items()):
             raise AssertionError("relation vector escapes the lifted lattice")
     Y = ExactMatrix(ring, r, m, by_rows=rows)
-    sy = snf(Y)
+    sy = snf(Y, ())  # only the invariant factors are read
     torsion = tuple(a for a in sy.invariant_factors if not ring.is_unit(a))
     return ModuleStructure(r - sy.rank, torsion)

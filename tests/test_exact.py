@@ -230,6 +230,47 @@ class TestSmithAgainstDenseOracleAtBenchScale:
             assert sweeps
 
 
+PARTIAL_KEEPS = (("P_inv", "Q"), ("P",), ())
+TRANSFORMS = ("P", "P_inv", "Q", "Q_inv")
+
+
+def bench_scale_boundaries(ring):
+    """d_1 and d_2 of the 60-point Rips cloud and of three random Moore-space wedges."""
+    complexes = [rips_complex(random.Random(0), 60)]
+    rng = random.Random(1)
+    complexes += [random_torsion_complex(rng) for _ in range(3)]
+    return [ExactMatrix.from_rows(ring, K.boundary_matrix(d)) for K in complexes for d in (1, 2)]
+
+
+class TestPartialSmithFormsAgainstDenseOracle:
+    """`snf(A, keep)` for each `keep` the product asks for: D, rank, invariant
+    factors and every kept transform equal the dense oracle's while the unkept
+    transforms are still deferred, and each unkept one equals the oracle's once
+    it is read."""
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
+    def test_bench_scale_boundaries(self, ring):
+        for A in bench_scale_boundaries(ring):
+            oracle = dense_snf(A)
+            for keep in PARTIAL_KEEPS:
+                s = snf(A, keep)
+                unkept = [name for name in TRANSFORMS if name not in keep]
+                assert (s.D, s.rank, s.invariant_factors) == \
+                    (oracle.D, oracle.rank, oracle.invariant_factors)
+                for name in keep:
+                    assert getattr(s, name) == getattr(oracle, name), (keep, name)
+                for name in unkept:
+                    M = getattr(s, name)
+                    assert isinstance(M, exact._DeferredTransform)
+                    assert M._by_rows is None and M._by_cols is None, (keep, name)
+                for name in unkept:
+                    assert getattr(s, name) == getattr(oracle, name), (keep, name)
+
+    def test_unknown_transform_is_refused(self):
+        with pytest.raises(ValueError, match="R"):
+            snf(mat([[1]]), ("P", "R"))
+
+
 class TestDiophantine:
     def test_solvable_systems_by_substitution(self):
         rng = random.Random(37)

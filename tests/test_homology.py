@@ -135,8 +135,8 @@ class TestReductionOracle:
     def test_against_dense_product(self, name, ring_name, monkeypatch):
         smith = []
 
-        def recording_snf(A):
-            s = snf(A)
+        def recording_snf(A, *args, **kwargs):
+            s = snf(A, *args, **kwargs)
             smith.append((A, s))
             return s
 
@@ -176,8 +176,8 @@ class TestRips60:
     def test_every_smith_form_matches_the_dense_worker(self, ring_name, monkeypatch):
         calls = []
 
-        def recording_snf(A):
-            s = snf(A)
+        def recording_snf(A, *args, **kwargs):
+            s = snf(A, *args, **kwargs)
             calls.append((A, s))
             return s
 
@@ -188,6 +188,32 @@ class TestRips60:
             assert s == dense_snf(A)
         if ring_name in PINNED_RIPS60:
             assert reduction_digest(R) == PINNED_RIPS60[ring_name]
+
+
+def eager_from_delta(R):
+    """`from_delta` as a reduction whose Smith forms keep all four transforms
+    builds it: the row transform P is carried down from degree to degree."""
+    P = P_inv = ExactMatrix.identity(R.ring, R.boundary[R.top].cols)
+    out = [None] * (R.top + 1)
+    for d in range(R.top, -1, -1):
+        r_up = R.rank[d + 1]
+        N = R.boundary[d] @ P_inv
+        s = snf(N.column_block(range(r_up, N.cols)))
+        out[d] = P.take_rows(range(r_up)).vstack(s.Q_inv @ P.take_rows(range(r_up, P.rows)))
+        P, P_inv = s.P, s.P_inv
+    return out
+
+
+class TestFromDeltaOnDemand:
+    @pytest.mark.parametrize("ring_name", ORACLE_RINGS)
+    @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+    def test_built_on_first_read_as_the_eager_reduction_built_it(self, name, ring_name):
+        R = ReducedChainComplex(ORACLE_COMPLEXES[name](), ORACLE_RINGS[ring_name])
+        assert "from_delta" not in vars(R)
+        expected = eager_from_delta(R)
+        assert "from_delta" not in vars(R)
+        assert R.from_delta == expected
+        assert R.from_delta is R.from_delta
 
 
 UCT_COMPLEXES = {"rp2": lambda: SimplicialComplex.from_maximal(RP2)}

@@ -128,28 +128,40 @@ def test_level_submodules_run_no_smith_form_or_kernel(reference_mu):
 
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
-def test_reduction_makes_one_smith_form_and_three_products_per_degree(ring):
-    """The benchmark's counters assume this shape of `ReducedChainComplex`:
-    dim + 1 `exact.snf` spans and 3 * (dim + 1) `exact.matmul` spans."""
+def test_reduction_makes_one_smith_form_and_two_products_per_degree(ring):
+    """The shape of `ReducedChainComplex`: construction makes dim + 1
+    `exact.snf` spans and 2 * (dim + 1) `exact.matmul` spans (the product
+    that feeds each Smith form, and `to_delta`). The first read of
+    `from_delta` runs the Smith forms again: dim + 1 `exact.snf` spans and
+    2 * (dim + 1) `exact.matmul` spans more (the same feeding product, and
+    `from_delta`), and a second read runs nothing."""
     K = random_torsion_complex(random.Random(1))
     tracer = load_tracer()
     tracer.install()
     try:
         R = ReducedChainComplex(K, ring)
+        built = [span[0] for span in tracer.spans]
+        R.from_delta
+        read = [span[0] for span in tracer.spans]
+        R.from_delta
+        again = [span[0] for span in tracer.spans]
     finally:
         tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
     assert R.top == K.dim == 2
-    assert names.count("homology.reduce") == 1
-    assert names.count("exact.snf") == K.dim + 1
-    assert names.count("exact.matmul") == 3 * (K.dim + 1)
+    assert built.count("homology.reduce") == 1
+    assert built.count("exact.snf") == K.dim + 1
+    assert built.count("exact.matmul") == 2 * (K.dim + 1)
+    assert read.count("exact.snf") == 2 * (K.dim + 1)
+    assert read.count("exact.matmul") == 4 * (K.dim + 1)
+    assert again == read
 
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
 def test_reduction_counts_its_matrix_builds(ring):
-    """Every matrix passes through `ExactMatrix.__init__`, which the tracer
-    counts as `exact.matrix_builds`: each Smith form alone builds five
-    (P, P_inv, Q, Q_inv and D)."""
+    """Every matrix but a deferred Smith transform passes through
+    `ExactMatrix.__init__`, which the tracer counts as `exact.matrix_builds`:
+    each Smith form of the reduction builds three (P_inv, Q and D), and the
+    reduction builds more than two others per Smith form."""
     K = random_torsion_complex(random.Random(1))
     tracer = load_tracer()
     tracer.install()
