@@ -17,10 +17,15 @@ representative cycle supported on the cut complex at level l:
   meet-closed, exactly when h is in H_d(m_j).
 
 eta_d of every unit class of a degree (the generators that the homology
-report lists) is read in batch, one pass per level of L(kappa_d): with
-P A Q = D the Smith form of the lifted matrix of H_d(l), the unit class e_i
-lies in H_d(l) exactly when P e_i, column i of P, passes the solvability
-criterion, so no class vector is built and no per-class solve is run.
+report lists) is read in batch, one pass per level of L(kappa_d)
+(`SubmoduleOfHomology.unit_members`): e_i lies in H_d(l) when i is a unit
+coordinate of H_d(l) (some generator spans its summand), not when i lies
+outside those and the support of the other generators, and otherwise
+exactly when P e_i passes the solvability criterion, for P A Q = D the
+Smith form of those generators' lifted matrix on their support. So no
+class vector is built, no per-class solve is run, and a level of unit
+generators only runs no Smith form. In a degree where H_d = 0, every
+H_d(l) is the zero submodule and no sweep runs.
 
 The level submodules of a degree are built along chains of index sets.
 H_d(l) is the image of H_d(cut at l) -> H_d(K): the classes c for which some
@@ -118,23 +123,29 @@ class FuzzyHomologyContext:
         A level of L(kappa_d) is read off the sweep of its chain, run only
         as far as that level (see the module docstring). Any other level has
         the index set, so the submodule, of the least level of L(kappa_d)
-        above it.
+        above it. Where H_d = 0 the level is the zero submodule, cached
+        without building the degree's sweeps.
         """
         self.lattice._check(level)
         if not 0 <= d <= self.reduced.top:
             return SubmoduleOfHomology(self.reduced.ambient(d), [])
         levels = self._hdl_cache.setdefault(d, {})
-        if level not in levels:
-            if d not in self._sweeps:
-                self._sweeps[d] = self._chain_sweeps(d)
-            sweeps = self._sweeps[d]
-            # a level of L(kappa_d) is the least level of L(kappa_d) above it
-            m = level if level in sweeps else self._least_above(d, level)
-            sweep, ambient = sweeps[m], self.reduced.ambient(d)
-            while m not in levels:
-                lv, basis = next(sweep)
-                levels[lv] = SubmoduleOfHomology(ambient, basis)
-            levels[level] = levels[m]
+        if level in levels:
+            return levels[level]
+        ambient = self.reduced.ambient(d)
+        if not ambient.length:
+            levels[level] = SubmoduleOfHomology(ambient, [])  # H_d = 0: no sweep
+            return levels[level]
+        if d not in self._sweeps:
+            self._sweeps[d] = self._chain_sweeps(d)
+        sweeps = self._sweeps[d]
+        # a level of L(kappa_d) is the least level of L(kappa_d) above it
+        m = level if level in sweeps else self._least_above(d, level)
+        sweep = sweeps[m]
+        while m not in levels:
+            lv, basis = next(sweep)
+            levels[lv] = SubmoduleOfHomology(ambient, basis)
+        levels[level] = levels[m]
         return levels[level]
 
     def _chain_sweeps(self, d: int) -> dict:
@@ -187,10 +198,13 @@ class FuzzyHomologyContext:
         """eta_d of every unit class e_i of H_d, in coordinate order (torsion,
         then free), equal to `eta_value` of each.
 
-        One pass per level l of L(kappa_d), in `kappa_value_set` order: e_i
-        lies in H_d(l) exactly when column i of P, for the Smith form
-        P A Q = D of H_d(l)'s lifted matrix, is non-zero only below the rank,
-        with d_k | P[k][i] there (`SubmoduleOfHomology.unit_members`).
+        One pass per level l of L(kappa_d), in `kappa_value_set` order:
+        e_i lies in H_d(l) when a generator of H_d(l) spans its summand;
+        otherwise, when i lies on the support of the other generators,
+        exactly when its column of P, for the Smith form P A Q = D of their
+        lifted matrix on that support, is non-zero only below the rank, with
+        d_k | P[k][i] there; and not at all off that support
+        (`SubmoduleOfHomology.unit_members`).
         """
         solvable = [[] for _ in range(self.reduced.ambient(d).length)]
         for lv in self.kappa_value_set(d):

@@ -7,8 +7,15 @@ coordinates), each a sparse column {index: coordinate}. Structure,
 membership, intersection and sum all go through the lifted lattice in
 D^{m+f}: the lift of a submodule always contains the relation vectors
 a_i * e_i, which makes every question a Smith form or Diophantine
-computation. Each submodule factors its lifted matrix once; that
-one Smith form answers every membership test and gives the structure.
+computation.
+
+A submodule is sized by what it holds. A generator u * e_i that generates
+the whole summand of coordinate i (u a unit, or over Z a unit mod a_i)
+splits that summand off, from the ambient and from the submodule alike; the
+other generators, projected off these unit coordinates, touch a support of
+coordinates. One Smith form, of the lifted matrix of the projected
+generators on the rows of the support, answers every membership test and
+gives the structure; a submodule of unit generators only needs none.
 
 Generator lists may be redundant; the derived structure is canonical, and
 submodule equality is mutual membership of generators.
@@ -16,9 +23,11 @@ submodule equality is mutual membership of generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
+from math import gcd
 
 # `solve` is unused here but stays bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads it
@@ -59,11 +68,13 @@ class HomologyAmbient(namedtuple("HomologyAmbient", "ring torsion free_rank")):
 
     def reduce_column(self, vec) -> dict:
         """Canonicalize coordinates, given dense (a sequence of this length)
-        or sparse (a mapping {index: coordinate}), as a sparse column: torsion
-        entries mod a_i, free entries as is, zeros dropped."""
+        or sparse (a mapping {index: coordinate}, indices in 0..length-1), as
+        a sparse column: torsion entries mod a_i, free entries as is, zeros
+        dropped."""
+        n = self.length
         if isinstance(vec, Mapping):
             entries = vec.items()
-        elif len(vec) != self.length:
+        elif len(vec) != n:
             raise ValueError("coordinate length does not match ambient")
         else:
             entries = enumerate(vec)
@@ -71,10 +82,18 @@ class HomologyAmbient(namedtuple("HomologyAmbient", "ring torsion free_rank")):
         m = len(torsion)  # a field has no torsion
         column = {}
         for i, x in entries:
+            if not 0 <= i < n:
+                raise ValueError(f"coordinate index {i} is outside 0..{n - 1}")
             x = of(x) % torsion[i] if i < m else of(x)
             if x:
                 column[i] = x
         return column
+
+    def lifted_matrix(self, generators) -> ExactMatrix:
+        """Generators (sparse columns) plus the relation vectors a_i * e_i,
+        as sparse columns over the ring."""
+        columns = [*generators, *({i: a} for i, a in enumerate(self.torsion))]
+        return ExactMatrix(self.ring, self.length, len(columns), by_cols=columns)
 
 
 class SubmoduleOfHomology:
@@ -83,6 +102,23 @@ class SubmoduleOfHomology:
     `generators` holds each distinct non-zero generator once, as a sparse
     column from `HomologyAmbient.reduce_column`, so a generator may be given
     dense or sparse.
+
+    A generator u * e_i that generates the summand of coordinate i (u a
+    unit of the ring, or over Z a unit mod a_i) makes i a unit coordinate:
+    the summand lies in the submodule, and it is a direct summand of the
+    submodule and of the ambient. The other generators, projected off the
+    unit coordinates, are the rest; the coordinates they touch, in order,
+    are its support, and `_local` is the ambient of the support. The
+    submodule is the unit summands plus the rest, and only the rest needs a
+    Smith form. On Z/(2) + Z/(6) + Z, <e_0, 2 e_1> is Z/(2) + Z/(3), whose
+    invariant factor is 6:
+
+    >>> from fshom.exact import ZZ
+    >>> S = SubmoduleOfHomology(HomologyAmbient(ZZ, (2, 6), 1), [(1, 0, 0), (0, 2, 0)])
+    >>> S.structure
+    ModuleStructure(betti=0, torsion=(6,))
+    >>> S.member((1, 4, 0)), S.member((0, 1, 0)), S.unit_members()
+    (True, False, [True, False, False])
     """
 
     def __init__(self, ambient: HomologyAmbient, generators):
@@ -96,6 +132,34 @@ class SubmoduleOfHomology:
                 seen.add(key)
                 gens.append(column)
         self.generators = tuple(gens)
+        torsion, is_unit = ambient.torsion, ambient.ring.is_unit
+        m = len(torsion)  # a field has no torsion
+        units = set()
+        for g in gens:
+            if len(g) == 1:
+                [(i, x)] = g.items()
+                if gcd(x, torsion[i]) == 1 if i < m else is_unit(x):
+                    units.add(i)
+        # a projected column lies off the unit coordinates, so it repeats no
+        # generator that touches them: `seen` still finds every duplicate
+        rest = []
+        for g in gens:
+            if units.isdisjoint(g):
+                rest.append(g)
+                continue
+            column = {i: x for i, x in g.items() if i not in units}
+            key = frozenset(column.items())
+            if column and key not in seen:
+                seen.add(key)
+                rest.append(column)
+        support = sorted({i for g in rest for i in g})
+        position = {i: k for k, i in enumerate(support)}
+        mt = bisect_left(support, m)
+        self._units = frozenset(units)
+        self._position = position  # support coordinate -> its row, in order
+        self._local = HomologyAmbient(ambient.ring, tuple(torsion[i] for i in support[:mt]),
+                                      len(support) - mt)
+        self._rest = [{position[i]: x for i, x in g.items()} for g in rest]
 
     @classmethod
     def full(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
@@ -103,14 +167,14 @@ class SubmoduleOfHomology:
 
     def _lifted_matrix(self) -> ExactMatrix:
         """Generators plus the relation vectors a_i * e_i, as sparse columns over the ring."""
-        columns = [*self.generators, *({i: a} for i, a in enumerate(self.ambient.torsion))]
-        return ExactMatrix(self.ambient.ring, self.ambient.length, len(columns), by_cols=columns)
+        return self.ambient.lifted_matrix(self.generators)
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        """The one Smith form of the lifted matrix, read by `member` and
-        `structure`; both read only P and D, so only P is kept."""
-        return snf(self._lifted_matrix(), ("P",))
+        """The one Smith form, of the rest's lifted matrix on its support,
+        read by `member`, `unit_members` and `structure`; they read only P
+        and D, so only P is kept. Nothing reads it when the rest is empty."""
+        return snf(self._local.lifted_matrix(self._rest), ("P",))
 
     @cached_property
     def structure(self) -> ModuleStructure:
@@ -120,17 +184,33 @@ class SubmoduleOfHomology:
         """Whether the class with these coordinates (dense or sparse) lies in
         the submodule.
 
-        The lifted matrix holds the relation columns a_i * e_i, so a vector
-        and its reduction pass the same solvability test.
+        Past the unit coordinates, a member lies on the support, where the
+        solvability test of the rest's lifted matrix decides. That matrix
+        holds the relation columns a_i * e_i, so a vector and its reduction
+        pass the same test.
         """
-        return self._smith.failing_row(vec)[0] is None
+        units, position = self._units, self._position
+        local = {}
+        for i, x in self.ambient.reduce_column(vec).items():
+            if i not in units:
+                k = position.get(i)
+                if k is None:
+                    return False
+                local[k] = x
+        return not local or self._smith.failing_row(local)[0] is None
 
     def unit_members(self) -> list:
-        """Whether each unit class e_i lies in the submodule, in ambient order,
-        from one pass over the columns of P: P e_i is column i, so e_i passes
-        the solvability test of `member` exactly when column i does."""
-        s = self._smith
-        return [s.first_failure(c) is None for c in s.P.by_cols]
+        """Whether each unit class e_i lies in the submodule, in ambient order:
+        true on the unit coordinates, false off them and the support, and on
+        the support from one pass over the columns of P: P e_k is column k,
+        so e_k passes the solvability test of `member` exactly when column k
+        does."""
+        out = [i in self._units for i in range(self.ambient.length)]
+        if self._rest:
+            s = self._smith
+            for i, column in zip(self._position, s.P.by_cols):
+                out[i] = s.first_failure(column) is None
+        return out
 
     def intersect(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":
         if other.ambient != self.ambient:
@@ -164,24 +244,34 @@ class SubmoduleOfHomology:
 
 
 def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
-    """Isomorphism type of the submodule.
+    """Isomorphism type of the submodule: its unit summands plus the rest.
 
-    Lift the generators to the free module D^{m+f}, adjoin the relation
-    vectors a_i * e_i to get the lattice L, and compute L / R for R the
-    relation span: write a basis of L from the submodule's Smith form of the
-    lifted matrix, express each relation vector in that basis, and read the betti
-    number and invariant factors off a second Smith form.
+    For the rest, lift its generators to the free module on its support,
+    adjoin the relation vectors a_i * e_i of the support's torsion
+    coordinates to get the lattice L, and compute L / R for R the relation
+    span: write a basis of L from the rest's Smith form, express each
+    relation vector in that basis, and read the betti number and invariant
+    factors off a second Smith form. With no torsion coordinate on the
+    support, R = 0 and L is free of the form's rank, so no second form runs.
+    The torsion coefficients of the unit summands, in index order, divide
+    one another; when the rest has torsion too, the invariant factors of
+    the diagonal matrix of both lists are the torsion.
     """
-    ambient = S.ambient
-    ring = ambient.ring
-    m = len(ambient.torsion)
-    n = ambient.length
+    ring, torsion = S.ambient.ring, S.ambient.torsion
+    units = sorted(S._units)
+    betti = sum(1 for i in units if i >= len(torsion))
+    unit_torsion = tuple(torsion[i] for i in units if i < len(torsion))
+    if not S._rest:
+        return ModuleStructure(betti, unit_torsion)
     s = S._smith
     r = s.rank
+    coeffs = S._local.torsion
+    if not coeffs:
+        return ModuleStructure(betti + r, unit_torsion)
+    m = len(coeffs)  # the support's torsion coordinates come first
     # L has basis c_i = d_i * (P^{-1} e_i), i < r. A relation vector a_j e_j
     # lies in L, so its i-th coordinate is a_j P[i][j] / d_i, and the rows
     # past the rank must vanish.
-    coeffs = ambient.torsion
     P = s.P.by_rows
     rows = []
     for i in range(r):
@@ -193,10 +283,19 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
                 if y:
                     row[j] = y
         rows.append(row)
-    for i in range(r, n):
+    for i in range(r, S._local.length):
         if any(j < m and ring.of(coeffs[j] * p) for j, p in P[i].items()):
             raise AssertionError("relation vector escapes the lifted lattice")
-    Y = ExactMatrix(ring, r, m, by_rows=rows)
-    sy = snf(Y, ())  # only the invariant factors are read
-    torsion = tuple(a for a in sy.invariant_factors if not ring.is_unit(a))
-    return ModuleStructure(r - sy.rank, torsion)
+    sy = snf(ExactMatrix(ring, r, m, by_rows=rows), ())  # only the invariant factors are read
+    rest_torsion = _torsion_factors(sy)
+    if unit_torsion and rest_torsion:
+        factors = unit_torsion + rest_torsion
+        diagonal = ExactMatrix(ring, len(factors), len(factors),
+                               by_cols=[{i: a} for i, a in enumerate(factors)])
+        return ModuleStructure(betti + r - sy.rank, _torsion_factors(snf(diagonal, ())))
+    return ModuleStructure(betti + r - sy.rank, unit_torsion or rest_torsion)
+
+
+def _torsion_factors(s: SmithDecomposition) -> tuple:
+    """The non-unit invariant factors of a Smith form."""
+    return tuple(a for a in s.invariant_factors if not s.ring.is_unit(a))

@@ -10,7 +10,7 @@ from fshom.lattice import (
     FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, UpSetLattice, format_value,
     parse_value,
 )
-from fshom.modules import SubmoduleOfHomology
+from fshom.modules import ModuleStructure, SubmoduleOfHomology
 from fshom.project import ProjectError
 from fshom.simplicial import Simplex, SimplicialComplex
 
@@ -189,6 +189,47 @@ def dense_snf(A):
         rank=t,
         invariant_factors=tuple(w.D[i][i] for i in range(t)),
     )
+
+
+class FullAmbientSubmodule:
+    """A submodule read off one Smith form of its lifted matrix over the
+    whole ambient: every generator, then a_i * e_i for every torsion
+    coordinate, on every ambient row. No coordinate is split off. (`snf`
+    itself is checked against `dense_snf` in tests/test_exact.py.)"""
+
+    def __init__(self, S: SubmoduleOfHomology):
+        ambient = S.ambient
+        columns = [*S.generators, *({i: a} for i, a in enumerate(ambient.torsion))]
+        self.ambient = ambient
+        self.smith = snf(ExactMatrix(ambient.ring, ambient.length, len(columns),
+                                     by_cols=columns), ("P",))
+
+    def member(self, vec) -> bool:
+        return self.smith.failing_row(vec)[0] is None
+
+    def unit_members(self) -> list:
+        """P e_i is column i of P, so e_i is a member exactly when column i
+        passes the solvability test."""
+        s = self.smith
+        return [s.first_failure(c) is None for c in s.P.by_cols]
+
+    def structure(self) -> ModuleStructure:
+        """L / R for L the lattice of the lifted matrix and R the span of the
+        relation vectors: each a_j e_j in the basis d_i * (P^-1 e_i) of L has
+        coordinates a_j P[i][j] / d_i, and a second Smith form of those
+        coordinates gives the betti number and the invariant factors."""
+        ring, coeffs, s = self.ambient.ring, self.ambient.torsion, self.smith
+        m, r = len(coeffs), s.rank
+        rows = []
+        for i in range(r):
+            d = s.D.by_rows[i][i]
+            rows.append({j: y for j, p in s.P.by_rows[i].items()
+                         if j < m and (y := ring.exact_div(coeffs[j] * p, d))})
+        for i in range(r, self.ambient.length):
+            assert not any(j < m and ring.of(coeffs[j] * p) for j, p in s.P.by_rows[i].items())
+        sy = snf(ExactMatrix(ring, r, m, by_rows=rows), ())
+        return ModuleStructure(r - sy.rank, tuple(a for a in sy.invariant_factors
+                                                  if not ring.is_unit(a)))
 
 
 def enumerate_fdl(generators, lattice=None) -> list:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,14 +18,15 @@ from fshom.lattice import (
     UpSetLattice,
     format_value,
 )
-from fshom.project import load_project_file
+from fshom.project import load_project, load_project_file
 from fshom.simplicial import Simplex, SimplicialComplex
 from fshom.modules import SubmoduleOfHomology
 from oracles import (
-    brute_force_eta, carrier, delta_value_set, dense, kappa, kernel_hdl_submodule,
-    per_simplex_index_set,
+    FullAmbientSubmodule, brute_force_eta, carrier, delta_value_set, dense, kappa,
+    kernel_hdl_submodule, per_simplex_index_set,
 )
 from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
+from test_filtration import BENCH, grid_spec
 
 RINGS = [ZZ, PrimeField(2), PrimeField(3)]
 RING_IDS = ["z", "gf2", "gf3"]
@@ -145,6 +147,23 @@ class TestLevelSubmodules:
         L = ctx.lattice
         assert ctx.hdl_submodule(1, L.parse("x")).structure.describe() == "Z"
         assert ctx.hdl_submodule(1, L.parse("y")).structure.describe() == "0"
+
+    def test_no_sweep_where_homology_is_zero(self):
+        """Two triangles glued along an edge have H_1 = H_2 = 0: every level
+        of those degrees is the zero submodule, cached at the level asked
+        for, and only degree 0 builds its sweeps."""
+        K = SimplicialComplex.from_maximal([[0, 1, 2], [1, 2, 3]])
+        lattice = lattice_family()[0]
+        ctx = FuzzyHomologyContext(random_mu(random.Random(3), K, lattice), ZZ)
+        for d in (1, 2):
+            assert ctx.reduced.ambient(d).length == 0
+            for lv in carrier(lattice):
+                S = ctx.hdl_submodule(d, lv)
+                assert S.structure.is_zero and ctx._hdl_cache[d][lv] is S
+                assert ctx.eta_cut(d, lv).structure.is_zero
+            assert ctx.eta_values(d) == []
+        assert ctx.eta_values(0) == [ctx.eta_value(0, ctx.reduced.class_from_vector(0, [1]))]
+        assert list(ctx._sweeps) == [0]
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 5])
     def test_bad_level_refused_in_every_degree(self, ctx, d):
@@ -299,6 +318,74 @@ class TestBatchEta:
         assert 800 <= sum(ctx.mu.complex.n(d) for d in range(3)) <= 950
         assert sum(ctx.reduced.ambient(d).length for d in range(3)) > 20
         self.assert_batch_matches_per_class(ctx)
+
+
+class TestSplitSubmodulesAgainstFullAmbient:
+    """Every H_d(l) and every eta cut at a level of L(kappa_d), with its unit
+    generators split off, against the full-ambient Smith form of
+    `oracles.FullAmbientSubmodule`: structure, unit members, and membership
+    of the unit classes, of the generators of every submodule of the degree
+    and of seeded vectors, at the scale of the benchmark's inputs."""
+
+    @staticmethod
+    def assert_matches_full_ambient(ctx, rng) -> Counter:
+        """Checks every submodule; counts those with unit coordinates and a
+        rest ("split"), unit torsion coordinates, and torsion on the rest's
+        support."""
+        seen = Counter()
+        for d in range(ctx.reduced.top + 1):
+            ambient = ctx.reduced.ambient(d)
+            n, m = ambient.length, len(ambient.torsion)
+            levels = ctx.kappa_value_set(d)
+            subs = [ctx.hdl_submodule(d, lv) for lv in levels]
+            subs += [ctx.eta_cut(d, lv) for lv in levels]
+            vecs = [{k: 1} for k in range(n)]
+            vecs += [g for S in subs for g in S.generators]
+            vecs += [{k: rng.randint(-3, 3) for k in rng.sample(range(n), min(n, 3))}
+                     for _ in range(10 if n else 0)]
+            for S in subs:
+                oracle = FullAmbientSubmodule(S)
+                assert S.structure == oracle.structure(), (d, S)
+                assert S.unit_members() == oracle.unit_members(), (d, S)
+                assert [S.member(v) for v in vecs] == [oracle.member(v) for v in vecs], (d, S)
+                seen["split"] += bool(S._units) and bool(S._rest)
+                seen["unit torsion"] += any(i < m for i in S._units)
+                seen["rest torsion"] += bool(S._rest) and bool(S._local.torsion)
+        return seen
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_chromatic_cloud(self, ring):
+        """A 3-colour cloud of 130 points, as in chromatic-ingest."""
+        rng = random.Random(7103)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        labels = tuple(rng.choice("abc") for _ in range(130))
+        _, mu = vietoris_rips(ChromaticDataset(points, labels), 5, 2)
+        ctx = FuzzyHomologyContext(mu, ring)
+        assert len(ctx.mu.complex) > 1000
+        assert self.assert_matches_full_ambient(ctx, rng)["split"]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_grid_bifiltration(self, ring, monkeypatch):
+        """A 4x4 density-Rips grid of 32 points, as in bifiltration-ranks."""
+        monkeypatch.syspath_prepend(BENCH)
+        import gen
+
+        mu = load_project({"filtration": grid_spec(gen, 4, 2, points=32, side=20)}).mu
+        ctx = FuzzyHomologyContext(mu, ring)
+        assert len(ctx.kappa_value_set(1)) > 4
+        assert self.assert_matches_full_ambient(ctx, random.Random(7104))["split"]
+
+    def test_torsion_complexes_over_z(self):
+        """Two-colour vertex values on Moore-space wedges: torsion coordinates
+        split off as units, and torsion on the support of a rest."""
+        rng = random.Random(7105)
+        seen = Counter()
+        for _ in range(8):
+            K = random_torsion_complex(rng)
+            labels = {s.vertices[0]: rng.choice("xy") for s in K.simplices(0)}
+            ctx = FuzzyHomologyContext(chromatic(K, labels, "xy"), ZZ)
+            seen += self.assert_matches_full_ambient(ctx, rng)
+        assert seen["unit torsion"] and seen["rest torsion"]
 
 
 class TestEtaCuts:

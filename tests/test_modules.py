@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from fshom.exact import PrimeField, ZZ, solve
+from fshom.exact import PrimeField, ZZ, snf, solve
 from fshom.modules import (
     HomologyAmbient,
     ModuleStructure,
     SubmoduleOfHomology,
     module_structure,
 )
+from oracles import FullAmbientSubmodule
 
 
 def ambient(torsion=(), free=0, ring=ZZ):
@@ -123,6 +124,17 @@ class TestMembership:
                     with pytest.raises(ValueError):
                         S.member((0,) * bad_length)
 
+    def test_sparse_index_outside_the_ambient_refused(self):
+        """A sparse key outside 0..length-1 is refused by the constructor and
+        by `member`, before any unit coordinate or support is read off it."""
+        amb = ambient((2,), 1)
+        S = SubmoduleOfHomology(amb, [(1, 0)])
+        for key in (2, 5, -1):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                SubmoduleOfHomology(amb, [{key: 3}])
+            with pytest.raises(ValueError, match="outside 0..1"):
+                S.member({key: 1})
+
 
 class TestLatticeOfSubmodules:
     def test_intersection_is_exact_on_a_box(self):
@@ -205,3 +217,67 @@ class TestLatticeOfSubmodules:
             # intersection members must sit in both
             for g in inter.generators:
                 assert a.member(g) and b.member(g)
+
+
+class TestUnitSplit:
+    """Unit generators split off: the structure merges their torsion with the
+    rest's into invariant factors, membership and unit members agree with the
+    full-ambient oracle, and Smith forms run only for a non-empty rest."""
+
+    AMBIENT = ambient((2, 6), 1)
+
+    @pytest.mark.parametrize("gens, expected", [
+        ([(1, 0, 0), (0, 2, 0)], (0, (6,))),
+        ([(1, 0, 0), (0, 3, 0), (0, 0, 2)], (1, (2, 2))),
+        ([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (1, (6,))),
+    ])
+    def test_merge_gives_invariant_factors(self, gens, expected):
+        S = SubmoduleOfHomology(self.AMBIENT, gens)
+        assert S._units == {0} and S._rest
+        assert S.structure == expected == FullAmbientSubmodule(S).structure()
+
+    def test_unit_mod_a_i_generates_the_summand(self):
+        """-e_1 reduces to 5 e_1 in Z/6, a unit multiple; 2 e_2 is not one."""
+        S = SubmoduleOfHomology(self.AMBIENT, [(0, -1, 0), (0, 0, -1), (0, 0, 2)])
+        assert S._units == {1, 2} and not S._rest
+        assert S.structure == (1, (6,))
+        assert S.unit_members() == [False, True, True]
+        assert "_smith" not in vars(S)
+
+    def test_agrees_with_full_ambient_oracle(self):
+        """Seeded submodules over Z with torsion and over GF(2), GF(3), some
+        with unit generators: member, unit_members and structure."""
+        rng = random.Random(31)
+        for ring in (ZZ, PrimeField(2), PrimeField(3)):
+            for _ in range(60):
+                if ring.is_field:
+                    amb = ambient((), rng.randint(1, 5), ring)
+                else:
+                    amb = ambient(rng.choice(((), (2,), (6,), (2, 6), (2, 2, 4), (2, 6, 12))),
+                                  rng.randint(0, 3))
+                n = amb.length
+                if not n:
+                    continue
+                gens = [{rng.randrange(n): rng.choice((1, -1, 5))} for _ in range(rng.randint(0, 2))]
+                gens += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+                S = SubmoduleOfHomology(amb, gens)
+                oracle = FullAmbientSubmodule(S)
+                vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(10)]
+                vecs += [tuple(int(i == k) for i in range(n)) for k in range(n)]
+                assert [S.member(v) for v in vecs] == [oracle.member(v) for v in vecs]
+                assert S.unit_members() == oracle.unit_members()
+                assert S.structure == oracle.structure()
+
+    @pytest.mark.parametrize("amb, gens", [
+        (ambient((), 3, PrimeField(3)), [(1, 1, 0), (0, 0, 2)]),
+        (ambient((), 3), [(2, 0, 0), (1, 1, 0)]),
+        (ambient((2,), 2), [(0, 2, 0), (1, 0, 0)]),
+    ], ids=["gf3", "z-free", "z-torsion-off-support"])
+    def test_one_smith_form_without_torsion_on_the_support(self, amb, gens, monkeypatch):
+        import fshom.modules as modules
+
+        calls = []
+        monkeypatch.setattr(modules, "snf", lambda A, *a: calls.append(A.rows) or snf(A, *a))
+        S = SubmoduleOfHomology(amb, gens)
+        assert S.structure == FullAmbientSubmodule(S).structure()
+        assert calls == [S._local.length]

@@ -11,6 +11,7 @@ import pytest
 
 from fshom.cli import main
 from fshom.exact import PrimeField, ZZ
+from fshom.fuzzy import ChromaticDataset, vietoris_rips
 from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
 from oracles import carrier
@@ -64,10 +65,25 @@ def test_tracer_installs_and_uninstalls(reference_mu):
     assert all(after[k] is before[k] for k in before)
 
 
-def test_each_submodule_is_factored_outside_membership(reference_mu):
+@pytest.fixture
+def split_mu():
+    """A seeded two-colour cloud of 14 points, 49 simplices, where H_2 at
+    level a has a generator that is not a unit vector, so its Smith form
+    runs (every H_d(l) of the reference project has unit generators only)."""
+    rng = random.Random(11)
+    points = tuple((rng.randint(0, 12), rng.randint(0, 12)) for _ in range(14))
+    labels = tuple(rng.choice("ab") for _ in range(14))
+    mu = vietoris_rips(ChromaticDataset(points, labels), 4, 2)[1]
+    ctx = FuzzyHomologyContext(mu, ZZ)
+    assert any(ctx.hdl_submodule(d, lv)._rest
+               for d in range(ctx.reduced.top + 1) for lv in ctx.kappa_value_set(d))
+    return mu
+
+
+def test_each_submodule_is_factored_outside_membership(split_mu):
     """After `structure` has read every H_d(l), eta's membership tests reuse
     the cached Smith forms: no Smith reduction runs under `member`."""
-    ctx = FuzzyHomologyContext(reference_mu, ZZ)
+    ctx = FuzzyHomologyContext(split_mu, ZZ)
     tracer = load_tracer()
     tracer.install()
     try:
@@ -95,11 +111,11 @@ def test_each_submodule_is_factored_outside_membership(reference_mu):
     assert not any(under_member(i) for i, name in enumerate(names) if name == "exact.snf")
 
 
-def test_level_submodules_run_no_smith_form_or_kernel(reference_mu):
+def test_level_submodules_run_no_smith_form_or_kernel(split_mu):
     """The eta report's work (eta of every basis class, H_d(l) at every level
     of L(kappa_d)) builds the level submodules by nested-kernel sweeps: no
     `exact.kernel` or `exact.snf` span lies under `fuzzyhomology.hdl`."""
-    ctx = FuzzyHomologyContext(reference_mu, ZZ)
+    ctx = FuzzyHomologyContext(split_mu, ZZ)
     tracer = load_tracer()
     tracer.install()
     try:
