@@ -41,7 +41,7 @@ def _chain_map(complex, d: int, chain: dict) -> dict:
     """The {simplex: coefficient} map of a sparse chain {index: coefficient},
     in index order, keys like "0,1"."""
     simplices = complex.simplices(d)
-    return {",".join(str(v) for v in simplices[i].vertices): int(chain[i]) for i in sorted(chain)}
+    return {",".join(map(str, simplices[i])): int(chain[i]) for i in sorted(chain)}
 
 
 def _chain_text(chain: dict) -> str:

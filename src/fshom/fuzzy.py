@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, repeat
-from operator import mul, sub
+from itertools import combinations, repeat, starmap
+from operator import itemgetter, mul, sub
 
 from .lattice import CdlLattice, FreeDistributiveLattice, LatticeValue, Poset, UpSetLattice, format_value
 from .simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
@@ -139,6 +139,12 @@ def complete_values(complex: SimplicialComplex, coding: ValueCoding, explicit) -
     only when some simplex has no explicit value. Values are joined as codes,
     each pair of distinct values once.
 
+    Values are joined into facets from the top dimension down. Each
+    dimension first collects its distinct (coface code, facet code) pairs in
+    C-level passes: when every pair is ordered, as in every exported
+    project, no facet of that dimension changes and its facet loop is
+    skipped; otherwise the loop runs over every (simplex, facet) pair.
+
     >>> L, K = FreeDistributiveLattice(("x", "y")), SimplicialComplex.from_maximal([[0, 1], [2]])
     >>> coding = ValueCoding(L)
     >>> x, y = coding.code(L.parse("x")), coding.code(L.parse("y"))
@@ -156,9 +162,21 @@ def complete_values(complex: SimplicialComplex, coding: ValueCoding, explicit) -
                 raise FuzzyError(f"value given for {s!r}, which is not in the complex")
     # every coface reaches a simplex through a chain of facets, so joining
     # each value into its facets from the top dimension down covers them all;
-    # a value already below the facet's leaves it unchanged, so it is skipped
+    # a value already below the facet's leaves it unchanged, so it is skipped,
+    # and a dimension whose distinct (coface, facet) code pairs all pass
+    # leaves every facet unchanged
+    get = codes.__getitem__
     for d in range(complex.dim, 0, -1):
-        for s in complex.simplices(d):
+        group = complex.simplices(d)
+        cofaces, pairs = [*map(get, group)], set()
+        for j in range(d + 1):
+            # the facets without vertex j, as tuples (one index gives a bare vertex)
+            rest = [*range(j), *range(j + 1, d + 1)]
+            facets = map(itemgetter(*rest), group) if d > 1 else zip(map(itemgetter(*rest), group))
+            pairs.update(zip(cofaces, map(get, facets)))
+        if all(starmap(coding.leq, pairs)):
+            continue
+        for s in group:
             c = codes[s]
             for face in combinations(s, d):
                 f = codes[face]

@@ -59,7 +59,7 @@ homology module and no algorithm is provided, so construction is refused.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, product, starmap
 
 # `kernel` and `solve` are unused here but stay bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
@@ -260,19 +260,22 @@ def _value_groups(mu, d) -> dict:
 
 def _meet_closure(mu, groups) -> list:
     """The codes of the meet-closure of the non-zero codes among `groups`
-    (those of one degree) plus 1, in value-text order; each meet is formed
-    once per pair of codes of mu's coding."""
+    (those of one degree) plus 1, in value-text order.
+
+    Every meet of k + 1 seed codes is a meet of k seeds met with a seed, so
+    each new code is met with the seeds only, once, as it enters the
+    closure: the seeds pairwise, then each new code with each seed. Each
+    unordered pair is formed once and no code is met with itself."""
     coding, bottom = mu.coding, mu.lattice.bottom
-    seed = {c for c in groups if coding.values[c] != bottom}
-    seed.add(coding.code(mu.lattice.top))
-    closed, frontier = set(seed), set(seed)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in closed:
-                m = coding.meet(a, b)
-                if m not in closed:
-                    fresh.add(m)
+    seed = [c for c in groups if coding.values[c] != bottom]
+    top = coding.code(mu.lattice.top)
+    if top not in seed:
+        seed.append(top)
+    closed = set(seed)
+    pairs = combinations(seed, 2)
+    while True:
+        fresh = {*starmap(coding.meet, pairs)} - closed
+        if not fresh:
+            return sorted(closed, key=lambda c: format_value(coding.values[c]))
         closed |= fresh
-        frontier = fresh
-    return sorted(closed, key=lambda c: format_value(coding.values[c]))
+        pairs = product(fresh, seed)

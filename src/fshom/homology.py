@@ -194,7 +194,10 @@ class ReducedChainComplex:
 
 
 def _boundary(complex: SimplicialComplex, ring, d: int) -> ExactMatrix:
-    """The boundary matrix of degree d over the ring, built by columns."""
-    of = ring.of
-    columns = [{i: of(x) for i, x in column.items()} for column in complex.boundary_columns(d)]
+    """The boundary matrix of degree d over the ring, built by columns. The
+    signs are ring elements as they are over Z; over Z/p, -1 becomes p - 1."""
+    columns = complex.boundary_columns(d)
+    if ring.of(-1) != -1:
+        of = ring.of
+        columns = [{i: of(x) for i, x in column.items()} for column in columns]
     return ExactMatrix(ring, 1 if d == 0 else complex.n(d - 1), len(columns), by_cols=columns)

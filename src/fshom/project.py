@@ -26,9 +26,14 @@ vertices). A mu value must be a string. The monotonicity violations of
 explicit mu values are listed for reporting only when the completion moves
 one.
 
-`dump_json` writes every project and CLI report: it gives the bytes of
+`dump_json` writes every CLI report: it gives the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)` without the standard library's
 pure-Python encoder, which is what `json.dumps` runs under `indent`.
+`dump_project` gives the same bytes for a project. A project of the normal
+form that `project_from_fuzzy` gives (the form `build-chromatic` and every
+export write) is checked in bulk passes at C level, as `_load_mu_entries`
+checks a mu list, and written with one join per maximal simplex and one
+%-format per mu entry; any other project goes through `dump_json`.
 """
 
 from __future__ import annotations
@@ -305,18 +310,63 @@ def load_project_file(path: str, ring_override: str | None = None) -> LoadedProj
 
 def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
     """Normal-form project dict for a fuzzy subcomplex (values on all simplices)."""
-    maximal = [list(s.vertices) for s in mu.complex.maximal_simplices()]
-    texts = [format_value(v) for v in mu.coding.values]
-    entries = [{"simplex": list(s), "value": texts[mu.code(s)]} for s in mu.complex.all_simplices()]
+    K = mu.complex
+    texts = [*map(format_value, mu.coding.values)]
+    values = map(texts.__getitem__, map(mu._code.__getitem__, K.all_simplices()))
     return {
         "lattice": lattice_to_spec(mu.lattice),
-        "complex": {"maximal": maximal},
-        "mu": entries,
+        "complex": {"maximal": [*map(list, K.maximal_simplices())]},
+        "mu": [{"simplex": s, "value": t} for s, t in zip(map(list, K.all_simplices()), values)],
         "ring": format_ring(ring),
     }
 
 
+def _int_lists(lists) -> bool:
+    """Whether `lists` is a list of non-empty lists of ints, tested at C level
+    (bool and float vertices would compare equal to ints, so the test is exact)."""
+    return ({*map(type, lists)} == {list} and all(lists)
+            and {*map(type, chain.from_iterable(lists))} == {int})
+
+
 def dump_project(project: dict) -> str:
+    """`dump_json(project)` and a newline.
+
+    A project of the normal form that `project_from_fuzzy` gives is checked
+    in bulk passes at C level and written without `dump_json`'s recursion:
+    each maximal simplex by one join and each mu entry by one %-format of
+    its vertices and its value text, each distinct text encoded once. The
+    normal form is exactly the keys complex, lattice, mu and ring; a complex
+    of exactly the key maximal; maximal simplices and mu simplices that are
+    non-empty lists of non-empty lists of ints; mu entries that are dicts of
+    exactly 'simplex' and a str 'value'. Any other shape is written by
+    `dump_json`.
+    """
+    if type(project) is dict and project.keys() == {"complex", "lattice", "mu", "ring"}:
+        complex, entries = project["complex"], project["mu"]
+        if (type(complex) is dict and complex.keys() == {"maximal"} and type(entries) is list
+                and {*map(type, entries)} == {dict} and {*map(len, entries)} == {2}
+                and all(map(dict.__contains__, entries, repeat("simplex")))
+                and all(map(dict.__contains__, entries, repeat("value")))):
+            maximal = complex["maximal"]
+            simplices = [*map(itemgetter("simplex"), entries)]
+            texts = [*map(itemgetter("value"), entries)]
+            if (type(maximal) is list and _int_lists(maximal) and _int_lists(simplices)
+                    and {*map(type, texts)} == {str}):
+                quoted = {t: encode_basestring_ascii(t) for t in dict.fromkeys(texts)}
+                # one format per simplex size: k vertices, then the value text
+                entry = {k: '{\n      "simplex": [\n        ' + ",\n        ".join(["%d"] * k)
+                         + '\n      ],\n      "value": %s\n    }' for k in {*map(len, simplices)}}
+                return "".join((
+                    '{\n  "complex": {\n    "maximal": [\n      [\n        ',
+                    "\n      ],\n      [\n        ".join(
+                        map(",\n        ".join, map(map, repeat(str), maximal))),
+                    '\n      ]\n    ]\n  },\n  "lattice": ',
+                    dump_json(project["lattice"]).replace("\n", "\n  "),
+                    ',\n  "mu": [\n    ',
+                    ",\n    ".join([entry[len(s)] % (*s, quoted[t]) for s, t in zip(simplices, texts)]),
+                    '\n  ],\n  "ring": ',
+                    dump_json(project["ring"]).replace("\n", "\n  "),
+                    "\n}\n"))
     return dump_json(project) + "\n"
 
 

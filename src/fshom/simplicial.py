@@ -16,6 +16,10 @@ union are built that way, as sub-tuples of a valid simplex and cliques grown
 in increasing vertex order are valid by construction. Where a face is only looked
 up (the face-closure check, `maximal_simplices`, `boundary_columns`), it stays
 the plain tuple that `itertools.combinations` yields.
+
+The constructor checks that its simplices are `Simplex`es, face-closed and
+without a dimension gap. `from_maximal` builds a closure that is all three
+by construction, so it groups that closure by size and holds it unchecked.
 """
 
 from __future__ import annotations
@@ -102,9 +106,13 @@ class SimplicialComplex:
         dims = sorted(by_dim)
         if dims and dims != list(range(dims[-1] + 1)):
             raise ValueError("dimension gap in complex")
-        object.__setattr__(self, "_by_dim", tuple(tuple(by_dim[d]) for d in dims))
+        self._set(tuple(tuple(by_dim[d]) for d in dims))
+
+    def _set(self, by_dim: tuple) -> None:
+        """Hold `by_dim`, the sorted simplices of each dimension 0..dim, and index them."""
+        object.__setattr__(self, "_by_dim", by_dim)
         index = {}
-        for group in self._by_dim:
+        for group in by_dim:
             index.update(zip(group, range(len(group))))
         object.__setattr__(self, "_index", index)
 
@@ -118,6 +126,12 @@ class SimplicialComplex:
         When every entry is a list of ints, the vertex checks run once per
         list at C level; any other input, or a list that fails them, is
         parsed by `Simplex`, which names the first bad entry.
+
+        The closure is closed by construction: it holds the k-vertex faces of
+        the given simplices for every k from 1 to the largest size, so it has
+        every facet of its simplices and no dimension gap. It is grouped by
+        size and sorted, group by group, and held without the checks of the
+        constructor (simplex types, face closure, dimension gaps).
 
         >>> K = SimplicialComplex.from_maximal([[0, 1, 2, 3]])
         >>> [K.n(d) for d in range(4)]
@@ -133,10 +147,11 @@ class SimplicialComplex:
             valid = [*map(tuple, map(sorted, listed))]
         else:
             valid = [vs if isinstance(vs, Simplex) else Simplex(vs) for vs in listed]
-        closure = set()
-        for k in range(1, max(map(len, valid)) + 1):
-            closure.update(chain.from_iterable(map(combinations, valid, repeat(k))))
-        return cls(map(Simplex._sorted, closure))
+        groups = (sorted({*chain.from_iterable(map(combinations, valid, repeat(k)))})
+                  for k in range(1, max(map(len, valid)) + 1))
+        K = object.__new__(cls)
+        K._set(tuple(tuple(map(Simplex._sorted, group)) for group in groups))
+        return K
 
     @property
     def dim(self) -> int:
@@ -153,8 +168,8 @@ class SimplicialComplex:
         return ()
 
     def all_simplices(self):
-        for group in self._by_dim:
-            yield from group
+        """An iterator over every simplex, in (dim, vertices) order."""
+        return chain.from_iterable(self._by_dim)
 
     def n(self, d: int) -> int:
         return len(self.simplices(d))

@@ -296,6 +296,17 @@ def kappa(ctx, d, chain):
     return ctx.lattice.meet(v for c, v in zip(chain, values) if ring.of(c))
 
 
+def pairwise_meet_closure(values, lattice) -> list:
+    """The meet-closure of the non-zero values plus 1, in text order, by
+    meeting every pair of closed values until no new value appears."""
+    closed = {v for v in values if v != lattice.bottom} | {lattice.top}
+    while True:
+        fresh = {lattice.meet([a, b]) for a in closed for b in closed} - closed
+        if not fresh:
+            return sorted(closed, key=format_value)
+        closed |= fresh
+
+
 def delta_value_set(ctx, d) -> list:
     """The distinct values of the d-simplices, in text order."""
     return sorted(set(simplex_values(ctx, d)), key=format_value)

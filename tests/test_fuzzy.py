@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fshom.fuzzy
 from fshom.fuzzy import (
     ChromaticDataset,
     FuzzyError,
@@ -130,6 +131,37 @@ class TestValidation:
                 seen_violations = seen_violations or bool(bad)
             assert explicit_violations(monotone, lattice) == []
         assert seen_violations
+
+    def test_completion_runs_the_facet_loop_only_where_a_code_pair_fails(self, monkeypatch):
+        """On a chromatic complex of about 860 simplices, for every lattice
+        family, `complete_values` equals the pairwise definition. A
+        face-monotone assignment on every simplex (the meet of random vertex
+        values) compares only distinct code pairs and never walks a facet;
+        a non-monotone one (one vertex lowered to 0, random values on a random
+        part, a random part of the monotone one) walks the facets."""
+        walks = []
+        combinations = fshom.fuzzy.combinations
+        monkeypatch.setattr(fshom.fuzzy, "combinations",
+                            lambda s, k: walks.append(1) or combinations(s, k))
+        rng = random.Random(71)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        K, _ = vietoris_rips(ChromaticDataset(points, ("a",) * 130), 5, 2)
+        assert 700 <= len(K) <= 1000
+        simplices = list(K.all_simplices())
+        for lattice in lattice_family():
+            elements = list(carrier(lattice))
+            at = {v: rng.choice(elements) for (v,) in K.simplices(0)}
+            monotone = {s: lattice.meet(at[v] for v in s) for s in simplices}
+            coface = rng.choice([s for s in simplices if s.dim and monotone[s] != lattice.bottom])
+            for explicit, walked in (
+                    (monotone, False),
+                    ({**monotone, K.get(coface[:1]): lattice.bottom}, True),
+                    ({s: rng.choice(elements) for s in rng.sample(simplices, len(simplices) // 4)}, True),
+                    ({s: monotone[s] for s in rng.sample(simplices, len(simplices) // 3)}, True)):
+                walks.clear()
+                values = complete(K, lattice, explicit)
+                assert list(values.items()) == list(pairwise_complete_values(K, lattice, explicit).items())
+                assert bool(walks) == walked, (lattice, walked)
 
     @pytest.mark.parametrize("foreign", [TotalOrder(("lo", "hi")).top, "x", ["x"]],
                              ids=["other-lattice", "string", "unhashable-list"])

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import fshom.fuzzyhomology
 from fshom.exact import PrimeField, ZZ
 from fshom.fuzzy import ChromaticDataset, FuzzyError, FuzzySubcomplex, chromatic, vietoris_rips
 from fshom.fuzzyhomology import FuzzyHomologyContext, NotComputableError
@@ -23,7 +24,7 @@ from fshom.simplicial import Simplex, SimplicialComplex
 from fshom.modules import SubmoduleOfHomology
 from oracles import (
     FullAmbientSubmodule, brute_force_eta, carrier, delta_value_set, dense, kappa,
-    kernel_hdl_submodule, per_simplex_index_set,
+    kernel_hdl_submodule, pairwise_meet_closure, per_simplex_index_set, simplex_values,
 )
 from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
 from test_filtration import BENCH, grid_spec
@@ -77,6 +78,47 @@ class TestChainValues:
         assert ctx.index_set(0, L.parse("x & y")) == ()
         assert ctx.index_set(0, L.parse("1")) == (0, 1, 2, 3, 4)
         assert ctx.index_set(0, L.parse("y")) == (0, 1, 3)
+
+    def test_kappa_value_sets_meet_each_pair_of_codes_once(self, monkeypatch):
+        """L(kappa_d) equals the pairwise meet-closure of the d-simplex values
+        on the chromatic cloud of the chromatic-ingest workload's size, the
+        4x4 grid bifiltration and seeded subcomplexes of every lattice
+        family, while the closure meets no code with itself and no unordered
+        pair of codes twice."""
+        monkeypatch.syspath_prepend(BENCH)
+        import gen
+
+        rng = random.Random(7201)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        labels = tuple(rng.choice("abc") for _ in range(130))
+        _, cloud = vietoris_rips(ChromaticDataset(points, labels), 5, 2)
+        grid = load_project({"filtration": grid_spec(gen, 4, 2, points=32, side=20)}).mu
+        subcomplexes = [cloud, grid]
+        for lattice in lattice_family():
+            K = random_complex(rng, max_vertices=9, max_dim=3, per_dim_cap=30)
+            subcomplexes += [random_mu(rng, K, lattice) for _ in range(3)]
+        pairs, closures = [], []
+        closure = fshom.fuzzyhomology._meet_closure
+
+        def checked(mu, groups):
+            pairs.clear()
+            codes = closure(mu, groups)
+            assert all(a != b for a, b in pairs)
+            assert len({frozenset(p) for p in pairs}) == len(pairs)
+            closures.append(len(pairs))
+            return codes
+
+        monkeypatch.setattr(fshom.fuzzyhomology, "_meet_closure", checked)
+        sizes = Counter()
+        for mu in subcomplexes:
+            meet = mu.coding.meet
+            mu.coding.meet = lambda a, b, meet=meet: pairs.append((a, b)) or meet(a, b)
+            ctx = FuzzyHomologyContext(mu, PrimeField(3))
+            for d in range(ctx.reduced.top + 1):
+                expected = pairwise_meet_closure(simplex_values(ctx, d), ctx.lattice)
+                assert ctx.kappa_value_set(d) == expected
+                sizes[len(expected) > 4] += 1
+        assert sizes[True] > 4 and sum(closures) > 100, (sizes, sum(closures))
 
     def test_index_sets_by_value_group_match_the_per_simplex_definition(self):
         """Seeded subcomplexes of every lattice family, at every level of the

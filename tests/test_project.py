@@ -10,7 +10,7 @@ import pytest
 import fshom.fuzzy
 import fshom.project
 from fshom.cli import main
-from fshom.exact import ZZ
+from fshom.exact import ZZ, parse_ring
 from fshom.fuzzy import ChromaticDataset, vietoris_rips
 from fshom.lattice import CdlLattice, format_value, lattice_from_spec, lattice_to_spec, parse_value
 from fshom.project import (
@@ -28,6 +28,7 @@ from oracles import (
     walk_mu_entries,
 )
 from randgen import lattice_family
+from test_filtration import grid_spec
 
 
 def complex_source(**extra):
@@ -166,6 +167,18 @@ class TestNormalization:
         assert {s: format_value(v) for s, v in p.mu.items()} == \
             {s: format_value(v) for s, v in reference_project.mu.items()}
 
+    def test_round_trip_at_bench_scale(self, bench_subcomplexes):
+        """For every lattice family (and the clouds and the grid), a project
+        of about 860 simplices is loaded, exported, and its text reads back
+        to the same text and the same values."""
+        for name, mu in bench_subcomplexes:
+            text = dump_project(project_from_fuzzy(mu))
+            data = json.loads(text)
+            assert dump_project(data) == text, name
+            p = load_project(data)
+            assert p.is_valid and list(p.mu.items()) == list(mu.items()), name
+            assert dump_project(project_from_fuzzy(p.mu)) == text, name
+
 
 # every character class that the encoder escapes differently
 TEXT = ["", "a", "Z", " ", "~", "\u00e9", "\u2603", "\U0001f600", "\ud800", '"', "\\", "/",
@@ -194,6 +207,112 @@ def random_json(rng, depth):
     if kind == 5:
         return tuple(items)
     return {random_text(rng): v for v in items}
+
+
+@pytest.fixture(scope="module")
+def bench_subcomplexes():
+    """(name, subcomplex) at the scale of the benchmark's inputs: three seeded
+    3-colour chromatic clouds of about 860 simplices, the 4x4 grid
+    bifiltration of bifiltration-ranks, and, for every lattice family, the
+    complex-source project on the first cloud's complex whose values are the
+    meets of random vertex values."""
+    out = []
+    for seed in range(3):
+        rng = random.Random(9100 + seed)
+        points = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(130))
+        _, mu = vietoris_rips(ChromaticDataset(points, tuple(rng.choices("abc", k=130))), 5, 2)
+        assert 700 <= len(mu.complex) <= 1100
+        out.append((f"cloud-{seed}", mu))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(BENCH)
+        import gen
+
+        out.append(("grid", load_project({"filtration": grid_spec(gen, 4, 2, points=32, side=20)}).mu))
+    rng = random.Random(9103)
+    K = out[0][1].complex
+    for lattice in lattice_family():
+        elements = list(carrier(lattice))
+        at = {v: rng.choice(elements) for (v,) in K.simplices(0)}
+        data = {"lattice": lattice_to_spec(lattice),
+                "complex": {"maximal": [list(s) for s in K.maximal_simplices()]},
+                "mu": [{"simplex": list(s), "value": format_value(lattice.meet(at[v] for v in s))}
+                       for s in K.all_simplices()]}
+        out.append((f"lattice-{lattice!r}", load_project(data).mu))
+    return out
+
+
+def dump_with_path(monkeypatch, project):
+    """`dump_project(project)`, or the error it raises, and whether it fell
+    back to `dump_json` for the whole project."""
+    whole = []
+    dump = fshom.project.dump_json
+    monkeypatch.setattr(fshom.project, "dump_json", lambda o: whole.append(o is project) or dump(o))
+    try:
+        return dump_project(project), any(whole)
+    except TypeError as e:
+        return e, any(whole)
+    finally:
+        monkeypatch.setattr(fshom.project, "dump_json", dump)
+
+
+def with_vertices(project, f):
+    """A deep copy of a normal-form project with every vertex v replaced by f(v)."""
+    project = copy.deepcopy(project)
+    for simplex in [*project["complex"]["maximal"], *(e["simplex"] for e in project["mu"])]:
+        simplex[:] = map(f, simplex)
+    return project
+
+
+class TestDumpProject:
+    def test_normal_form_is_written_in_one_pass(self, bench_subcomplexes, monkeypatch):
+        """Every project that `project_from_fuzzy` gives at bench scale, over Z
+        and Z/3, takes the one-pass writer and equals the standard encoder."""
+        for name, mu in bench_subcomplexes:
+            for ring in (ZZ, parse_ring("zmod:3")):
+                project = project_from_fuzzy(mu, ring)
+                text, fell_back = dump_with_path(monkeypatch, project)
+                assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
+                assert not fell_back, name
+
+    def test_every_other_shape_falls_back(self, reference_project, monkeypatch):
+        """Hand-made shapes: a project that is not of the normal form is
+        written by `dump_json`, so it equals the standard encoder, or raises
+        its TypeError (a float). Value texts that need escaping and vertices
+        past 64 bits are of the normal form, and the one-pass writer gives
+        the standard encoder's bytes for them too."""
+        base = project_from_fuzzy(reference_project.mu, reference_project.ring)
+        texts = ['x "q"', "\u00e9\u2603", "a\\b", "\n\t", "\U0001f600", "/"]
+        shapes = {
+            "no-mu": {k: v for k, v in base.items() if k != "mu"},
+            "empty-mu": {**base, "mu": []},
+            "extra-key": {**base, "name": "k"},
+            "extra-complex-key": {**base, "complex": {**base["complex"], "dim": 2}},
+            "extra-entry-key": {**base, "mu": [{**base["mu"][0], "note": 1}, *base["mu"][1:]]},
+            "tuple-simplex": {**base, "mu": [{**base["mu"][0], "simplex": (0,)}, *base["mu"][1:]]},
+            "empty-simplex": {**base, "mu": [*base["mu"], {"simplex": [], "value": "x"}]},
+            "non-string-value": {**base, "mu": [*base["mu"], {"simplex": [0], "value": 1}]},
+            "not-a-dict": {**base, "mu": [*base["mu"], [[0], "x"]]},
+            "bool-vertex": with_vertices(base, lambda v: True if v == 1 else v),
+            "float-vertex": with_vertices(base, lambda v: 1.0 if v == 1 else v),
+            "empty-maximal": {**base, "complex": {"maximal": []}},
+        }
+        for name, project in shapes.items():
+            text, fell_back = dump_with_path(monkeypatch, project)
+            if name == "float-vertex":
+                assert isinstance(text, TypeError) and fell_back
+            else:
+                assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
+                assert fell_back, name
+        normal = {
+            "escaped-texts": {**base, "mu": [{**e, "value": texts[i % len(texts)]}
+                                             for i, e in enumerate(base["mu"])]},
+            "big-vertices": with_vertices(base, lambda v: v + 2 ** 63),
+            "huge-vertices": with_vertices(base, lambda v: v + 10 ** 40),
+        }
+        for name, project in normal.items():
+            text, fell_back = dump_with_path(monkeypatch, project)
+            assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
+            assert not fell_back, name
 
 
 class TestDumpJson:

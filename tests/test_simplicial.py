@@ -114,6 +114,33 @@ class TestComplexConstruction:
             assert K.maximal_simplices() == quadratic
             assert SimplicialComplex.from_maximal(quadratic) == K
 
+    def test_closure_by_construction_equals_the_checked_constructor(self):
+        """`from_maximal` holds its closure without the constructor's checks.
+        On 80 seeded maximal lists, with repeated and nested entries, mixed
+        dimensions, unsorted vertices and a lone vertex, given as int lists
+        (the bulk path) and as tuples (the `Simplex` path), it equals the
+        checked `SimplicialComplex` of every face: bases, index, maximal
+        simplices and the type of every simplex."""
+        rng = random.Random(67)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            listed = [rng.sample(range(n), rng.randint(1, min(n, 5))) for _ in range(rng.randint(1, 6))]
+            listed.append(list(rng.choice(listed)))  # a repeat
+            s = rng.choice(listed)
+            listed.append(rng.sample(s, rng.randint(1, len(s))))  # a face of an entry
+            listed.append([n + rng.randint(0, 3)])  # a lone vertex
+            rng.shuffle(listed)
+            expected = SimplicialComplex({Simplex(c) for vs in listed for k in range(1, len(vs) + 1)
+                                          for c in combinations(sorted(vs), k)})
+            for given in (listed, [tuple(vs) for vs in listed]):
+                K = SimplicialComplex.from_maximal(given)
+                assert K == expected
+                assert [K.n(d) for d in range(K.dim + 2)] == [expected.n(d) for d in range(K.dim + 2)]
+                assert K._index == expected._index
+                assert K.maximal_simplices() == expected.maximal_simplices()
+                assert {type(s) for s in K.all_simplices()} == {Simplex}
+                assert all(K.get(s.vertices) is s for s in K.all_simplices())
+
     def test_face_closure_required(self):
         with pytest.raises(ValueError):
             SimplicialComplex([Simplex((0, 1))])
