@@ -88,6 +88,13 @@ def _require(cond, message):
         raise ProjectError(message)
 
 
+def _int_lists(lists) -> bool:
+    """Whether `lists` is a list of non-empty lists of ints, tested at C level
+    (bool and float vertices would compare equal to ints, so the test is exact)."""
+    return ({*map(type, lists)} == {list} and all(lists)
+            and {*map(type, chain.from_iterable(lists))} == {int})
+
+
 def _load_complex_spec(spec) -> SimplicialComplex:
     _require(isinstance(spec, dict) and "maximal" in spec,
              "complex spec must be an object with a 'maximal' list")
@@ -101,14 +108,13 @@ def _load_complex_spec(spec) -> SimplicialComplex:
 
 def _stage_faces(p, maximal, closures) -> frozenset:
     """The faces of filtration stage p, given by its maximal simplices, as
-    sorted vertex tuples. In a stage whose entries are all lists of ints, each
-    entry is validated and closed once for all stages: `closures` maps it, as
+    sorted vertex tuples. In a stage whose entries are all non-empty lists of
+    ints, each entry is validated and closed once for all stages: `closures` maps it, as
     a tuple, to its faces. Any other stage is not cached, and `Simplex` names
     its first malformed entry."""
     _require(isinstance(maximal, list) and maximal, f"stage {p!r}: 'maximal' must be a non-empty list")
     faces = set()
-    # one type pass over the stage; a stage that is not all lists of ints is not cached
-    ints = {*map(type, maximal)} == {list} and {*map(type, chain.from_iterable(maximal))} == {int}
+    ints = _int_lists(maximal)
     for vertices in maximal:
         key = tuple(vertices) if ints else None
         closed = closures.get(key)
@@ -319,13 +325,6 @@ def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
         "mu": [{"simplex": s, "value": t} for s, t in zip(map(list, K.all_simplices()), values)],
         "ring": format_ring(ring),
     }
-
-
-def _int_lists(lists) -> bool:
-    """Whether `lists` is a list of non-empty lists of ints, tested at C level
-    (bool and float vertices would compare equal to ints, so the test is exact)."""
-    return ({*map(type, lists)} == {list} and all(lists)
-            and {*map(type, chain.from_iterable(lists))} == {int})
 
 
 def dump_project(project: dict) -> str:
