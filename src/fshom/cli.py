@@ -27,7 +27,6 @@ from .project import (
     dump_project,
     load_project,
     load_project_file,
-    project_from_fuzzy,
     read_chromatic_csv,
     read_json,
 )
@@ -264,8 +263,7 @@ def cmd_build_chromatic(args) -> int:
         complex, mu = vietoris_rips(dataset, args.radius, args.max_dim)
     except FuzzyError as e:
         raise ProjectError(str(e)) from None
-    project = project_from_fuzzy(mu)
-    _emit(dump_project(project), args.out)
+    _emit(dump_project(mu), args.out)
     return 0
 
 
@@ -276,8 +274,7 @@ def cmd_import_filtration(args) -> int:
     project = load_project(data, base_dir=os.path.dirname(os.path.abspath(args.spec)))
     for w in project.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = project_from_fuzzy(project.mu, project.ring)
-    _emit(dump_project(out), args.out)
+    _emit(dump_project(project.mu, project.ring), args.out)
     return 0
 
 

@@ -165,10 +165,6 @@ class SubmoduleOfHomology:
     def full(cls, ambient: HomologyAmbient) -> "SubmoduleOfHomology":
         return cls(ambient, ({i: 1} for i in range(ambient.length)))
 
-    def _lifted_matrix(self) -> ExactMatrix:
-        """Generators plus the relation vectors a_i * e_i, as sparse columns over the ring."""
-        return self.ambient.lifted_matrix(self.generators)
-
     @cached_property
     def _smith(self) -> SmithDecomposition:
         """The one Smith form, of the rest's lifted matrix on its support,
@@ -217,9 +213,9 @@ class SubmoduleOfHomology:
             raise ValueError("ambient groups differ")
         # (x, y) in ker [G1 | G2] gives G1 x = -G2 y, which lies in both;
         # G1 x is summed from the columns of G1 at the non-zeros of x
-        g1 = self._lifted_matrix()
+        g1 = self.ambient.lifted_matrix(self.generators)
         xs = [{k: x for k, x in w.items() if k < g1.cols}
-              for w in kernel(g1.hstack(other._lifted_matrix()))]
+              for w in kernel(g1.hstack(self.ambient.lifted_matrix(other.generators)))]
         return SubmoduleOfHomology(self.ambient, _line_products(g1.ring, xs, g1.by_cols))
 
     def add(self, other: "SubmoduleOfHomology") -> "SubmoduleOfHomology":

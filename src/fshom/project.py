@@ -29,11 +29,11 @@ one.
 `dump_json` writes every CLI report: it gives the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)` without the standard library's
 pure-Python encoder, which is what `json.dumps` runs under `indent`.
-`dump_project` gives the same bytes for a project. A project of the normal
-form that `project_from_fuzzy` gives (the form `build-chromatic` and every
-export write) is checked in bulk passes at C level, as `_load_mu_entries`
-checks a mu list, and written with one join per maximal simplex and one
-%-format per mu entry; any other project goes through `dump_json`.
+`dump_project` writes the one project layout, the normal form of a fuzzy
+subcomplex that `build-chromatic` and `import-filtration` export, straight
+from the subcomplex: one %-format per maximal simplex and per mu entry, in
+the bytes that `json.dumps(indent=2, sort_keys=True)` gives for that
+project. `project_from_fuzzy` is that text read back as a dict.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import csv
 import json
 import os
 from collections import namedtuple
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -65,7 +65,7 @@ from .lattice import (
     parse_value,
     poset_from_spec,
 )
-from .simplicial import Simplex, SimplicialComplex
+from .simplicial import Simplex, SimplicialComplex, _int_lists
 
 
 class ProjectError(ValueError):
@@ -86,13 +86,6 @@ class LoadedProject(namedtuple("LoadedProject", "lattice complex mu ring source 
 def _require(cond, message):
     if not cond:
         raise ProjectError(message)
-
-
-def _int_lists(lists) -> bool:
-    """Whether `lists` is a list of non-empty lists of ints, tested at C level
-    (bool and float vertices would compare equal to ints, so the test is exact)."""
-    return ({*map(type, lists)} == {list} and all(lists)
-            and {*map(type, chain.from_iterable(lists))} == {int})
 
 
 def _load_complex_spec(spec) -> SimplicialComplex:
@@ -135,18 +128,17 @@ def _load_mu_entries(entries, complex, coding) -> dict:
     value text parsed and coded once, in order of first appearance.
 
     The whole list is checked in bulk passes: every entry a dict with
-    'simplex' and 'value', every simplex a list of ints found in the complex
-    (as a sorted tuple) and none repeated, every value a string that parses.
-    Any other list is walked entry by entry, which names the first bad entry
-    and reads what is valid but not in that form (say, unsorted vertices)."""
+    'simplex' and 'value', every simplex a non-empty list of ints
+    (`_int_lists`) found in the complex (as a sorted tuple) and none
+    repeated, every value a string that parses. Any other list, an empty one
+    too, is walked entry by entry, which names the first bad entry and reads
+    what is valid but not in that form (say, unsorted vertices)."""
     _require(isinstance(entries, list), "'mu' must be a list of {simplex, value} objects")
     if {*map(type, entries)} <= {dict} and all(map(dict.__contains__, entries, repeat("simplex"))) \
             and all(map(dict.__contains__, entries, repeat("value"))):
         simplices = [*map(itemgetter("simplex"), entries)]
         texts = [*map(itemgetter("value"), entries)]
-        # bool and float vertices would compare equal to ints, so the type test is exact
-        if ({*map(type, simplices)} <= {list} and {*map(type, chain.from_iterable(simplices))} <= {int}
-                and {*map(type, texts)} <= {str}):
+        if _int_lists(simplices) and {*map(type, texts)} <= {str}:
             found = [*map(complex.get, map(tuple, simplices))]
             if None not in found and len(set(found)) == len(found):
                 lattice = coding.lattice
@@ -314,59 +306,40 @@ def load_project_file(path: str, ring_override: str | None = None) -> LoadedProj
                         ring_override=ring_override)
 
 
-def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
-    """Normal-form project dict for a fuzzy subcomplex (values on all simplices)."""
-    K = mu.complex
-    texts = [*map(format_value, mu.coding.values)]
-    values = map(texts.__getitem__, map(mu._code.__getitem__, K.all_simplices()))
-    return {
-        "lattice": lattice_to_spec(mu.lattice),
-        "complex": {"maximal": [*map(list, K.maximal_simplices())]},
-        "mu": [{"simplex": s, "value": t} for s, t in zip(map(list, K.all_simplices()), values)],
-        "ring": format_ring(ring),
-    }
+def dump_project(mu: FuzzySubcomplex, ring=ZZ) -> str:
+    """The normal-form project of a fuzzy subcomplex, as the bytes of
+    `json.dumps(project, indent=2, sort_keys=True)` and a newline: its
+    lattice spec, its maximal simplices, one mu entry per simplex in
+    (dim, vertices) order and its ring.
 
-
-def dump_project(project: dict) -> str:
-    """`dump_json(project)` and a newline.
-
-    A project of the normal form that `project_from_fuzzy` gives is checked
-    in bulk passes at C level and written without `dump_json`'s recursion:
-    each maximal simplex by one join and each mu entry by one %-format of
-    its vertices and its value text, each distinct text encoded once. The
-    normal form is exactly the keys complex, lattice, mu and ring; a complex
-    of exactly the key maximal; maximal simplices and mu simplices that are
-    non-empty lists of non-empty lists of ints; mu entries that are dicts of
-    exactly 'simplex' and a str 'value'. Any other shape is written by
-    `dump_json`.
+    Each maximal simplex is written by one %-format of its vertices and each
+    mu entry by one of its vertices and its value text; the text of each
+    code is formatted and encoded once.
     """
-    if type(project) is dict and project.keys() == {"complex", "lattice", "mu", "ring"}:
-        complex, entries = project["complex"], project["mu"]
-        if (type(complex) is dict and complex.keys() == {"maximal"} and type(entries) is list
-                and {*map(type, entries)} == {dict} and {*map(len, entries)} == {2}
-                and all(map(dict.__contains__, entries, repeat("simplex")))
-                and all(map(dict.__contains__, entries, repeat("value")))):
-            maximal = complex["maximal"]
-            simplices = [*map(itemgetter("simplex"), entries)]
-            texts = [*map(itemgetter("value"), entries)]
-            if (type(maximal) is list and _int_lists(maximal) and _int_lists(simplices)
-                    and {*map(type, texts)} == {str}):
-                quoted = {t: encode_basestring_ascii(t) for t in dict.fromkeys(texts)}
-                # one format per simplex size: k vertices, then the value text
-                entry = {k: '{\n      "simplex": [\n        ' + ",\n        ".join(["%d"] * k)
-                         + '\n      ],\n      "value": %s\n    }' for k in {*map(len, simplices)}}
-                return "".join((
-                    '{\n  "complex": {\n    "maximal": [\n      [\n        ',
-                    "\n      ],\n      [\n        ".join(
-                        map(",\n        ".join, map(map, repeat(str), maximal))),
-                    '\n      ]\n    ]\n  },\n  "lattice": ',
-                    dump_json(project["lattice"]).replace("\n", "\n  "),
-                    ',\n  "mu": [\n    ',
-                    ",\n    ".join([entry[len(s)] % (*s, quoted[t]) for s, t in zip(simplices, texts)]),
-                    '\n  ],\n  "ring": ',
-                    dump_json(project["ring"]).replace("\n", "\n  "),
-                    "\n}\n"))
-    return dump_json(project) + "\n"
+    K = mu.complex
+    quoted = [*map(encode_basestring_ascii, map(format_value, mu.coding.values))]
+    simplices = [*K.all_simplices()]
+    texts = map(quoted.__getitem__, map(mu._code.__getitem__, simplices))
+    # one format per simplex size k: k vertices, then (in a mu entry) the value text
+    cell = {k: "[\n        " + ",\n        ".join(["%d"] * k) + "\n      ]" for k in range(1, K.dim + 2)}
+    entry = {k: '{\n      "simplex": ' + c + ',\n      "value": %s\n    }' for k, c in cell.items()}
+    maximal = ",\n      ".join([cell[len(s)] % s for s in K.maximal_simplices()])
+    entries = ",\n    ".join([entry[len(s)] % (*s, t) for s, t in zip(simplices, texts)])
+    return "".join((
+        '{\n  "complex": {\n    "maximal": ',
+        "[\n      " + maximal + "\n    ]" if maximal else "[]",
+        '\n  },\n  "lattice": ',
+        dump_json(lattice_to_spec(mu.lattice)).replace("\n", "\n  "),
+        ',\n  "mu": ',
+        "[\n    " + entries + "\n  ]" if entries else "[]",
+        ',\n  "ring": ',
+        encode_basestring_ascii(format_ring(ring)),
+        "\n}\n"))
+
+
+def project_from_fuzzy(mu: FuzzySubcomplex, ring=ZZ) -> dict:
+    """The normal-form project of a fuzzy subcomplex as a dict: `dump_project` read back."""
+    return json.loads(dump_project(mu, ring))
 
 
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,

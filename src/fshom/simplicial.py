@@ -76,6 +76,13 @@ class Simplex(tuple):
 Simplex._sorted = partial(tuple.__new__, Simplex)
 
 
+def _int_lists(lists) -> bool:
+    """Whether `lists` is a list of non-empty lists of ints, tested at C level
+    (bool and float vertices would compare equal to ints, so the test is exact)."""
+    return ({*map(type, lists)} == {list} and all(lists)
+            and {*map(type, chain.from_iterable(lists))} == {int})
+
+
 def _facets(simplices, d: int):
     """The codimension-1 faces of the given d-simplices, as plain tuples."""
     return chain.from_iterable(map(combinations, simplices, repeat(d)))
@@ -123,9 +130,10 @@ class SimplicialComplex:
     def from_maximal(cls, simplices) -> "SimplicialComplex":
         """Downward closure of the given simplices.
 
-        When every entry is a list of ints, the vertex checks run once per
-        list at C level; any other input, or a list that fails them, is
-        parsed by `Simplex`, which names the first bad entry.
+        When every entry is a non-empty list of ints (`_int_lists`), the
+        other vertex checks (non-negative, none repeated) run once per list
+        at C level; any other input, or a list that fails them, is parsed by
+        `Simplex`, which names the first bad entry.
 
         The closure is closed by construction: it holds the k-vertex faces of
         the given simplices for every k from 1 to the largest size, so it has
@@ -140,9 +148,7 @@ class SimplicialComplex:
         listed = list(simplices)
         if not listed:
             raise ValueError("at least one simplex is required")
-        # bool and float vertices compare equal to ints, so the type test is exact
-        if ({*map(type, listed)} == {list} and {*map(type, chain.from_iterable(listed))} == {int}
-                and all(listed) and min(chain.from_iterable(listed)) >= 0
+        if (_int_lists(listed) and min(chain.from_iterable(listed)) >= 0
                 and [*map(len, listed)] == [*map(len, map(set, listed))]):
             valid = [*map(tuple, map(sorted, listed))]
         else:

@@ -3,12 +3,12 @@
 from fractions import Fraction
 from itertools import combinations
 
-from fshom.exact import ExactMatrix, SmithDecomposition, snf
+from fshom.exact import ExactMatrix, SmithDecomposition, format_ring, snf
 from fshom.fuzzy import FuzzyError, FuzzySubcomplex, Violation
 from fshom.fuzzyhomology import NotComputableError
 from fshom.lattice import (
     FreeDistributiveLattice, LatticeError, LatticeValue, TotalOrder, UpSetLattice, format_value,
-    parse_value,
+    lattice_to_spec, parse_value,
 )
 from fshom.modules import ModuleStructure, SubmoduleOfHomology
 from fshom.project import ProjectError
@@ -437,6 +437,19 @@ def walk_mu_entries(entries, complex, lattice) -> dict:
                 raise ProjectError(f"mu entry {i}: {e}") from None
         explicit[s] = parsed[text]
     return explicit
+
+
+def project_dict(mu, ring) -> dict:
+    """The normal-form project of a fuzzy subcomplex as a dict, built entry
+    by entry: its lattice spec, its maximal simplices, one mu entry per
+    simplex in (dim, vertices) order and its ring."""
+    K = mu.complex
+    return {
+        "lattice": lattice_to_spec(mu.lattice),
+        "complex": {"maximal": [list(s) for s in K.maximal_simplices()]},
+        "mu": [{"simplex": list(s), "value": format_value(mu.value(s))} for s in K.all_simplices()],
+        "ring": format_ring(ring),
+    }
 
 
 def pairwise_complete_values(complex, lattice, explicit):

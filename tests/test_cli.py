@@ -314,8 +314,9 @@ class TestErrorsAndDeterminism:
         assert outs[0] == outs[1]
 
     def test_reports_and_projects_have_one_writer(self, capsys, monkeypatch, fixture_path):
-        """Every JSON report and project goes through `dump_json`: the
-        standard encoder refuses here, and the bytes are still its own."""
+        """Every JSON report goes through `dump_json` and every project
+        through `dump_project`: the standard encoder refuses here, and the
+        bytes are still its own."""
         def refuse(*args, **kwargs):
             raise AssertionError("the standard JSON encoder was called")
 

@@ -89,7 +89,7 @@ class TestMembership:
                 member_first.structure
                 structure_first = SubmoduleOfHomology(amb, gens)
                 structure_first.structure
-                lifted = structure_first._lifted_matrix()
+                lifted = amb.lifted_matrix(structure_first.generators)
                 expected = [solve(lifted, v).solvable for v in vecs]
                 assert answers == expected
                 assert [member_first.member(v) for v in vecs] == expected

@@ -11,8 +11,10 @@ import fshom.fuzzy
 import fshom.project
 from fshom.cli import main
 from fshom.exact import ZZ, parse_ring
-from fshom.fuzzy import ChromaticDataset, vietoris_rips
-from fshom.lattice import CdlLattice, format_value, lattice_from_spec, lattice_to_spec, parse_value
+from fshom.fuzzy import ChromaticDataset, FuzzySubcomplex, vietoris_rips
+from fshom.lattice import (
+    CdlLattice, FreeDistributiveLattice, format_value, lattice_from_spec, lattice_to_spec, parse_value,
+)
 from fshom.project import (
     ProjectError,
     dump_json,
@@ -22,10 +24,10 @@ from fshom.project import (
     project_from_fuzzy,
     read_chromatic_csv,
 )
-from fshom.simplicial import Simplex
+from fshom.simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
 from oracles import (
-    carrier, pairwise_complete_values, pairwise_explicit_violations, walk_from_maximal,
-    walk_mu_entries,
+    carrier, pairwise_complete_values, pairwise_explicit_violations, project_dict,
+    walk_from_maximal, walk_mu_entries,
 )
 from randgen import lattice_family
 from test_filtration import grid_spec
@@ -158,9 +160,8 @@ class TestErrors:
 
 class TestNormalization:
     def test_round_trip_through_dump(self, reference_project, tmp_path):
-        data = project_from_fuzzy(reference_project.mu, reference_project.ring)
-        text = dump_project(data)
-        assert text == dump_project(json.loads(text))
+        text = dump_project(reference_project.mu, reference_project.ring)
+        assert dump_project(load_project(json.loads(text)).mu, reference_project.ring) == text
         path = tmp_path / "out.json"
         path.write_text(text)
         p = load_project_file(str(path))
@@ -172,12 +173,10 @@ class TestNormalization:
         of about 860 simplices is loaded, exported, and its text reads back
         to the same text and the same values."""
         for name, mu in bench_subcomplexes:
-            text = dump_project(project_from_fuzzy(mu))
-            data = json.loads(text)
-            assert dump_project(data) == text, name
-            p = load_project(data)
+            text = dump_project(mu)
+            p = load_project(json.loads(text))
             assert p.is_valid and list(p.mu.items()) == list(mu.items()), name
-            assert dump_project(project_from_fuzzy(p.mu)) == text, name
+            assert dump_project(p.mu, p.ring) == text, name
 
 
 # every character class that the encoder escapes differently
@@ -241,78 +240,26 @@ def bench_subcomplexes():
     return out
 
 
-def dump_with_path(monkeypatch, project):
-    """`dump_project(project)`, or the error it raises, and whether it fell
-    back to `dump_json` for the whole project."""
-    whole = []
-    dump = fshom.project.dump_json
-    monkeypatch.setattr(fshom.project, "dump_json", lambda o: whole.append(o is project) or dump(o))
-    try:
-        return dump_project(project), any(whole)
-    except TypeError as e:
-        return e, any(whole)
-    finally:
-        monkeypatch.setattr(fshom.project, "dump_json", dump)
-
-
-def with_vertices(project, f):
-    """A deep copy of a normal-form project with every vertex v replaced by f(v)."""
-    project = copy.deepcopy(project)
-    for simplex in [*project["complex"]["maximal"], *(e["simplex"] for e in project["mu"])]:
-        simplex[:] = map(f, simplex)
-    return project
-
-
 class TestDumpProject:
-    def test_normal_form_is_written_in_one_pass(self, bench_subcomplexes, monkeypatch):
-        """Every project that `project_from_fuzzy` gives at bench scale, over Z
-        and Z/3, takes the one-pass writer and equals the standard encoder."""
-        for name, mu in bench_subcomplexes:
+    def test_normal_form_is_written_in_one_pass(self, bench_subcomplexes):
+        """Every subcomplex at bench scale, and hand-made ones (generator
+        names that the encoder escapes, in the lattice spec and in the value
+        texts, on vertices from 0, 2**63 and 10**40; the empty complex), over
+        Z and Z/3: `dump_project` writes what the standard encoder writes for
+        the entry-by-entry reference dict, and `project_from_fuzzy` reads
+        that dict back."""
+        names = ['x "q"', "\u00e9\u2603", "a\\b", "\n\t", "\U0001f600", "/"]
+        L = FreeDistributiveLattice(names)
+        hand = [("empty", FuzzySubcomplex(EMPTY_COMPLEX, L, {}))]
+        for offset in (0, 2 ** 63, 10 ** 40):
+            K = SimplicialComplex.from_maximal([[offset + v for v in s] for s in ([0, 1, 2], [2, 3], [4])])
+            hand.append((f"escaped-{offset}", FuzzySubcomplex(
+                K, L, {s: L.generator(names[i % len(names)]) for i, s in enumerate(K.all_simplices())})))
+        for name, mu in [*bench_subcomplexes, *hand]:
             for ring in (ZZ, parse_ring("zmod:3")):
-                project = project_from_fuzzy(mu, ring)
-                text, fell_back = dump_with_path(monkeypatch, project)
-                assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
-                assert not fell_back, name
-
-    def test_every_other_shape_falls_back(self, reference_project, monkeypatch):
-        """Hand-made shapes: a project that is not of the normal form is
-        written by `dump_json`, so it equals the standard encoder, or raises
-        its TypeError (a float). Value texts that need escaping and vertices
-        past 64 bits are of the normal form, and the one-pass writer gives
-        the standard encoder's bytes for them too."""
-        base = project_from_fuzzy(reference_project.mu, reference_project.ring)
-        texts = ['x "q"', "\u00e9\u2603", "a\\b", "\n\t", "\U0001f600", "/"]
-        shapes = {
-            "no-mu": {k: v for k, v in base.items() if k != "mu"},
-            "empty-mu": {**base, "mu": []},
-            "extra-key": {**base, "name": "k"},
-            "extra-complex-key": {**base, "complex": {**base["complex"], "dim": 2}},
-            "extra-entry-key": {**base, "mu": [{**base["mu"][0], "note": 1}, *base["mu"][1:]]},
-            "tuple-simplex": {**base, "mu": [{**base["mu"][0], "simplex": (0,)}, *base["mu"][1:]]},
-            "empty-simplex": {**base, "mu": [*base["mu"], {"simplex": [], "value": "x"}]},
-            "non-string-value": {**base, "mu": [*base["mu"], {"simplex": [0], "value": 1}]},
-            "not-a-dict": {**base, "mu": [*base["mu"], [[0], "x"]]},
-            "bool-vertex": with_vertices(base, lambda v: True if v == 1 else v),
-            "float-vertex": with_vertices(base, lambda v: 1.0 if v == 1 else v),
-            "empty-maximal": {**base, "complex": {"maximal": []}},
-        }
-        for name, project in shapes.items():
-            text, fell_back = dump_with_path(monkeypatch, project)
-            if name == "float-vertex":
-                assert isinstance(text, TypeError) and fell_back
-            else:
-                assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
-                assert fell_back, name
-        normal = {
-            "escaped-texts": {**base, "mu": [{**e, "value": texts[i % len(texts)]}
-                                             for i, e in enumerate(base["mu"])]},
-            "big-vertices": with_vertices(base, lambda v: v + 2 ** 63),
-            "huge-vertices": with_vertices(base, lambda v: v + 10 ** 40),
-        }
-        for name, project in normal.items():
-            text, fell_back = dump_with_path(monkeypatch, project)
-            assert text == json.dumps(project, indent=2, sort_keys=True) + "\n", name
-            assert not fell_back, name
+                expected = project_dict(mu, ring)
+                assert dump_project(mu, ring) == json.dumps(expected, indent=2, sort_keys=True) + "\n", name
+                assert project_from_fuzzy(mu, ring) == expected, name
 
 
 class TestDumpJson:
@@ -494,13 +441,43 @@ def fault_maximal(rng, maximal, i, fault):
 def test_bulk_load_agrees_with_the_entry_walk():
     """Seeded projects on a small Rips complex, for every lattice family,
     each valid or with one or two faults of the mu list or of the maximal
-    list: `load_project` raises the walk's first message, and on valid input
-    gives the walk's complex, values (in order) and violations."""
+    list, and hand-made lists that the shared int-list test refuses (an
+    empty mu list, an empty simplex, a bool or float vertex) or passes on to
+    a later check (a vertex of 2**64, a negative vertex): `load_project`
+    raises the walk's first message, and on valid input gives the walk's
+    complex, values (in order) and violations."""
     rng = random.Random(47)
     points = tuple((rng.randint(0, 12), rng.randint(0, 12)) for _ in range(24))
     K, _ = vietoris_rips(ChromaticDataset(points, ("a",) * 24), 4, 2)
     simplices = list(K.all_simplices())
     outcomes = {True: 0, False: 0}
+
+    def check(data) -> bool:
+        """Whether the project loads, after asserting that the load agrees with the walk."""
+        try:
+            expected = walk_load(copy.deepcopy(data))
+        except ProjectError as e:
+            with pytest.raises(ProjectError) as exc:
+                load_project(data)
+            assert str(exc.value) == str(e), data
+            return False
+        p = load_project(data)
+        complex_, values, violations = expected
+        assert p.complex == complex_
+        assert list(p.mu.items()) == list(values.items())
+        assert p.violations == violations
+        return True
+
+    lattice = lattice_family()[0]
+    maximal = [list(s) for s in K.maximal_simplices()]
+    entry = [{"simplex": list(s), "value": format_value(lattice.top)} for s in simplices[:3]]
+    odd = [[], [True], [1.0], [2 ** 64], [-1]]
+    for mu in ([], *([*entry, {"simplex": vs, "value": "1"}] for vs in odd)):
+        outcomes[check({"lattice": lattice_to_spec(lattice), "complex": {"maximal": maximal}, "mu": mu})] += 1
+    for vs in odd:
+        outcomes[check({"lattice": lattice_to_spec(lattice),
+                        "complex": {"maximal": [*maximal, vs]}, "mu": entry})] += 1
+    assert outcomes == {True: 2, False: 9}, outcomes
     for trial in range(400):
         lattice = lattice_family()[trial % len(lattice_family())]
         elements = list(carrier(lattice))
@@ -518,18 +495,5 @@ def test_bulk_load_agrees_with_the_entry_walk():
                 fault_entry(rng, entries, i, rng.choice(ENTRY_FAULTS))
         elif kind == 3:
             fault_maximal(rng, maximal, rng.randrange(len(maximal)), rng.choice(MAXIMAL_FAULTS))
-        try:
-            expected = walk_load(copy.deepcopy(data))
-        except ProjectError as e:
-            with pytest.raises(ProjectError) as exc:
-                load_project(data)
-            assert str(exc.value) == str(e), data
-            outcomes[False] += 1
-            continue
-        p = load_project(data)
-        complex_, values, violations = expected
-        assert p.complex == complex_
-        assert list(p.mu.items()) == list(values.items())
-        assert p.violations == violations
-        outcomes[True] += 1
+        outcomes[check(data)] += 1
     assert outcomes[True] > 100 and outcomes[False] > 150, outcomes

@@ -221,10 +221,11 @@ def test_eta_of_a_class_tests_each_level_once(fixture_path, capsys, reference_mu
     assert names.count("modules.member") == len(levels)
 
 
-def test_load_phases_keep_their_spans(tmp_path, monkeypatch, capsys):
-    """`build-chromatic` then `validate` of the project it writes record the
-    spans that the benchmark's per-layer load metrics read, so a faster load
-    cannot hide its work from them."""
+def test_load_phases_keep_their_spans(tmp_path, monkeypatch, capsys, fixture_path):
+    """`build-chromatic` then `validate` of the project it writes, and
+    `import-filtration`, record the spans that the benchmark's per-layer
+    load and export metrics read, so a faster load or export cannot hide its
+    work from them."""
     rng = random.Random(3)
     rows = ["x,y,label"] + [f"{rng.randint(0, 12)},{rng.randint(0, 12)},{rng.choice('abc')}"
                             for _ in range(30)]
@@ -233,6 +234,8 @@ def test_load_phases_keep_their_spans(tmp_path, monkeypatch, capsys):
     built = traced_cli("build-chromatic", "cloud.csv", "--radius", "4", "--max-dim", "2",
                        "--out", "cloud.json")
     validated = traced_cli("validate", "cloud.json")
+    imported = traced_cli("import-filtration", fixture_path("filtration_chain.json"), "--out", "f.json")
     capsys.readouterr()
     assert {"fuzzy.rips", "simplicial.build", "project.export"} <= set(built)
     assert {"project.load", "simplicial.build", "fuzzy.complete_values"} <= set(validated)
+    assert {"project.load", "fuzzy.from_filtration", "project.export"} <= set(imported)
