@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, repeat, starmap
-from operator import itemgetter, mul, sub
+from itertools import combinations, product, repeat, starmap
+from operator import add, itemgetter, sub
 
 from .lattice import CdlLattice, FreeDistributiveLattice, LatticeValue, Poset, UpSetLattice, format_value
 from .simplicial import EMPTY_COMPLEX, Simplex, SimplicialComplex
@@ -131,7 +131,8 @@ class FuzzySubcomplex:
 def complete_values(complex: SimplicialComplex, coding: ValueCoding, explicit) -> FuzzySubcomplex:
     """The fuzzy subcomplex that extends a partial assignment to all simplices.
 
-    `explicit` maps simplices of the complex to codes of `coding`, which
+    `explicit` maps simplices of the complex (or tuples equal to them; the
+    result keeps the complex's own simplices) to codes of `coding`, which
     becomes the subcomplex's coding. Each simplex receives the join of every
     explicit value on itself and its cofaces. This is the least face-monotone
     assignment dominating the explicit one, so values may be given on maximal
@@ -279,22 +280,41 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
 
     On the rational path every coordinate and the radius are scaled by the
     least common denominator of them all, so each squared distance is
-    compared with r^2 in `int` arithmetic; scaling by a positive constant
-    keeps every comparison. The float path keeps the formula
-    sum((a - b) ** 2) in coordinate order.
+    compared with r^2 exactly; scaling by a positive constant keeps every
+    comparison, and a denominator of 1 (every integer cloud) leaves the
+    numbers as read. The float path keeps the formula sum((a - b) ** 2) in
+    coordinate order; in the plane it is written out as two squares added,
+    which is the value sum() returns for two terms (0 + a is a, and a
+    compensated sum of two floats rounds their exact sum once).
 
-    Neighbours are found by a sweep over the points sorted by their first
-    coordinate: the scan from a point stops at the first later point whose
-    squared first-coordinate gap exceeds r^2, since every point after it is
-    at least as far along that axis. The stop is exact on the float path
-    too: a rounded sum of non-negative terms is at least each of its terms,
-    and rounding is monotone, so the rounded squared distance is at least
-    the rounded squared gap. Cliques then grow in increasing vertex order
-    from each vertex's sorted list of higher neighbours, keeping only the
-    candidates adjacent to the vertex just added (Zomorodian, "Fast
-    construction of the Vietoris-Rips complex", 2010). The work is the
-    neighbour pairs the sweep visits plus the cliques it emits, not all
-    pairs of points.
+    Neighbours are found on a uniform grid over the first min(2, dim)
+    coordinates: a point's cell key is the exact integer floor of each such
+    coordinate divided by the cell side, and a pair is tested only when its
+    cells differ by at most one on every axis. Each unordered pair of
+    adjacent cells is visited once (the offsets after the zero offset in
+    lexicographic order), and so is each pair inside a cell. A pair that
+    passes the test has a gap of at most the side on each grid axis, so its
+    cells are adjacent:
+    - On the rational path the side is r (1 when r = 0): a gap above r
+      alone squares past r^2.
+    - On the float path the side is 2t with t = max(r, 2^-500), and the
+      keys are floors of the exact dyadic values (`float.as_integer_ratio`),
+      never of a rounded quotient, which is wrong past 2^53 and overflows
+      near 1e308. A rounded sum of non-negative terms is at least each of
+      its terms, so a passing pair has fl(g ** 2) <= fl(r ** 2) <= fl(t ** 2)
+      on each axis, where g = fl(a - b). If |a - b| >= 2t, then |g| >= 2t
+      (2t is a float and rounding is monotone), so g^2 >= 4t^2 >= 2^-998 is
+      normal and fl(g ** 2) >= 4t^2 (1 - 2^-52) > t^2 (1 + 2^-52) >=
+      fl(t ** 2): the pair fails. So every passing gap is below 2t. This
+      covers a gap that exceeds r by a few ulps and still passes, and a
+      radius whose square rounds to 0 (r = 0.0 links points whose gaps
+      square below 2^-1075).
+    Cliques then grow in increasing vertex order from each vertex's sorted
+    list of higher neighbours, keeping only the candidates adjacent to the
+    vertex just added (Zomorodian, "Fast construction of the Vietoris-Rips
+    complex", 2010). The work is the pairs in adjacent cells plus the
+    cliques emitted, not all pairs of points: at a fixed density, a bounded
+    number of pairs per point.
     """
     if max_dim < 0:
         raise FuzzyError("max_dim must be >= 0")
@@ -304,29 +324,44 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
         raise FuzzyError("radius must be >= 0")
     use_float = isinstance(r, float) or any(
         isinstance(x, float) for p in coords for x in p)
+    dim = len(coords[0]) if coords else 0
+    axes, planar = min(2, dim), dim == 2
     if use_float:
         coords = [tuple(float(x) for x in p) for p in coords]
         r = float(r)
         if not (math.isfinite(r) and all(math.isfinite(x) for p in coords for x in p)):
             raise FuzzyError("coordinates and radius must be finite")
         rr = r ** 2
+        sn, sd = (2 * max(r, 2.0 ** -500)).as_integer_ratio()
+        keys = [tuple((xn * sd) // (xd * sn) for xn, xd in map(float.as_integer_ratio, p[:axes]))
+                for p in coords]
     else:
         scale = math.lcm(r.denominator, *(x.denominator for p in coords for x in p))
-        coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
-        r = r.numerator * (scale // r.denominator)
+        if scale != 1:
+            coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
+            r = r.numerator * (scale // r.denominator)
         rr = r * r
+        side = r or 1
+        keys = [tuple(x // side for x in p[:axes]) for p in coords]
     n = len(coords)
-    first = [p[0] if p else 0 for p in coords]
-    order = sorted(range(n), key=first.__getitem__)
+    cells = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    offsets = [*product((-1, 0, 1), repeat=axes)][3 ** axes // 2 + 1:]
     up = [[] for _ in range(n)]  # neighbours with a higher index
-    for a, i in enumerate(order):
-        ci, fi = coords[i], first[i]
-        for b in range(a + 1, n):
-            j = order[b]
-            if (first[j] - fi) ** 2 > rr:
-                break
-            gap = [*map(sub, ci, coords[j])]
-            if sum(map(pow, gap, repeat(2)) if use_float else map(mul, gap, gap)) <= rr:
+    for key, here in cells.items():
+        pairs = [*combinations(here, 2)]
+        for offset in offsets:
+            there = cells.get(tuple(map(add, key, offset)))
+            if there:
+                pairs += product(here, there)
+        for i, j in pairs:
+            if planar:
+                (x, y), (u, v) = coords[i], coords[j]
+                d2 = (x - u) ** 2 + (y - v) ** 2
+            else:
+                d2 = sum(map(pow, map(sub, coords[i], coords[j]), repeat(2)))
+            if d2 <= rr:
                 up[min(i, j)].append(max(i, j))
     adjacent = [set(u) for u in up]
     frontier = [((i,), sorted(u)) for i, u in enumerate(up)]

@@ -1,5 +1,6 @@
 """Fuzzy subcomplexes: validation, cuts, chromatic and filtration builders."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -392,6 +393,97 @@ class TestVietorisRips:
             with pytest.raises(FuzzyError) as err:
                 vietoris_rips(data, radius, 1)
             assert str(err.value) == f"cannot read number {digits!r}"
+
+    def test_grid_cells_match_pairwise_oracle_on_adversarial_clouds(self):
+        """Clouds built against the neighbour grid: points on multiples of
+        the radius (both signs), pairs at exactly the radius across a cell
+        edge along an axis and along a diagonal, fractional coordinates and
+        radii, radius 0 with repeated points, and 0, 1 and 3 coordinates."""
+        F = Fraction
+        on_multiples = [(a * k, b * k) for k in (2, 3) for a in range(-3, 4) for b in range(-3, 4)]
+        across = [(4, 0), (9, 0), (-1, 0), (-6, 0), (4, 4), (7, 8), (1, 0), (-2, 4), (1, 9),
+                  (-4, -5), (-7, -9), (5, -5), (8, -9), (0, 5), (0, 10), (-3, 5)]
+        fractional = [(F(p, 3), F(q, 7)) for p in range(-7, 8, 2) for q in (-5, 0, 6, 13)]
+        repeated = [(1, 2), (1, 2), (0, 0), (1, 2), (-1, -2), (0, 0), (3, 3)]
+        cases = [(on_multiples, r) for r in (2, 3, F(3, 2), "1.5", 0)]
+        cases += [(on_multiples, r) for r in (2.0, 3.0, 0.0)]
+        cases += [(across, r) for r in (5, "5", F(5), 5.0, 4, F(49, 10))]
+        cases += [(fractional, r) for r in (F(2, 3), F(1, 21), F(5, 7), "0.4", 0)]
+        cases += [(repeated, r) for r in (0, F(0), "0", 0.0)]
+        cases += [([()] * 5, 0), ([()] * 3, 1.5)]
+        cases += [([(x,) for x in (-6, -3, -2, 0, 1, 3, 3, 5, 9)], r) for r in (3, F(3, 2), 0, 3.0)]
+        rng = random.Random(24)
+        cube = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(25)]
+        cases += [(cube, r) for r in (1, 2, F(3, 2), 2.5, 0)]
+        for points, radius in cases:
+            labels = tuple("abc"[i % 3] for i in range(len(points)))
+            data = ChromaticDataset(tuple(points), labels)
+            for max_dim in (1, 3):
+                got = vietoris_rips(data, radius, max_dim)
+                assert got == pairwise_vietoris_rips(data, radius, max_dim), (points, radius, max_dim)
+
+    def test_float_grid_keys_are_exact(self):
+        """Float clouds whose cell keys a rounded quotient would get wrong:
+        coordinates a few ulps off multiples of twice the radius, quotients
+        past 2**53, 1e308 with radius 1e-10, and radii whose square rounds
+        to 0, where the float test links points the radius alone would not."""
+        nudged = []
+        for r in (0.1, 0.3, 0.375, 1e-3):
+            xs = []  # within 2 ulps of 2rk and of 2rk +- r
+            for base in (2 * r * k + s for k in range(-3, 4) for s in (0, r, -r)):
+                up = down = base
+                xs.append(base)
+                for _ in range(2):
+                    up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                    xs += (up, down)
+            nudged.append(([(x, 0.0) for x in xs] + [(0.0, x) for x in xs[::3]], r))
+            nudged.append(([(x, y) for x, y in zip(xs, reversed(xs))], r))
+        big = 2.0 ** 70
+        past = [(big, 0.0), (big, 0.7), (big, 1.0), (math.nextafter(big, math.inf), 0.0),
+                (math.nextafter(big, 0.0), 0.5), (-big, 0.25), (-big, 1.25), (0.5, big), (1.25, big)]
+        # the oracle squares every gap, so no two of these are a finite gap apart past 1e154
+        huge = [(1e308, 0.0), (1e308, 1e-10), (1e308, 3e-10), (1e308, 2e-10), (-1e308, 0.0),
+                (-1e308, -1e-10), (1e308, -1e-10), (-1e308, 2e-10)]
+        tiny = [(0.0, 0.0), (1e-170, 0.0), (0.0, -1e-165), (1e-160, 0.0), (5e-324, 5e-324), (-2e-162, 0.0)]
+        cases = nudged + [(past, r) for r in (1.0, 0.25, 1e-3)] + [(huge, r) for r in (1e-10, 2e-10)]
+        cases += [(tiny, r) for r in (0.0, 1e-200, 1e-163, 2e-162)]
+        for points, radius in cases:
+            labels = tuple("abc"[i % 3] for i in range(len(points)))
+            data = ChromaticDataset(tuple(points), labels)
+            got = vietoris_rips(data, radius, 2)
+            assert got == pairwise_vietoris_rips(data, radius, 2), (points, radius)
+        _, mu = vietoris_rips(ChromaticDataset(tuple(tiny), ("a",) * len(tiny)), 0.0, 1)
+        assert {s.vertices for s, _ in mu.items() if s.dim == 1} == {(0, 1), (0, 2), (1, 2), (0, 4), (1, 4), (2, 4)}
+
+    def test_far_apart_points_are_never_compared(self):
+        """Only pairs in adjacent cells are tested, so a gap whose square
+        overflows a float is not computed unless it is a neighbour's."""
+        data = ChromaticDataset(((0.0, 0.0), (1e300, 0.0), (-1e300, 1e300), (0.5, 0.0)), ("a",) * 4)
+        K, _ = vietoris_rips(data, 1.0, 2)
+        assert {s.vertices for s in K.simplices(1)} == {(0, 3)}
+
+    def test_bench_scale_cloud_matches_pairwise_oracle(self, monkeypatch):
+        """A seeded 1000-point cloud at the benchmark's density writes the
+        oracle's project bytes, and the same cloud lifted to 3 coordinates
+        (all z = 0, so the same grid) tests at most three pairs per edge.
+        The oracle reads the same integers as floats, whose arithmetic is
+        exact here, so it stays fast."""
+        from fshom.project import dump_project
+
+        rng = random.Random(2024)
+        n = 1000
+        side = round(40 * math.sqrt(n / 130))
+        points = tuple((rng.randint(0, side), rng.randint(0, side)) for _ in range(n))
+        labels = tuple(rng.choice("abc") for _ in range(n))
+        K, mu = vietoris_rips(ChromaticDataset(points, labels), 5, 2)
+        as_floats = ChromaticDataset(tuple(tuple(map(float, p)) for p in points), labels)
+        K_ref, mu_ref = pairwise_vietoris_rips(as_floats, 5.0, 2)
+        assert K == K_ref and dump_project(mu) == dump_project(mu_ref)
+        gaps = []  # one per coordinate of each pair tested
+        monkeypatch.setattr(fshom.fuzzy, "sub", lambda a, b: gaps.append(1) or a - b)
+        lifted = vietoris_rips(ChromaticDataset(tuple((x, y, 0) for x, y in points), labels), 5, 2)
+        assert lifted == (K, mu)
+        assert K.n(2) > 0 and len(gaps) // 3 <= 3 * K.n(1), (len(gaps) // 3, K.n(1))
 
 
 def random_coordinate(rng, kind):

@@ -207,6 +207,26 @@ class TestLevelSubmodules:
         assert ctx.eta_values(0) == [ctx.eta_value(0, ctx.reduced.class_from_vector(0, [1]))]
         assert list(ctx._sweeps) == [0]
 
+    def test_cut_where_homology_is_zero_asks_for_no_level(self, monkeypatch):
+        """Where H_d = 0 (degrees 1 and 2 of two glued triangles, and every
+        degree out of range) the cut is the zero submodule at every level
+        without a level submodule or a least level above; a foreign level
+        is still refused."""
+        K = SimplicialComplex.from_maximal([[0, 1, 2], [1, 2, 3]])
+        lattice = lattice_family()[0]
+        ctx = FuzzyHomologyContext(random_mu(random.Random(3), K, lattice), ZZ)
+        expected = {d: [ctx.hdl_submodule(d, lv) for lv in carrier(lattice)] for d in (1, 2)}
+        monkeypatch.setattr(FuzzyHomologyContext, "hdl_submodule", None)
+        monkeypatch.setattr(FuzzyHomologyContext, "_least_above", None)
+        for d in (-1, 1, 2, 3):
+            for lv in carrier(lattice):
+                cut = ctx.eta_cut(d, lv)
+                assert cut.structure.is_zero and cut.ambient.length == 0
+                assert d not in expected or cut == expected[d][0]
+            for level in ("not-a-value", TotalOrder(("lo", "hi")).parse("hi")):
+                with pytest.raises(LatticeError):
+                    ctx.eta_cut(d, level)
+
     @pytest.mark.parametrize("d", [-1, 0, 1, 5])
     def test_bad_level_refused_in_every_degree(self, ctx, d):
         other = TotalOrder(("lo", "hi"))

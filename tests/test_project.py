@@ -81,6 +81,22 @@ class TestSources:
         p = load_project(data)
         assert not p.is_valid and len(p.violations) == 1
 
+    def test_violations_name_the_complexs_simplices(self, tmp_path, capsys):
+        """Entries read in bulk are keyed by plain tuples; a violation still
+        holds the complex's own simplices, so its message writes <a,b>."""
+        data = complex_source(mu=[
+            {"simplex": [1, 2], "value": "x"},
+            {"simplex": [0, 1], "value": "x | y"},
+            {"simplex": [0, 1, 2], "value": "y"},
+        ], complex={"maximal": [[0, 1, 2]]})
+        (v,) = load_project(data).violations
+        assert type(v.face) is Simplex and type(v.coface) is Simplex
+        assert v.message() == "mu(<1,2>) = x does not dominate mu(<0,1,2>) = y"
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "mu(<1,2>) = x does not dominate mu(<0,1,2>) = y" in capsys.readouterr().out
+
     def test_chromatic_source(self, fixture_path):
         data = {"chromatic": {"csv": "points.csv", "radius": 2, "max_dim": 2}}
         p = load_project(data, base_dir=fixture_path(""))
