@@ -189,8 +189,10 @@ def complete_values(complex: SimplicialComplex, coding: ValueCoding, explicit) -
 def explicit_violations(explicit, lattice: CdlLattice) -> list:
     """Monotonicity failures among explicitly assigned simplices only.
 
-    Ordered by (face, coface), each in (dim, vertices) order. Values are
-    compared as codes of one `ValueCoding`, each pair of them once.
+    `explicit` maps simplices, or the sorted vertex tuples equal to them, to
+    values; each violation holds `Simplex` objects either way. Ordered by
+    (face, coface), each in (dim, vertices) order. Values are compared as
+    codes of one `ValueCoding`, each pair of them once.
     """
     coding = ValueCoding(lattice)
     codes = {s: coding.code(v) for s, v in explicit.items()}
@@ -200,7 +202,7 @@ def explicit_violations(explicit, lattice: CdlLattice) -> list:
             for face in combinations(s2, k):
                 c1 = codes.get(face)
                 if c1 is not None and not coding.leq(c2, c1):
-                    out.append(Violation(Simplex._sorted(face), s2,
+                    out.append(Violation(Simplex._sorted(face), Simplex._sorted(s2),
                                          coding.values[c1], coding.values[c2]))
     out.sort(key=lambda v: (v.face.dim, v.face.vertices, v.coface.dim, v.coface.vertices))
     return out
@@ -280,12 +282,9 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
 
     On the rational path every coordinate and the radius are scaled by the
     least common denominator of them all, so each squared distance is
-    compared with r^2 exactly; scaling by a positive constant keeps every
-    comparison, and a denominator of 1 (every integer cloud) leaves the
-    numbers as read. The float path keeps the formula sum((a - b) ** 2) in
-    coordinate order; in the plane it is written out as two squares added,
-    which is the value sum() returns for two terms (0 + a is a, and a
-    compensated sum of two floats rounds their exact sum once).
+    compared with r^2 in `int` arithmetic; scaling by a positive constant
+    keeps every comparison. The float path keeps the formula
+    sum((a - b) ** 2) in coordinate order.
 
     Neighbours are found on a uniform grid over the first min(2, dim)
     coordinates: a point's cell key is the exact integer floor of each such
@@ -325,7 +324,7 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
     use_float = isinstance(r, float) or any(
         isinstance(x, float) for p in coords for x in p)
     dim = len(coords[0]) if coords else 0
-    axes, planar = min(2, dim), dim == 2
+    axes = min(2, dim)
     if use_float:
         coords = [tuple(float(x) for x in p) for p in coords]
         r = float(r)
@@ -337,9 +336,8 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
                 for p in coords]
     else:
         scale = math.lcm(r.denominator, *(x.denominator for p in coords for x in p))
-        if scale != 1:
-            coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
-            r = r.numerator * (scale // r.denominator)
+        coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
+        r = r.numerator * (scale // r.denominator)
         rr = r * r
         side = r or 1
         keys = [tuple(x // side for x in p[:axes]) for p in coords]
@@ -356,12 +354,7 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
             if there:
                 pairs += product(here, there)
         for i, j in pairs:
-            if planar:
-                (x, y), (u, v) = coords[i], coords[j]
-                d2 = (x - u) ** 2 + (y - v) ** 2
-            else:
-                d2 = sum(map(pow, map(sub, coords[i], coords[j]), repeat(2)))
-            if d2 <= rr:
+            if sum(map(pow, map(sub, coords[i], coords[j]), repeat(2))) <= rr:
                 up[min(i, j)].append(max(i, j))
     adjacent = [set(u) for u in up]
     frontier = [((i,), sorted(u)) for i, u in enumerate(up)]

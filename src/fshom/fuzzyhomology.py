@@ -218,18 +218,13 @@ class FuzzyHomologyContext:
 
         The intersection over the join-irreducible parts j of the level of
         H_d at the meet of the values of L(kappa_d) above j (see the module
-        docstring); the whole group at level 0. Where H_d = 0 the cut is the
-        zero submodule at every level, with no level submodule asked for.
+        docstring); the whole group at level 0.
         """
-        self.lattice._check(level)
-        ambient = self.reduced.ambient(d)
-        if not ambient.length:
-            return SubmoduleOfHomology(ambient, [])
         least_above = dict.fromkeys(self._least_above(d, j)
                                     for j in self.lattice.join_irreducibles(level))
         parts = [self.hdl_submodule(d, m) for m in least_above]
         if not parts:
-            return SubmoduleOfHomology.full(ambient)
+            return SubmoduleOfHomology.full(self.reduced.ambient(d))
         return reduce(lambda a, b: a.intersect(b), parts)
 
     def _least_above(self, d: int, level: LatticeValue) -> LatticeValue:

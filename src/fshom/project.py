@@ -130,11 +130,10 @@ def _load_mu_entries(entries, complex, coding) -> dict:
     The whole list is checked in bulk passes: every entry a dict with
     'simplex' and 'value', every simplex a non-empty list of ints
     (`_int_lists`) found in the complex's index (as a sorted tuple) and none
-    repeated, every value a string that parses. Its keys are then those
-    plain tuples, equal to and hashed like the complex's simplices. Any
-    other list, an empty one too, is walked entry by entry, which names the
-    first bad entry and reads what is valid but not in that form (say,
-    unsorted vertices), keyed by `Simplex`."""
+    repeated, every value a string that parses; its keys are then those
+    sorted tuples, which the complex's simplices equal. Any other list, an
+    empty one too, is walked entry by entry, which names the first bad entry
+    and reads what is valid but not in that form (say, unsorted vertices)."""
     _require(isinstance(entries, list), "'mu' must be a list of {simplex, value} objects")
     if {*map(type, entries)} <= {dict} and all(map(dict.__contains__, entries, repeat("simplex"))) \
             and all(map(dict.__contains__, entries, repeat("value"))):
@@ -234,7 +233,7 @@ def load_project(data: dict, base_dir: str = ".", ring_override: str | None = No
         # cofaces, so it moves exactly when one of those is not below v_f
         if not explicit.items() <= mu._code.items():
             violations = explicit_violations(
-                {complex.get(s): coding.values[c] for s, c in explicit.items()}, lattice)
+                {s: coding.values[c] for s, c in explicit.items()}, lattice)
     elif source == "chromatic":
         _require("lattice" not in data and "mu" not in data,
                  "chromatic projects derive the lattice and values from the labels")

@@ -462,12 +462,26 @@ class TestVietorisRips:
         K, _ = vietoris_rips(data, 1.0, 2)
         assert {s.vertices for s in K.simplices(1)} == {(0, 3)}
 
+    def test_whole_fractions_are_rescaled_to_ints(self, monkeypatch):
+        """Text such as "2.0" or "5/1" reads as a Fraction with denominator
+        1; the rescale still turns every coordinate and the radius into an
+        int, so no cell key or pair test runs Fraction arithmetic."""
+        points = (("2.0", "3.0"), ("5/1", "7.0"), ("-1.0", "3"), ("10.0", "3.0"), ("6", "6.0"))
+        data = ChromaticDataset(points, ("a", "b", "a", "b", "c"))
+        expected = pairwise_vietoris_rips(data, "5.0", 2)
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic after the rescale")
+        for name in ("__sub__", "__rsub__", "__floordiv__", "__rfloordiv__", "__mul__", "__pow__", "__le__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        got = vietoris_rips(data, "5.0", 2)
+        assert got == expected and got[0].n(1) > 0
+
     def test_bench_scale_cloud_matches_pairwise_oracle(self, monkeypatch):
         """A seeded 1000-point cloud at the benchmark's density writes the
-        oracle's project bytes, and the same cloud lifted to 3 coordinates
-        (all z = 0, so the same grid) tests at most three pairs per edge.
-        The oracle reads the same integers as floats, whose arithmetic is
-        exact here, so it stays fast."""
+        oracle's project bytes and tests at most three pairs per edge. The
+        oracle reads the same integers as floats, whose arithmetic is exact
+        here, so it stays fast."""
         from fshom.project import dump_project
 
         rng = random.Random(2024)
@@ -481,9 +495,8 @@ class TestVietorisRips:
         assert K == K_ref and dump_project(mu) == dump_project(mu_ref)
         gaps = []  # one per coordinate of each pair tested
         monkeypatch.setattr(fshom.fuzzy, "sub", lambda a, b: gaps.append(1) or a - b)
-        lifted = vietoris_rips(ChromaticDataset(tuple((x, y, 0) for x, y in points), labels), 5, 2)
-        assert lifted == (K, mu)
-        assert K.n(2) > 0 and len(gaps) // 3 <= 3 * K.n(1), (len(gaps) // 3, K.n(1))
+        assert vietoris_rips(ChromaticDataset(points, labels), 5, 2) == (K, mu)
+        assert K.n(2) > 0 and len(gaps) // 2 <= 3 * K.n(1), (len(gaps) // 2, K.n(1))
 
 
 def random_coordinate(rng, kind):

@@ -207,17 +207,14 @@ class TestLevelSubmodules:
         assert ctx.eta_values(0) == [ctx.eta_value(0, ctx.reduced.class_from_vector(0, [1]))]
         assert list(ctx._sweeps) == [0]
 
-    def test_cut_where_homology_is_zero_asks_for_no_level(self, monkeypatch):
+    def test_cut_where_homology_is_zero_is_the_zero_submodule(self):
         """Where H_d = 0 (degrees 1 and 2 of two glued triangles, and every
-        degree out of range) the cut is the zero submodule at every level
-        without a level submodule or a least level above; a foreign level
-        is still refused."""
+        degree out of range) the cut is the zero submodule at every level,
+        the level submodule's own; a foreign level is still refused."""
         K = SimplicialComplex.from_maximal([[0, 1, 2], [1, 2, 3]])
         lattice = lattice_family()[0]
         ctx = FuzzyHomologyContext(random_mu(random.Random(3), K, lattice), ZZ)
         expected = {d: [ctx.hdl_submodule(d, lv) for lv in carrier(lattice)] for d in (1, 2)}
-        monkeypatch.setattr(FuzzyHomologyContext, "hdl_submodule", None)
-        monkeypatch.setattr(FuzzyHomologyContext, "_least_above", None)
         for d in (-1, 1, 2, 3):
             for lv in carrier(lattice):
                 cut = ctx.eta_cut(d, lv)

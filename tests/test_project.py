@@ -83,7 +83,7 @@ class TestSources:
 
     def test_violations_name_the_complexs_simplices(self, tmp_path, capsys):
         """Entries read in bulk are keyed by plain tuples; a violation still
-        holds the complex's own simplices, so its message writes <a,b>."""
+        holds simplices, so its message writes <a,b>."""
         data = complex_source(mu=[
             {"simplex": [1, 2], "value": "x"},
             {"simplex": [0, 1], "value": "x | y"},
