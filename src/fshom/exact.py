@@ -262,11 +262,6 @@ class ExactMatrix:
         lines = tuple({i: 1} for i in range(n))
         return cls(ring, n, n, by_rows=lines, by_cols=lines)
 
-    @classmethod
-    def zeros(cls, ring, rows: int, cols: int):
-        return cls(ring, rows, cols, by_rows=[{} for _ in range(rows)],
-                   by_cols=[{} for _ in range(cols)])
-
     # Only a `_DeferredTransform` holds neither view; its first read fills one.
 
     @property

@@ -278,7 +278,8 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
     Edges use the closed threshold: distance(i, j) <= radius. Comparisons
     are exact over rationals; if any input is a float the whole computation
     drops to floats with exact (epsilon 0) comparison, and a non-finite
-    float is refused.
+    float is refused, as is a radius whose square overflows; a pair whose
+    squared gap overflows is farther apart, so it is not an edge.
 
     On the rational path every coordinate and the radius are scaled by the
     least common denominator of them all, so each squared distance is
@@ -330,7 +331,10 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
         r = float(r)
         if not (math.isfinite(r) and all(math.isfinite(x) for p in coords for x in p)):
             raise FuzzyError("coordinates and radius must be finite")
-        rr = r ** 2
+        try:
+            rr = r ** 2
+        except OverflowError:
+            raise FuzzyError(f"radius {r!r} is too large: its square is not a finite float") from None
         sn, sd = (2 * max(r, 2.0 ** -500)).as_integer_ratio()
         keys = [tuple((xn * sd) // (xd * sn) for xn, xd in map(float.as_integer_ratio, p[:axes]))
                 for p in coords]
@@ -354,8 +358,11 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
             if there:
                 pairs += product(here, there)
         for i, j in pairs:
-            if sum(map(pow, map(sub, coords[i], coords[j]), repeat(2))) <= rr:
-                up[min(i, j)].append(max(i, j))
+            try:
+                if sum(map(pow, map(sub, coords[i], coords[j]), repeat(2))) <= rr:
+                    up[min(i, j)].append(max(i, j))
+            except OverflowError:  # only a float gap squares past the float range
+                pass
     adjacent = [set(u) for u in up]
     frontier = [((i,), sorted(u)) for i, u in enumerate(up)]
     cliques = [c for c, _ in frontier]

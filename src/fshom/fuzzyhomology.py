@@ -64,7 +64,7 @@ from itertools import chain, combinations, product, starmap
 # `kernel` and `solve` are unused here but stay bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
 from .exact import kernel, nested_kernels, solve, ZZ  # noqa: F401
-from .fuzzy import FuzzyError, FuzzySubcomplex, Violation
+from .fuzzy import FuzzyError, FuzzySubcomplex, Violation, complete_values
 from .homology import ClassCoordinates, ReducedChainComplex
 from .lattice import LatticeValue, format_value
 from .modules import SubmoduleOfHomology
@@ -240,8 +240,11 @@ class FuzzyHomologyContext:
 
 def _check_monotone(mu: FuzzySubcomplex) -> None:
     """A FuzzyError naming one face whose value does not dominate its coface's,
-    if mu has one; by transitivity, the facets of each simplex suffice."""
+    if mu has one: mu is face-monotone exactly when its least monotone
+    completion is mu, else its facets (by transitivity enough) are walked."""
     coding, code, K = mu.coding, mu._code, mu.complex
+    if complete_values(K, coding, code)._code == code:
+        return
     for d in range(1, K.dim + 1):
         for s in K.simplices(d):
             for face in combinations(s, d):

@@ -21,8 +21,10 @@ converts to class coordinates through `from_delta[d]` (`class_of_cycle`).
 The inverse, a representative cycle of given class coordinates, is built
 only by the test oracles.
 
-The reduction keeps only what `to_delta` needs of each Smith form (P_inv
-and Q). `from_delta` is not part of it: its first read runs the Smith forms
+No D_d is stored (it is `from_delta[d-1] @ M_d @ to_delta[d]`, whose
+entries `partition` and `torsion` give), nor any boundary matrix M_d or rank.
+The reduction keeps only what `to_delta` needs of each Smith form (P_inv and
+Q). `from_delta` is not part of it: its first read runs the Smith forms
 again with all four transforms, and builds every degree's inverse basis.
 """
 
@@ -68,33 +70,26 @@ class DegreeHomology(namedtuple("DegreeHomology", "degree structure torsion_gene
 
 
 class ReducedChainComplex:
-    """All per-degree reduction data for a complex over a fixed ring."""
+    """The per-degree bases and block counts of a complex reduced over a fixed ring."""
 
     def __init__(self, complex: SimplicialComplex, ring):
         if complex.is_empty:
             raise ValueError("cannot reduce an empty complex")
         self.complex = complex
         self.ring = ring
-        t = complex.dim
-        self.top = t
-        self.boundary = [_boundary(complex, ring, d) for d in range(t + 2)]
+        self.top = complex.dim
         self._reduce()
 
     def _reduce(self) -> None:
         ring = self.ring
         t = self.top
-        self.D = [None] * (t + 2)
         self.to_delta = [None] * (t + 1)    # E^H -> E^Delta change of basis
-        self.rank = [0] * (t + 2)
         self.partition = [None] * (t + 1)
         self.torsion = [()] * (t + 1)
 
-        self.D[t + 1] = self.boundary[t + 1]
         factors_up = ()  # invariant factors of D_{d+1}; D_{t+1} is zero
-        for d, P_inv, s in self._smith_forms(("P_inv", "Q")):
-            n_d, r_up = self.boundary[d].cols, self.rank[d + 1]
-            self.D[d] = ExactMatrix.zeros(ring, s.D.rows, r_up).hstack(s.D)
-            self.rank[d] = s.rank
+        for d, r_up, P_inv, s in self._smith_forms(("P_inv", "Q")):
+            n_d = self.complex.n(d)
             # the column transform is diag(I_{r_up}, s.Q), composed block by block
             kept, rest = range(r_up), range(r_up, n_d)
             self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
@@ -109,20 +104,21 @@ class ReducedChainComplex:
             factors_up = s.invariant_factors
 
     def _smith_forms(self, keep):
-        """The Smith form of each degree, from the top down: yields (d,
-        P_inv, s), where P_inv is the inverse row transform of the degree
-        above (the identity at the top) and s = snf(N', keep) for N' the
-        columns of boundary[d] @ P_inv past the rank above. The columns
-        before it vanish, as D_d @ D_{d+1} = 0. `keep` must name P_inv.
+        """The Smith form of each degree, from the top down: yields (d, r_up,
+        P_inv, s), where r_up is the rank of D_{d+1}, P_inv the inverse row
+        transform of the degree above (the identity at the top) and s =
+        snf(N', keep) for N' the columns of M_d @ P_inv past r_up, M_d built
+        here. The columns before them vanish, as D_d @ D_{d+1} = 0. `keep`
+        must name P_inv.
         """
-        P_inv = ExactMatrix.identity(self.ring, self.boundary[self.top].cols)
+        P_inv = ExactMatrix.identity(self.ring, self.complex.n(self.top))
         r_up = 0
         for d in range(self.top, -1, -1):
-            N = self.boundary[d] @ P_inv
+            N = _boundary(self.complex, self.ring, d) @ P_inv
             if any(N.by_cols[:r_up]):
                 raise AssertionError("boundary columns expected to vanish did not")
             s = snf(N.column_block(range(r_up, N.cols)), keep)
-            yield d, P_inv, s
+            yield d, r_up, P_inv, s
             P_inv, r_up = s.P_inv, s.rank
 
     @cached_property
@@ -133,9 +129,9 @@ class ReducedChainComplex:
         first read runs the Smith forms again with all four transforms;
         the pivot rule is deterministic, so they are the same forms."""
         from_delta = [None] * (self.top + 1)
-        P = ExactMatrix.identity(self.ring, self.boundary[self.top].cols)
-        for d, _, s in self._smith_forms(("P", "P_inv", "Q", "Q_inv")):
-            kept, rest = range(self.rank[d + 1]), range(self.rank[d + 1], P.rows)
+        P = ExactMatrix.identity(self.ring, self.complex.n(self.top))
+        for d, r_up, _, s in self._smith_forms(("P", "P_inv", "Q", "Q_inv")):
+            kept, rest = range(r_up), range(r_up, P.rows)
             from_delta[d] = P.take_rows(kept).vstack(s.Q_inv @ P.take_rows(rest))
             P = s.P
         return from_delta
@@ -175,12 +171,14 @@ class ReducedChainComplex:
         """Homology coordinates of a cycle given in the simplex basis."""
         if not 0 <= d <= self.top:
             raise ValueError(f"degree {d} out of range")
-        bd = self.boundary[d].apply(chain)
-        if any(bd):
-            raise ValueError(f"chain is not a cycle; boundary = {bd}")
         coords = self.from_delta[d].apply(chain)
         _, it, ir, if_ = self.block_indices(d)
+        # D_d is injective on the R block and zero on the others, so a chain
+        # is a cycle exactly when its R coordinates vanish
         if any(coords[i] for i in ir):
+            bd = _boundary(self.complex, self.ring, d).apply(chain)
+            if any(bd):
+                raise ValueError(f"chain is not a cycle; boundary = {bd}")
             raise AssertionError("cycle has non-zero non-cycle block")
         return self.class_from_vector(d, [coords[i] for i in (*it, *if_)])
 

@@ -245,13 +245,13 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     For the rest, lift its generators to the free module on its support,
     adjoin the relation vectors a_i * e_i of the support's torsion
     coordinates to get the lattice L, and compute L / R for R the relation
-    span: write a basis of L from the rest's Smith form, express each
-    relation vector in that basis, and read the betti number and invariant
-    factors off a second Smith form. With no torsion coordinate on the
-    support, R = 0 and L is free of the form's rank, so no second form runs.
-    The torsion coefficients of the unit summands, in index order, divide
-    one another; when the rest has torsion too, the invariant factors of
-    the diagonal matrix of both lists are the torsion.
+    span: write a basis of L from the rest's Smith form and express each
+    relation vector in that basis. The torsion coefficient a of each unit
+    summand is one more relation, a times a generator of its own, so the
+    relation matrix is block-diagonal and one more Smith form gives the
+    betti number and the invariant factors of the whole. With no torsion
+    coordinate on the support, R = 0 and L is free of the form's rank, so no
+    second form runs.
     """
     ring, torsion = S.ambient.ring, S.ambient.torsion
     units = sorted(S._units)
@@ -282,14 +282,10 @@ def module_structure(S: SubmoduleOfHomology) -> ModuleStructure:
     for i in range(r, S._local.length):
         if any(j < m and ring.of(coeffs[j] * p) for j, p in P[i].items()):
             raise AssertionError("relation vector escapes the lifted lattice")
-    sy = snf(ExactMatrix(ring, r, m, by_rows=rows), ())  # only the invariant factors are read
-    rest_torsion = _torsion_factors(sy)
-    if unit_torsion and rest_torsion:
-        factors = unit_torsion + rest_torsion
-        diagonal = ExactMatrix(ring, len(factors), len(factors),
-                               by_cols=[{i: a} for i, a in enumerate(factors)])
-        return ModuleStructure(betti + r - sy.rank, _torsion_factors(snf(diagonal, ())))
-    return ModuleStructure(betti + r - sy.rank, unit_torsion or rest_torsion)
+    rows += ({m + k: a} for k, a in enumerate(unit_torsion))
+    # only the invariant factors are read
+    sy = snf(ExactMatrix(ring, len(rows), m + len(unit_torsion), by_rows=rows), ())
+    return ModuleStructure(betti + len(rows) - sy.rank, _torsion_factors(sy))
 
 
 def _torsion_factors(s: SmithDecomposition) -> tuple:

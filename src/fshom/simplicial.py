@@ -17,9 +17,10 @@ in increasing vertex order are valid by construction. Where a face is only looke
 up (the face-closure check, `maximal_simplices`, `boundary_columns`), it stays
 the plain tuple that `itertools.combinations` yields.
 
-The constructor checks that its simplices are `Simplex`es, face-closed and
-without a dimension gap. `from_maximal` builds a closure that is all three
-by construction, so it groups that closure by size and holds it unchecked.
+The constructor checks that its simplices are `Simplex`es and face-closed
+(so without a dimension gap: a gap leaves some present dimension m >= 1
+without (m-1)-faces). `from_maximal` builds a closure that is both by
+construction, so it groups that closure by size and holds it unchecked.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ class SimplicialComplex:
                     for _, face in s.boundary():
                         if face not in pool:
                             raise ValueError(f"complex is not face-closed: missing {face!r} of {s!r}")
-        dims = sorted(by_dim)
-        if dims and dims != list(range(dims[-1] + 1)):
-            raise ValueError("dimension gap in complex")
-        self._set(tuple(tuple(by_dim[d]) for d in dims))
+        self._set(tuple(tuple(by_dim[d]) for d in sorted(by_dim)))
 
     def _set(self, by_dim: tuple) -> None:
         """Hold `by_dim`, the sorted simplices of each dimension 0..dim, and index them."""
@@ -139,7 +137,7 @@ class SimplicialComplex:
         the given simplices for every k from 1 to the largest size, so it has
         every facet of its simplices and no dimension gap. It is grouped by
         size and sorted, group by group, and held without the checks of the
-        constructor (simplex types, face closure, dimension gaps).
+        constructor (simplex types, face closure).
 
         >>> K = SimplicialComplex.from_maximal([[0, 1, 2, 3]])
         >>> [K.n(d) for d in range(4)]

@@ -321,6 +321,41 @@ def cycle_of_class(R, d, coords) -> tuple:
     return tuple(R.ring.of(a + b) for a, b in zip(chain, free_part))
 
 
+def chain_boundary(R, d) -> ExactMatrix:
+    """M_d, the boundary matrix of degree d (0..top + 1) over R's ring, from
+    the complex's dense `boundary_matrix` rather than the sparse columns
+    that the reduction builds."""
+    return ExactMatrix.from_rows(R.ring, R.complex.boundary_matrix(d))
+
+
+def rank_above(R, d) -> int:
+    """r_{d+1}, the rank of D_{d+1}: the U and T blocks of degree d (0..top)."""
+    p = R.partition[d]
+    return p.n_U + p.n_T
+
+
+def derived_diagonal(R, d) -> ExactMatrix:
+    """D_d as the bases give it: from_delta[d-1] @ M_d @ to_delta[d] for
+    0 < d <= top, and the zero ends M_0 (1 x n_0) and M_{top+1} (n_top x 1)."""
+    M = chain_boundary(R, d)
+    if d == 0 or d == R.top + 1:
+        return M
+    return R.from_delta[d - 1] @ M @ R.to_delta[d]
+
+
+def block_diagonal(R, d) -> ExactMatrix:
+    """D_d as `partition` and `torsion` predict it: entry (k, r_{d+1} + k) is
+    1 for k < n_U(d-1), then the torsion coefficients of degree d - 1, and
+    every other entry is zero. Same shape as `derived_diagonal`."""
+    rows = R.complex.n(d - 1) if d else 1
+    cols = R.complex.n(d) if d <= R.top else 1
+    entries = (1,) * R.partition[d - 1].n_U + R.torsion[d - 1] if d else ()
+    shift = rank_above(R, d) if d <= R.top else 0
+    lines = [{shift + k: a} for k, a in enumerate(entries)]
+    lines += [{} for _ in range(rows - len(entries))]
+    return ExactMatrix(R.ring, rows, cols, by_rows=lines)
+
+
 def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
     """eta_d of the class: the join of kappa over every representative.
 
@@ -393,6 +428,20 @@ def boundary_walk_closure_error(simplices):
             for _, face in s.boundary():
                 if face not in pool:
                     return f"complex is not face-closed: missing {face!r} of {s!r}"
+    return None
+
+
+def facet_walk_violation(mu):
+    """The message of the first (simplex, facet) pair, simplices in the
+    complex's order and facets in `combinations` order, whose facet value
+    does not dominate the simplex's, or None; values are compared by the
+    lattice itself."""
+    K, leq = mu.complex, mu.lattice.leq
+    for d in range(1, K.dim + 1):
+        for s in K.simplices(d):
+            for face in map(K.get, combinations(s, d)):
+                if not leq(mu.value(s), mu.value(face)):
+                    return Violation(face, s, mu.value(face), mu.value(s)).message()
     return None
 
 

@@ -16,7 +16,7 @@ from fshom.fuzzyhomology import FuzzyHomologyContext
 from fshom.homology import ReducedChainComplex
 from fshom.lattice import FreeDistributiveLattice, format_value
 from fshom.simplicial import SimplicialComplex
-from oracles import brute_force_eta, carrier, dense, enumerate_fdl
+from oracles import block_diagonal, brute_force_eta, carrier, dense, derived_diagonal, enumerate_fdl
 from randgen import lattice_family, random_complex, random_fdl, random_mu
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -69,8 +69,10 @@ def test_criterion_02_reference_matrices_and_partitions():
     ]
     assert K.boundary_matrix(2) == [[0], [0], [1], [-1], [1]]
     R = ReducedChainComplex(K, ZZ)
+    D = [derived_diagonal(R, d) for d in range(R.top + 2)]
+    assert D == [block_diagonal(R, d) for d in range(R.top + 2)]
     for d in range(R.top + 1):
-        assert not any(any(row) for row in (R.D[d] @ R.D[d + 1]).data)
+        assert not any(any(row) for row in (D[d] @ D[d + 1]).data)
     assert R.partition[0] == (3, 0, 0, 2)
     assert R.partition[1] == (1, 0, 3, 1)
     watch.check()

@@ -399,6 +399,7 @@ class TestMalformedSpecs:
         (filtration_project([["a", "b", "c"]]), "bad poset: cover"),
         (chromatic_project(max_dim="z"), "'max_dim' must be an integer"),
         (chromatic_project(csv=5), "'csv' must be a file path"),
+        (chromatic_project(radius=1e200), "radius 1e+200 is too large: its square is not a finite float"),
         (lattice_project({"kind": "fdl", "generators": [["x"]]}),
          "entry ['x'] of 'generators' must be a string"),
         (lattice_project({"kind": "upset", "elements": [{"a": 1}, "b"], "covers": []}),
@@ -433,7 +434,7 @@ class TestMalformedSpecs:
         (filtration_stages(a=[[0]], b=[[0], [1]], c=[[1]]),
          "filtration is not monotone: stage 'a' is not contained in stage 'c'"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
-            "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
+            "filtration-cover-triple", "max-dim-string", "csv-int", "radius-overflow", "generator-list",
             "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int",
             "mu-value-nested", "json-nested", "mu-value-int", "mu-value-null", "mu-value-list",
             "mu-vertex-float", "mu-vertex-bool", "mu-vertex-bool-first", "mu-vertex-repeated",

@@ -31,7 +31,7 @@ def rand_matrix(rng, ring=ZZ, max_side=6, lo=-9, hi=9):
     m = rng.randint(0, max_side)
     n = rng.randint(0, max_side)
     if m == 0:
-        return ExactMatrix.zeros(ring, 0, n)
+        return ExactMatrix.from_rows(ring, [], cols=n)
     return mat([[ring.of(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)], ring)
 
 
@@ -146,8 +146,8 @@ class TestSmithNormalForm:
         assert self.check(mat([[2, 4], [6, 8]])).invariant_factors == (2, 4)
         assert self.check(mat([[0, 0], [0, 0]])).rank == 0
         assert self.check(ExactMatrix.identity(ZZ, 3)).invariant_factors == (1, 1, 1)
-        assert self.check(ExactMatrix.zeros(ZZ, 0, 3)).rank == 0
-        assert self.check(ExactMatrix.zeros(ZZ, 3, 0)).rank == 0
+        assert self.check(ExactMatrix.from_rows(ZZ, [], cols=3)).rank == 0
+        assert self.check(mat([[], [], []])).rank == 0
 
     def test_random_integer_matrices(self):
         rng = random.Random(23)

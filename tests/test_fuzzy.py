@@ -462,6 +462,23 @@ class TestVietorisRips:
         K, _ = vietoris_rips(data, 1.0, 2)
         assert {s.vertices for s in K.simplices(1)} == {(0, 3)}
 
+    @pytest.mark.parametrize("radius", [1e200, 1.4e154, 1.7e308])
+    def test_radius_whose_square_overflows_refused(self, radius):
+        data = ChromaticDataset(((0.0, 0.0), (1.0, 0.0)), ("a", "b"))
+        with pytest.raises(FuzzyError, match="is too large: its square is not a finite float"):
+            vietoris_rips(data, radius, 1)
+
+    def test_gap_whose_square_overflows_is_no_edge(self):
+        """A neighbour pair whose squared gap leaves the float range is
+        farther apart than any radius with a finite square: on a grid axis,
+        and on a third coordinate, which is off the grid."""
+        data = ChromaticDataset(((0.0,), (2e154,), (1e154,)), ("a", "b", "c"))
+        K, _ = vietoris_rips(data, 1e154, 1)
+        assert {s.vertices for s in K.simplices(1)} == {(0, 2), (1, 2)}
+        data = ChromaticDataset(((0.0, 0.0, 0.0), (0.0, 0.0, 1e300), (0.0, 0.5, 0.0)), ("a", "b", "c"))
+        K, _ = vietoris_rips(data, 1.0, 2)
+        assert {s.vertices for s in K.simplices(1)} == {(0, 2)}
+
     def test_whole_fractions_are_rescaled_to_ints(self, monkeypatch):
         """Text such as "2.0" or "5/1" reads as a Fraction with denominator
         1; the rescale still turns every coordinate and the radius into an

@@ -23,7 +23,7 @@ from fshom.project import load_project, load_project_file
 from fshom.simplicial import Simplex, SimplicialComplex
 from fshom.modules import SubmoduleOfHomology
 from oracles import (
-    FullAmbientSubmodule, brute_force_eta, carrier, delta_value_set, dense, kappa,
+    FullAmbientSubmodule, brute_force_eta, carrier, delta_value_set, dense, facet_walk_violation, kappa,
     kernel_hdl_submodule, pairwise_meet_closure, per_simplex_index_set, simplex_values,
 )
 from randgen import lattice_family, random_complex, random_mu, random_torsion_complex
@@ -558,6 +558,31 @@ class TestDegenerateAndRefusals:
             FuzzyHomologyContext(mu, ZZ)
         with pytest.raises(ValueError, match="not face-closed"):
             mu.cut(T.top)
+
+
+    @pytest.mark.parametrize("lattice", lattice_family()[:4], ids=LATTICE_IDS[:4])
+    def test_monotone_check_names_the_facet_walks_first_failure(self, lattice):
+        """On seeded total assignments, face-monotone ones and ones with a
+        value changed, the context refuses exactly those in which the facet
+        walk finds a failure, and with its message."""
+        rng = random.Random(139)
+        elements = [v for v in carrier(lattice) if v != lattice.bottom]
+        refused = 0
+        for _ in range(40):
+            K = random_complex(rng)
+            values = dict(random_mu(rng, K, lattice, elements).items())
+            if rng.random() < 0.7:
+                values[rng.choice(list(K.all_simplices()))] = rng.choice(elements)
+            mu = FuzzySubcomplex(K, lattice, values)
+            expected = facet_walk_violation(mu)
+            if expected is None:
+                FuzzyHomologyContext(mu, ZZ)
+                continue
+            refused += 1
+            with pytest.raises(FuzzyError) as raised:
+                FuzzyHomologyContext(mu, ZZ)
+            assert str(raised.value) == expected
+        assert 0 < refused < 40
 
 
 class TestBruteForceOracle:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,9 @@ import fshom.homology
 from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import SimplicialComplex
-from oracles import cycle_of_class, dense, dense_snf
+from oracles import (
+    block_diagonal, chain_boundary, cycle_of_class, dense, dense_snf, derived_diagonal, rank_above,
+)
 from randgen import random_complex, random_torsion_complex, rips_complex
 
 REFERENCE_MAXIMAL = [[0, 1], [0, 3], [1, 2, 3], [4]]
@@ -46,11 +49,10 @@ class TestReduction:
             assert R.to_delta[d] @ R.from_delta[d] == ident
             p = R.partition[d]
             assert p.n_U + p.n_T + p.n_R + p.n_F == n
-        for d in range(1, R.top + 1):
-            M = ExactMatrix.from_rows(ring, K.boundary_matrix(d))
-            assert R.from_delta[d - 1] @ M @ R.to_delta[d] == R.D[d]
-        for d in range(R.top):
-            assert is_zero(R.D[d] @ R.D[d + 1])
+        D = [derived_diagonal(R, d) for d in range(R.top + 2)]
+        assert D == [block_diagonal(R, d) for d in range(R.top + 2)]
+        for d in range(R.top + 1):
+            assert is_zero(D[d] @ D[d + 1])
         return R
 
     def test_invariants_on_random_complexes(self):
@@ -59,6 +61,25 @@ class TestReduction:
             K = random_complex(rng)
             ring = PrimeField(2) if i % 3 == 0 else ZZ
             self.check_invariants(K, ring)
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
+    def test_derived_diagonal_is_the_block_form(self, ring):
+        """from_delta[d-1] @ M_d @ to_delta[d] has the units and torsion of
+        degree d - 1 on the shifted diagonal past the rank above, and zeros
+        elsewhere, the zero ends included."""
+        rng = random.Random(131)
+        complexes = [random_complex(rng) for _ in range(20)]
+        complexes += [random_torsion_complex(rng) for _ in range(4)]
+        for K in complexes:
+            R = ReducedChainComplex(K, ring)
+            for d in range(R.top + 2):
+                assert derived_diagonal(R, d) == block_diagonal(R, d), d
+
+    def test_holds_no_diagonal_boundary_or_rank(self):
+        R = ReducedChainComplex(random_torsion_complex(random.Random(0)), ZZ)
+        assert R.from_delta and R.homology(1).structure.torsion
+        for name in ("D", "boundary", "rank"):
+            assert not hasattr(R, name), name
 
     def test_empty_complex_rejected(self):
         from fshom.simplicial import EMPTY_COMPLEX
@@ -96,7 +117,8 @@ def is_zero(M):
 def reduction_digest(R):
     blob = json.dumps({"to_delta": [dense_rows(m) for m in R.to_delta],
                        "from_delta": [dense_rows(m) for m in R.from_delta],
-                       "D": [dense_rows(m) for m in R.D]}, separators=(",", ":"))
+                       "D": [dense_rows(derived_diagonal(R, d)) for d in range(R.top + 2)]},
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -151,10 +173,10 @@ class TestReductionOracle:
         for d in range(R.top + 1):
             assert is_identity(dense_product(R.to_delta[d], R.from_delta[d]))
         for d in range(1, R.top + 1):
-            M = dense_product(R.from_delta[d - 1], R.boundary[d])
-            assert dense_product(M, R.to_delta[d]) == R.D[d]
-        for d in range(R.top):
-            assert is_zero(dense_product(R.D[d], R.D[d + 1]))
+            M = dense_product(R.from_delta[d - 1], chain_boundary(R, d))
+            assert dense_product(M, R.to_delta[d]) == block_diagonal(R, d)
+        for d in range(R.top + 1):
+            assert is_zero(dense_product(block_diagonal(R, d), block_diagonal(R, d + 1)))
         if name == "torsion" and ring_name == "z":
             assert max(abs(x) for M in R.to_delta for row in M.data for x in row) > 1
         assert reduction_digest(R) == PINNED_REDUCTIONS[name, ring_name]
@@ -193,11 +215,11 @@ class TestRips60:
 def eager_from_delta(R):
     """`from_delta` as a reduction whose Smith forms keep all four transforms
     builds it: the row transform P is carried down from degree to degree."""
-    P = P_inv = ExactMatrix.identity(R.ring, R.boundary[R.top].cols)
+    P = P_inv = ExactMatrix.identity(R.ring, R.complex.n(R.top))
     out = [None] * (R.top + 1)
     for d in range(R.top, -1, -1):
-        r_up = R.rank[d + 1]
-        N = R.boundary[d] @ P_inv
+        r_up = rank_above(R, d)
+        N = chain_boundary(R, d) @ P_inv
         s = snf(N.column_block(range(r_up, N.cols)))
         out[d] = P.take_rows(range(r_up)).vstack(s.Q_inv @ P.take_rows(range(r_up, P.rows)))
         P, P_inv = s.P, s.P_inv
@@ -349,8 +371,41 @@ class TestClassCoordinates:
 
     def test_non_cycle_rejected(self):
         R = self.reference()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("chain is not a cycle; boundary = [-1, 1, 0, 0, 0]")):
             R.class_of_cycle(1, [1, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
+    def test_refuses_exactly_the_chains_with_a_boundary(self, ring):
+        """A chain is refused, with its boundary named, exactly when the
+        boundary matrix does not kill it; cycles plus boundaries pass."""
+        rng = random.Random(137)
+        for _ in range(20):
+            K = random_complex(rng)
+            R = ReducedChainComplex(K, ring)
+            for d in range(K.dim + 1):
+                M = chain_boundary(R, d)
+                for trial in range(6):
+                    if trial % 2:
+                        # a cycle of random class plus a random boundary
+                        vec = [rng.randint(-2, 2) for _ in range(R.ambient(d).length)]
+                        up = [ring.of(rng.randint(-2, 2)) for _ in range(K.n(d + 1) if d < K.dim else 1)]
+                        chain = [ring.of(a + b) for a, b in zip(cycle_of_class(R, d, R.class_from_vector(d, vec)),
+                                                                chain_boundary(R, d + 1).apply(up))]
+                    else:
+                        chain = [ring.of(rng.randint(-2, 2)) for _ in range(K.n(d))]
+                    bd = M.apply(chain)
+                    if any(bd):
+                        with pytest.raises(ValueError, match=re.escape(f"chain is not a cycle; boundary = {bd}")):
+                            R.class_of_cycle(d, chain)
+                    else:
+                        R.class_of_cycle(d, chain)
+
+    def test_inconsistent_bases_fail_loudly(self):
+        R = self.reference()
+        # the identity puts the cycle <0,1> - <0,3> + <1,3> in the R block
+        R.from_delta[1] = ExactMatrix.identity(ZZ, 5)
+        with pytest.raises(AssertionError, match="non-cycle block"):
+            R.class_of_cycle(1, [1, -1, 0, 1, 0])
 
     def test_torsion_coordinates_reduced(self):
         R = ReducedChainComplex(SimplicialComplex.from_maximal(RP2), ZZ)

@@ -145,6 +145,16 @@ class TestComplexConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex([Simplex((0, 1))])
 
+    @pytest.mark.parametrize("gapped", [
+        [(0,), (1,), (2,), (0, 1, 2)],               # vertices and a triangle
+        [(0, 1), (1, 2)],                            # edges alone
+        [(0,), (1,), (2,), (3,), (0, 1, 2, 3)],      # vertices and a tetrahedron
+        [(0,), (1,), (0, 1), (0, 1, 2, 3)],          # a gap at dimension 2
+    ], ids=["vertices-triangle", "edges", "vertices-tetrahedron", "gap-at-2"])
+    def test_dimension_gap_is_not_face_closed(self, gapped):
+        with pytest.raises(ValueError, match="not face-closed"):
+            SimplicialComplex(map(Simplex, gapped))
+
     def test_plain_tuples_refused(self):
         with pytest.raises(TypeError):
             SimplicialComplex([(0,)])
