@@ -252,15 +252,21 @@ class ChromaticDataset(namedtuple("ChromaticDataset", "points labels")):
 
 
 def _as_number(x):
-    """An int or float as is, text without "_" that `int()` reads as that int
-    (which `Fraction` reads as the same integer), and any other value as an
+    """An int as is, text without "_" that `int()` reads as that int (which
+    `Fraction` reads as the same integer), a finite float as the exact
+    `Fraction` of its `repr`, the shortest decimal that reads back as that
+    float (so 0.3 is 3/10, as the text "0.3" is), and any other value as an
     exact `Fraction` of its text ("5/1", "0.5", "1_0"; `Fraction` reads "_"
-    from Python 3.11 on); `fractions` is imported only then."""
+    from Python 3.11 on); `fractions` is imported only for the last two."""
     if isinstance(x, bool):
         raise FuzzyError("boolean is not a coordinate")
-    if isinstance(x, (int, float)):
+    if isinstance(x, int):
         return x
-    if isinstance(x, str) and "_" not in x:
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise FuzzyError("coordinates and radius must be finite")
+        x = repr(float(x))
+    elif isinstance(x, str) and "_" not in x:
         try:
             return int(x)
         except ValueError:
@@ -275,40 +281,21 @@ def _as_number(x):
 def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
     """Vietoris-Rips complex of the points with chromatic fuzzy values.
 
-    Edges use the closed threshold: distance(i, j) <= radius. Comparisons
-    are exact over rationals; if any input is a float the whole computation
-    drops to floats with exact (epsilon 0) comparison, and a non-finite
-    float is refused, as is a radius whose square overflows; a pair whose
-    squared gap overflows is farther apart, so it is not an edge.
+    Edges use the closed threshold: distance(i, j) <= radius. Every
+    coordinate and the radius are read as exact rationals by one rule
+    (`_as_number`: a float is the decimal of its `repr`, and a non-finite
+    float is refused), then scaled by the least common denominator of them
+    all, so each squared distance is compared with r^2 in `int` arithmetic;
+    scaling by a positive constant keeps every comparison.
 
-    On the rational path every coordinate and the radius are scaled by the
-    least common denominator of them all, so each squared distance is
-    compared with r^2 in `int` arithmetic; scaling by a positive constant
-    keeps every comparison. The float path keeps the formula
-    sum((a - b) ** 2) in coordinate order.
-
-    Neighbours are found on a uniform grid over the first min(2, dim)
-    coordinates: a point's cell key is the exact integer floor of each such
-    coordinate divided by the cell side, and a pair is tested only when its
-    cells differ by at most one on every axis. Each unordered pair of
-    adjacent cells is visited once (the offsets after the zero offset in
+    Neighbours are found on a uniform grid of side r (1 when r = 0) over the
+    first min(2, dim) coordinates: a point's cell key is the integer floor
+    of each such coordinate divided by the side, and a pair is tested only
+    when its cells differ by at most one on every axis. Each unordered pair
+    of adjacent cells is visited once (the offsets after the zero offset in
     lexicographic order), and so is each pair inside a cell. A pair that
-    passes the test has a gap of at most the side on each grid axis, so its
-    cells are adjacent:
-    - On the rational path the side is r (1 when r = 0): a gap above r
-      alone squares past r^2.
-    - On the float path the side is 2t with t = max(r, 2^-500), and the
-      keys are floors of the exact dyadic values (`float.as_integer_ratio`),
-      never of a rounded quotient, which is wrong past 2^53 and overflows
-      near 1e308. A rounded sum of non-negative terms is at least each of
-      its terms, so a passing pair has fl(g ** 2) <= fl(r ** 2) <= fl(t ** 2)
-      on each axis, where g = fl(a - b). If |a - b| >= 2t, then |g| >= 2t
-      (2t is a float and rounding is monotone), so g^2 >= 4t^2 >= 2^-998 is
-      normal and fl(g ** 2) >= 4t^2 (1 - 2^-52) > t^2 (1 + 2^-52) >=
-      fl(t ** 2): the pair fails. So every passing gap is below 2t. This
-      covers a gap that exceeds r by a few ulps and still passes, and a
-      radius whose square rounds to 0 (r = 0.0 links points whose gaps
-      square below 2^-1075).
+    passes the test has a gap of at most r on each grid axis (a gap above r
+    alone squares past r^2), so its cells are adjacent.
     Cliques then grow in increasing vertex order from each vertex's sorted
     list of higher neighbours, keeping only the candidates adjacent to the
     vertex just added (Zomorodian, "Fast construction of the Vietoris-Rips
@@ -322,29 +309,12 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
     r = _as_number(radius)
     if r < 0:
         raise FuzzyError("radius must be >= 0")
-    use_float = isinstance(r, float) or any(
-        isinstance(x, float) for p in coords for x in p)
-    dim = len(coords[0]) if coords else 0
-    axes = min(2, dim)
-    if use_float:
-        coords = [tuple(float(x) for x in p) for p in coords]
-        r = float(r)
-        if not (math.isfinite(r) and all(math.isfinite(x) for p in coords for x in p)):
-            raise FuzzyError("coordinates and radius must be finite")
-        try:
-            rr = r ** 2
-        except OverflowError:
-            raise FuzzyError(f"radius {r!r} is too large: its square is not a finite float") from None
-        sn, sd = (2 * max(r, 2.0 ** -500)).as_integer_ratio()
-        keys = [tuple((xn * sd) // (xd * sn) for xn, xd in map(float.as_integer_ratio, p[:axes]))
-                for p in coords]
-    else:
-        scale = math.lcm(r.denominator, *(x.denominator for p in coords for x in p))
-        coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
-        r = r.numerator * (scale // r.denominator)
-        rr = r * r
-        side = r or 1
-        keys = [tuple(x // side for x in p[:axes]) for p in coords]
+    scale = math.lcm(r.denominator, *(x.denominator for p in coords for x in p))
+    coords = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
+    r = r.numerator * (scale // r.denominator)
+    rr, side = r * r, r or 1
+    axes = min(2, len(coords[0]) if coords else 0)
+    keys = [tuple(x // side for x in p[:axes]) for p in coords]
     n = len(coords)
     cells = {}
     for i, key in enumerate(keys):
@@ -358,11 +328,8 @@ def vietoris_rips(data: ChromaticDataset, radius, max_dim: int):
             if there:
                 pairs += product(here, there)
         for i, j in pairs:
-            try:
-                if sum(map(pow, map(sub, coords[i], coords[j]), repeat(2))) <= rr:
-                    up[min(i, j)].append(max(i, j))
-            except OverflowError:  # only a float gap squares past the float range
-                pass
+            if sum(map(pow, map(sub, coords[i], coords[j]), repeat(2))) <= rr:
+                up[min(i, j)].append(max(i, j))
     adjacent = [set(u) for u in up]
     frontier = [((i,), sorted(u)) for i, u in enumerate(up)]
     cliques = [c for c, _ in frontier]

@@ -44,10 +44,11 @@ levels of L(kappa_d) are covered greedily by chains of their index sets,
 smallest first (every chain of L(kappa_d) is such a chain), on the first
 request in degree d. A chain's sweep runs only as far as the levels asked
 for and resumes from there, so one level pivots only on the rows of its own
-index set, and all levels take one sweep per chain. Any other level l has
-the index set of m, the meet of the values of L(kappa_d) above l: every
-simplex value lies in L(kappa_d) (the support is the whole complex), and
-such a value dominates l exactly when it dominates m.
+index set, and all levels take one sweep per chain; once its last level is
+read, the chain's sweep is dropped with the rows and transform it holds.
+Any other level l has the index set of m, the meet of the values of
+L(kappa_d) above l: every simplex value lies in L(kappa_d) (the support is
+the whole complex), and such a value dominates l exactly when it dominates m.
 
 Three standing assumptions are enforced at construction: the subcomplex is
 face-monotone (else it is refused, as its cuts are not complexes), its
@@ -121,9 +122,9 @@ class FuzzyHomologyContext:
         """H_d(level): classes with a representative supported on the cut.
 
         A level of L(kappa_d) is read off the sweep of its chain, run only
-        as far as that level (see the module docstring). Any other level has
-        the index set, so the submodule, of the least level of L(kappa_d)
-        above it. Where H_d = 0 the level is the zero submodule, cached
+        as far as that level (see the module docstring); a chain whose levels
+        are all cached holds no sweep. Any other level has the index set, so
+        the submodule, of the least level of L(kappa_d) above it. Where H_d = 0 the level is the zero submodule, cached
         without building the degree's sweeps.
         """
         self.lattice._check(level)
@@ -141,15 +142,19 @@ class FuzzyHomologyContext:
         sweeps = self._sweeps[d]
         # a level of L(kappa_d) is the least level of L(kappa_d) above it
         m = level if level in sweeps else self._least_above(d, level)
-        sweep = sweeps[m]
-        while m not in levels:
-            lv, basis = next(sweep)
-            levels[lv] = SubmoduleOfHomology(ambient, basis)
+        if m not in levels:
+            sweep, chain = sweeps[m]
+            while m not in levels:
+                lv, basis = next(sweep)
+                levels[lv] = SubmoduleOfHomology(ambient, basis)
+            if chain[-1] in levels:  # a finished chain frees its sweep's state
+                for lv in chain:
+                    del sweeps[lv]
         levels[level] = levels[m]
         return levels[level]
 
     def _chain_sweeps(self, d: int) -> dict:
-        """Each level of L(kappa_d) -> the lazy sweep of its chain.
+        """Each level of L(kappa_d) -> (the lazy sweep of its chain, the chain).
 
         A sweep yields (level, basis) along its chain: the basis spans the
         kernel of (U_d | T_d | F_d) restricted to the rows of I(level), read
@@ -177,7 +182,7 @@ class FuzzyHomologyContext:
             batches = [sorted(b - a) for a, b in zip(prefixes, prefixes[1:])]
             sweep = ((lv, [{k - n_U: x for k, x in w.items() if k >= n_U} for w in basis])
                      for lv, basis in zip(chain, nested_kernels(G, batches)))
-            sweeps.update(dict.fromkeys(chain, sweep))
+            sweeps.update(dict.fromkeys(chain, (sweep, chain)))
         return sweeps
 
     def is_level_solvable(self, d: int, h: ClassCoordinates, level: LatticeValue) -> bool:

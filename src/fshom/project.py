@@ -296,7 +296,7 @@ def read_json(path: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as e:
         raise ProjectError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or a number past the int digit limit
         raise ProjectError(f"{path}: invalid JSON: {e}") from None
     except RecursionError:
         raise ProjectError(f"{path}: JSON nested too deeply to parse") from None

@@ -1,5 +1,6 @@
 """Independent reference computations that the tests compare fshom against."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -521,32 +522,32 @@ def pairwise_explicit_violations(explicit, lattice):
 
 
 def fraction_number(x):
-    """A coordinate as a Fraction of its value, or of its text, or a float as
-    is; no int fast path. Unreadable input is the FuzzyError that
-    `vietoris_rips` raises for it."""
+    """A coordinate as an exact number: an int as is, a finite float as the
+    Fraction of its repr (0.3 is 3/10), and anything else as the Fraction of
+    its value or text; no int fast path for text. Unreadable or non-finite
+    input is the FuzzyError that `vietoris_rips` raises for it."""
     if isinstance(x, bool):
         raise FuzzyError("boolean is not a coordinate")
-    if isinstance(x, float):
+    if isinstance(x, int):
         return x
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise FuzzyError("coordinates and radius must be finite")
+        return Fraction(repr(x))
     try:
-        return Fraction(x if isinstance(x, (int, Fraction)) else str(x))
+        return Fraction(x if isinstance(x, Fraction) else str(x))
     except (ValueError, ZeroDivisionError):
         raise FuzzyError(f"cannot read number {x!r}") from None
 
 
 def pairwise_vietoris_rips(data, radius, max_dim):
     """Vietoris-Rips complex by testing every pair of points and extending
-    every clique by every higher vertex, with exact Fraction distances (or
-    floats when any input is a float); each simplex's value is the meet of
-    its vertex colours, taken simplex by simplex."""
+    every clique by every higher vertex, with exact squared distances of the
+    `fraction_number` readings; each simplex's value is the meet of its
+    vertex colours, taken simplex by simplex."""
     coords = [tuple(map(fraction_number, p)) for p in data.points]
     r = fraction_number(radius)
-    use_float = isinstance(r, float) or any(isinstance(x, float) for p in coords for x in p)
-    if use_float:
-        coords = [tuple(float(x) for x in p) for p in coords]
-        rr = float(r) ** 2
-    else:
-        rr = r * r
+    rr = r * r
     n = len(coords)
     close = [[False] * n for _ in range(n)]
     for i in range(n):

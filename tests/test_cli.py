@@ -233,6 +233,20 @@ class TestProjectBuilders:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
+    def test_json_float_radius_reads_as_its_decimal(self, capsys, tmp_path):
+        """The JSON radius 0.3 is 3/10, as `--radius 0.3` is, so both link
+        the points 0.1 and 0.4 and give the same homology."""
+        (tmp_path / "points.csv").write_text("x,y,label\n0.1,0,a\n0.4,0,b\n")
+        built = tmp_path / "built.json"
+        code, _, err = run(capsys, "build-chromatic", str(tmp_path / "points.csv"),
+                           "--radius", "0.3", "--out", str(built))
+        assert code == 0 and err == ""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"chromatic": {"csv": "points.csv", "radius": 0.3}}))
+        reports = [run(capsys, "homology", str(path)) for path in (built, spec)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+        assert "H_0 = Z\n" in reports[0][1]
+
     def test_import_filtration(self, capsys, fixture_path):
         code, out, err = run(capsys, "import-filtration",
                              fixture_path("filtration_chain.json"))
@@ -297,6 +311,14 @@ class TestErrorsAndDeterminism:
                                                      "radius": radius}}))
         code, _, err = run(capsys, "validate", str(project))
         assert code == 2 and "finite" in err
+
+    def test_radius_whose_float_square_overflows_validates(self, capsys, tmp_path, fixture_path):
+        """A radius is read as an exact decimal, so 1e200 is a valid radius."""
+        project = tmp_path / "project.json"
+        project.write_text(json.dumps(chromatic_project(radius=1e200)))
+        shutil.copy(fixture_path("points.csv"), tmp_path)
+        code, out, err = run(capsys, "validate", str(project))
+        assert code == 0 and err == "" and out.endswith("\nvalid\n")
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -399,7 +421,6 @@ class TestMalformedSpecs:
         (filtration_project([["a", "b", "c"]]), "bad poset: cover"),
         (chromatic_project(max_dim="z"), "'max_dim' must be an integer"),
         (chromatic_project(csv=5), "'csv' must be a file path"),
-        (chromatic_project(radius=1e200), "radius 1e+200 is too large: its square is not a finite float"),
         (lattice_project({"kind": "fdl", "generators": [["x"]]}),
          "entry ['x'] of 'generators' must be a string"),
         (lattice_project({"kind": "upset", "elements": [{"a": 1}, "b"], "covers": []}),
@@ -434,7 +455,7 @@ class TestMalformedSpecs:
         (filtration_stages(a=[[0]], b=[[0], [1]], c=[[1]]),
          "filtration is not monotone: stage 'a' is not contained in stage 'c'"),
     ], ids=["levels-int", "levels-string", "cover-single", "covers-int",
-            "filtration-cover-triple", "max-dim-string", "csv-int", "radius-overflow", "generator-list",
+            "filtration-cover-triple", "max-dim-string", "csv-int", "generator-list",
             "element-object", "levels-not-strings", "cover-int-entry", "filtration-cover-int",
             "mu-value-nested", "json-nested", "mu-value-int", "mu-value-null", "mu-value-list",
             "mu-vertex-float", "mu-vertex-bool", "mu-vertex-bool-first", "mu-vertex-repeated",
@@ -484,6 +505,20 @@ class TestFileErrors:
         code, out, err = run(capsys, "import-filtration", str(spec))
         assert code == 2 and out == "" and self.one_error_line(err)
         assert "cannot read" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    @pytest.mark.parametrize("command, document", [
+        ("validate", '{"chromatic": {"csv": "points.csv", "radius": %s}}'),
+        ("import-filtration", '{"poset": {"elements": ["a"]}, "stages": {"a": [[%s]]}}'),
+    ], ids=["validate-radius", "import-filtration-vertex"])
+    def test_json_number_past_the_int_digit_limit(self, capsys, tmp_path, command, document):
+        """The JSON reader refuses an integer longer than Python's digit
+        limit with a ValueError; it is an input error, not a traceback."""
+        path = tmp_path / "input.json"
+        path.write_text(document % ("9" * 5000))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "" and self.one_error_line(err)
+        assert f"{path}: invalid JSON" in err
 
     def test_csv_not_utf8(self, capsys, tmp_path):
         points = tmp_path / "points.csv"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -299,6 +300,32 @@ class TestLevelSubmoduleOracles:
                     assert all(set(ctx.index_set(d, lv)) <= within for lv in ctx._hdl_cache[d])
                     for lv in levels:
                         assert ctx.hdl_submodule(d, lv) == kernel_hdl_submodule(ctx, d, lv)
+
+    def test_a_finished_chain_holds_no_sweep(self):
+        """Requests in a shuffled order: after each, a chain keeps its sweep
+        exactly while its last level is uncached, and once every level
+        of the degree is cached the context holds no sweep and each chain's
+        generator is freed."""
+        rng = random.Random(6011)
+        for lattice in lattice_family():
+            for _ in range(8):
+                K = random_torsion_complex(rng) if rng.random() < 0.5 else random_complex(rng)
+                ctx = FuzzyHomologyContext(random_mu(rng, K, lattice), rng.choice(RINGS))
+                for d in range(ctx.reduced.top + 1):
+                    if not ctx.reduced.ambient(d).length:
+                        continue
+                    # the sweeps that the first request would build
+                    ctx._sweeps[d] = ctx._chain_sweeps(d)
+                    refs = [weakref.ref(s) for s, _ in ctx._sweeps[d].values()]
+                    kappa, levels = ctx.kappa_value_set(d), list(carrier(lattice))
+                    rng.shuffle(levels)
+                    for lv in levels:
+                        ctx.hdl_submodule(d, lv)
+                        cached, sweeps = ctx._hdl_cache[d], ctx._sweeps[d]
+                        assert all(chain[-1] not in cached for _, chain in sweeps.values())
+                        assert all(m in cached or m in sweeps for m in kappa)
+                    assert ctx._sweeps[d] == {} and refs
+                    assert all(ref() is None for ref in refs)
 
     @staticmethod
     def assert_matches_cut_images(ctx):
