@@ -7,14 +7,15 @@ representative cycle supported on the cut complex at level l:
 
 - eta_d of a class h is the join of the levels l in the meet-closed value set
   L(kappa_d) with h in H_d(l);
-- the cut {h : eta_d(h) >= l} is the intersection of H_d(m_j) over the
-  join-irreducible parts j of l, where m_j is the meet of the values of
-  L(kappa_d) above j, and the whole group when l = 0. Every supported
-  lattice is finite and distributive, so a join-irreducible j is join-prime
-  (Birkhoff's representation theorem; Davey-Priestley, *Introduction to
-  Lattices and Order*, ch. 5): eta_d(h) >= j exactly when some level s >= j
-  of L(kappa_d) has h in H_d(s), and as H_d is antitone and L(kappa_d) is
-  meet-closed, exactly when h is in H_d(m_j).
+- the cut {h : eta_d(h) >= l} is the intersection of H_d(j) over the
+  join-irreducible parts j of l, and the whole group when l = 0. Every
+  supported lattice is finite and distributive, so a join-irreducible j is
+  join-prime (Birkhoff's representation theorem; Davey-Priestley,
+  *Introduction to Lattices and Order*, ch. 5): eta_d(h) >= j exactly when
+  some level s >= j of L(kappa_d) has h in H_d(s). The least such s is m,
+  the meet of the levels of L(kappa_d) above j, and H_d is antitone, so
+  this holds exactly when h is in H_d(m), which is H_d(j): j and m fail
+  the same value groups (below).
 
 eta_d of every unit class of a degree (the generators that the homology
 report lists) is read in batch, one pass per level of L(kappa_d)
@@ -46,9 +47,12 @@ request in degree d. A chain's sweep runs only as far as the levels asked
 for and resumes from there, so one level pivots only on the rows of its own
 index set, and all levels take one sweep per chain; once its last level is
 read, the chain's sweep is dropped with the rows and transform it holds.
-Any other level l has the index set of m, the meet of the values of
-L(kappa_d) above l: every simplex value lies in L(kappa_d) (the support is
-the whole complex), and such a value dominates l exactly when it dominates m.
+H_d(l) depends on l only through the value groups it fails, the codes of
+degree d not above l's, whose simplices make up I(l); so the level
+submodules are cached by that key. Every key is the key of a level of
+L(kappa_d): every simplex value lies in L(kappa_d) (the support is the whole
+complex), so a group's value dominates l exactly when it dominates m, the
+meet of the values of L(kappa_d) above l, and m is a level of L(kappa_d).
 
 Three standing assumptions are enforced at construction: the subcomplex is
 face-monotone (else it is refused, as its cuts are not complexes), its
@@ -60,7 +64,7 @@ homology module and no algorithm is provided, so construction is refused.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations, product, starmap
+from itertools import combinations, product, starmap
 
 # `kernel` and `solve` are unused here but stay bound, because the benchmark's
 # bench/test_bench.py::test_wrappers_reach_every_binding_and_come_off reads them
@@ -106,82 +110,82 @@ class FuzzyHomologyContext:
 
     def index_set(self, d: int, level: LatticeValue) -> tuple:
         """0-based indices of d-simplices whose value does not dominate level,
-        in ascending order: the union of the value groups of degree d whose
-        code is not above the level's."""
+        in ascending order: the union of the value groups the level fails."""
         lc = self.mu.coding.code(level)
         if not 0 <= d <= self.reduced.top:
             return ()
-        return tuple(sorted(self._failing(d, lc)))
+        groups = self._groups[d]
+        return tuple(sorted(i for c in self._fails(d, lc) for i in groups[c]))
 
-    def _failing(self, d: int, lc: int):
-        """The indices of the d-simplices whose code is not above code lc, group by group."""
+    def _fails(self, d: int, lc: int) -> frozenset:
+        """The codes of the value groups of degree d not above code lc: the
+        key of the level's submodule, which determines its index set."""
         leq = self.mu.coding.leq
-        return chain.from_iterable(g for c, g in self._groups[d].items() if not leq(lc, c))
+        return frozenset(c for c in self._groups[d] if not leq(lc, c))
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.
 
-        A level of L(kappa_d) is read off the sweep of its chain, run only
-        as far as that level (see the module docstring); a chain whose levels
-        are all cached holds no sweep. Any other level has the index set, so
-        the submodule, of the least level of L(kappa_d) above it. Where H_d = 0 the level is the zero submodule, cached
-        without building the degree's sweeps.
+        Cached by the value groups the level fails, which are those of a
+        level of L(kappa_d); that one is read off the sweep of its chain,
+        run only as far as that level (see the module docstring), and a
+        chain whose levels are all cached holds no sweep. Where H_d = 0 the
+        level is the zero submodule, cached without building the degree's
+        sweeps.
         """
         self.lattice._check(level)
         if not 0 <= d <= self.reduced.top:
             return SubmoduleOfHomology(self.reduced.ambient(d), [])
+        key = self._fails(d, self.mu.coding.code(level))
         levels = self._hdl_cache.setdefault(d, {})
-        if level in levels:
-            return levels[level]
+        if key in levels:
+            return levels[key]
         ambient = self.reduced.ambient(d)
         if not ambient.length:
-            levels[level] = SubmoduleOfHomology(ambient, [])  # H_d = 0: no sweep
-            return levels[level]
+            levels[key] = SubmoduleOfHomology(ambient, [])  # H_d = 0: no sweep
+            return levels[key]
         if d not in self._sweeps:
             self._sweeps[d] = self._chain_sweeps(d)
         sweeps = self._sweeps[d]
-        # a level of L(kappa_d) is the least level of L(kappa_d) above it
-        m = level if level in sweeps else self._least_above(d, level)
-        if m not in levels:
-            sweep, chain = sweeps[m]
-            while m not in levels:
-                lv, basis = next(sweep)
-                levels[lv] = SubmoduleOfHomology(ambient, basis)
-            if chain[-1] in levels:  # a finished chain frees its sweep's state
-                for lv in chain:
-                    del sweeps[lv]
-        levels[level] = levels[m]
-        return levels[level]
+        sweep, chain = sweeps[key]
+        while key not in levels:
+            k, basis = next(sweep)
+            levels[k] = SubmoduleOfHomology(ambient, basis)
+        if chain[-1] in levels:  # a finished chain frees its sweep's state
+            for k in chain:
+                del sweeps[k]
+        return levels[key]
 
     def _chain_sweeps(self, d: int) -> dict:
-        """Each level of L(kappa_d) -> (the lazy sweep of its chain, the chain).
+        """The key of each level of L(kappa_d) -> (the lazy sweep of its
+        chain, the chain of keys).
 
-        A sweep yields (level, basis) along its chain: the basis spans the
-        kernel of (U_d | T_d | F_d) restricted to the rows of I(level), read
-        past the U block, where a kernel vector is a class coordinate
-        (torsion, then free). The kernel vectors are sparse columns, so the
-        U block is dropped by shifting their keys.
+        A sweep yields (key, basis) along its chain: the basis spans the
+        kernel of (U_d | T_d | F_d) restricted to the rows of the key's value
+        groups, read past the U block, where a kernel vector is a class
+        coordinate (torsion, then free). The kernel vectors are sparse
+        columns, so the U block is dropped by shifting their keys.
         """
         iu, it, _, if_ = self.reduced.block_indices(d)
         n_U = len(iu)
         G = self.reduced.to_delta[d].column_block([*iu, *it, *if_])
-        values = self.mu.coding.values
-        rows = {values[c]: frozenset(self._failing(d, c)) for c in self._kappa_codes[d]}
-        # greedy chain cover of the index sets under inclusion, smallest first
-        pending = sorted(rows, key=lambda lv: len(rows[lv]))
+        groups = self._groups[d]
+        # greedy chain cover of the keys under inclusion, fewest rows first
+        pending = sorted((self._fails(d, c) for c in self._kappa_codes[d]),
+                         key=lambda key: sum(len(groups[c]) for c in key))
         sweeps = {}
         while pending:
             chain, rest = [pending[0]], []
-            for lv in pending[1:]:
-                if rows[chain[-1]] <= rows[lv]:
-                    chain.append(lv)
+            for key in pending[1:]:
+                if chain[-1] <= key:
+                    chain.append(key)
                 else:
-                    rest.append(lv)
+                    rest.append(key)
             pending = rest
-            prefixes = [frozenset(), *(rows[lv] for lv in chain)]
-            batches = [sorted(b - a) for a, b in zip(prefixes, prefixes[1:])]
-            sweep = ((lv, [{k - n_U: x for k, x in w.items() if k >= n_U} for w in basis])
-                     for lv, basis in zip(chain, nested_kernels(G, batches)))
+            batches = [sorted(i for c in b - a for i in groups[c])
+                       for a, b in zip([frozenset(), *chain], chain)]
+            sweep = ((key, [{k - n_U: x for k, x in w.items() if k >= n_U} for w in basis])
+                     for key, basis in zip(chain, nested_kernels(G, batches)))
             sweeps.update(dict.fromkeys(chain, (sweep, chain)))
         return sweeps
 
@@ -221,26 +225,15 @@ class FuzzyHomologyContext:
     def eta_cut(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """The cut of eta_d at the level, {h : eta_d(h) >= level}, in H_d.
 
-        The intersection over the join-irreducible parts j of the level of
-        H_d at the meet of the values of L(kappa_d) above j (see the module
+        The intersection of H_d(j) over the join-irreducible parts j of the
+        level, each distinct cached submodule taken once (see the module
         docstring); the whole group at level 0.
         """
-        least_above = dict.fromkeys(self._least_above(d, j)
-                                    for j in self.lattice.join_irreducibles(level))
-        parts = [self.hdl_submodule(d, m) for m in least_above]
+        parts = {id(S): S for S in (self.hdl_submodule(d, j)
+                                    for j in self.lattice.join_irreducibles(level))}
         if not parts:
             return SubmoduleOfHomology.full(self.reduced.ambient(d))
-        return reduce(lambda a, b: a.intersect(b), parts)
-
-    def _least_above(self, d: int, level: LatticeValue) -> LatticeValue:
-        """The meet of the values of L(kappa_d) above the level (1 outside
-        0..top), folded over codes from the code of 1."""
-        coding = self.mu.coding
-        lc, m = coding.code(level), coding.code(self.lattice.top)
-        for c in self._kappa_codes[d] if 0 <= d <= self.reduced.top else ():
-            if coding.leq(lc, c):
-                m = coding.meet(m, c)
-        return coding.values[m]
+        return reduce(lambda a, b: a.intersect(b), parts.values())
 
 
 def _check_monotone(mu: FuzzySubcomplex) -> None:

@@ -471,25 +471,25 @@ class TestVietorisRips:
         assert len(set(tiny)) == 6 and not [s for s, _ in mu.items() if s.dim == 1]
 
     def test_far_apart_points_are_never_compared(self):
-        """Only pairs in adjacent cells are tested, so a gap whose square
-        overflows a float is not computed unless it is a neighbour's."""
+        """Only pairs in adjacent cells are tested, so the gap of two points
+        in cells far apart on a grid axis is never computed, however large."""
         data = ChromaticDataset(((0.0, 0.0), (1e300, 0.0), (-1e300, 1e300), (0.5, 0.0)), ("a",) * 4)
         K, _ = vietoris_rips(data, 1.0, 2)
         assert {s.vertices for s in K.simplices(1)} == {(0, 3)}
 
     @pytest.mark.parametrize("radius", [1e200, 1.4e154, 1.7e308])
-    def test_radius_whose_square_overflows_refused(self, radius):
-        """A radius whose square overflows a float, once refused, is read
-        exactly as its decimal: a valid radius that links (0, 0) and (1, 0)."""
+    def test_huge_float_radius_is_read_as_its_decimal(self, radius):
+        """A float radius near the top of the float range is read exactly as
+        the decimal of its repr: a valid radius that links (0, 0) and (1, 0)."""
         data = ChromaticDataset(((0.0, 0.0), (1.0, 0.0)), ("a", "b"))
         assert fshom.fuzzy._as_number(radius) == Fraction(repr(radius))
         K, _ = vietoris_rips(data, radius, 1)
         assert {s.vertices for s in K.simplices(1)} == {(0, 1)}
 
-    def test_gap_whose_square_overflows_is_no_edge(self):
-        """A neighbour pair whose squared gap leaves the float range is
-        farther apart than any radius with a finite square: on a grid axis,
-        and on a third coordinate, which is off the grid."""
+    def test_huge_gap_is_no_edge(self):
+        """Exact comparison keeps a neighbour pair with a gap past the radius
+        apart, however large the numbers: on a grid axis, and on a third
+        coordinate, which is off the grid."""
         data = ChromaticDataset(((0.0,), (2e154,), (1e154,)), ("a", "b", "c"))
         K, _ = vietoris_rips(data, 1e154, 1)
         assert {s.vertices for s in K.simplices(1)} == {(0, 2), (1, 2)}

@@ -193,8 +193,8 @@ class TestLevelSubmodules:
 
     def test_no_sweep_where_homology_is_zero(self):
         """Two triangles glued along an edge have H_1 = H_2 = 0: every level
-        of those degrees is the zero submodule, cached at the level asked
-        for, and only degree 0 builds its sweeps."""
+        of those degrees is the zero submodule, cached under the value
+        groups its level fails, and only degree 0 builds its sweeps."""
         K = SimplicialComplex.from_maximal([[0, 1, 2], [1, 2, 3]])
         lattice = lattice_family()[0]
         ctx = FuzzyHomologyContext(random_mu(random.Random(3), K, lattice), ZZ)
@@ -202,7 +202,8 @@ class TestLevelSubmodules:
             assert ctx.reduced.ambient(d).length == 0
             for lv in carrier(lattice):
                 S = ctx.hdl_submodule(d, lv)
-                assert S.structure.is_zero and ctx._hdl_cache[d][lv] is S
+                key = ctx._fails(d, ctx.mu.coding.code(lv))
+                assert S.structure.is_zero and ctx._hdl_cache[d][key] is S
                 assert ctx.eta_cut(d, lv).structure.is_zero
             assert ctx.eta_values(d) == []
         assert ctx.eta_values(0) == [ctx.eta_value(0, ctx.reduced.class_from_vector(0, [1]))]
@@ -285,8 +286,9 @@ class TestLevelSubmoduleOracles:
 
     def test_a_request_sweeps_only_up_to_its_level(self):
         """On fresh contexts, the first request in a degree builds only
-        levels whose index sets lie within its own; requests in a shuffled
-        order, so with the chains' sweeps interleaved, match the oracle."""
+        keys (the value groups a level fails) within its own; requests in a
+        shuffled order, so with the chains' sweeps interleaved, match the
+        oracle."""
         rng = random.Random(6003)
         for lattice in lattice_family():
             for _ in range(12):
@@ -296,14 +298,14 @@ class TestLevelSubmoduleOracles:
                     levels = list(carrier(lattice))
                     rng.shuffle(levels)
                     ctx.hdl_submodule(d, levels[0])
-                    within = set(ctx.index_set(d, levels[0]))
-                    assert all(set(ctx.index_set(d, lv)) <= within for lv in ctx._hdl_cache[d])
+                    within = ctx._fails(d, ctx.mu.coding.code(levels[0]))
+                    assert all(key <= within for key in ctx._hdl_cache[d])
                     for lv in levels:
                         assert ctx.hdl_submodule(d, lv) == kernel_hdl_submodule(ctx, d, lv)
 
     def test_a_finished_chain_holds_no_sweep(self):
         """Requests in a shuffled order: after each, a chain keeps its sweep
-        exactly while its last level is uncached, and once every level
+        exactly while its last key is uncached, and once every level
         of the degree is cached the context holds no sweep and each chain's
         generator is freed."""
         rng = random.Random(6011)
@@ -317,15 +319,38 @@ class TestLevelSubmoduleOracles:
                     # the sweeps that the first request would build
                     ctx._sweeps[d] = ctx._chain_sweeps(d)
                     refs = [weakref.ref(s) for s, _ in ctx._sweeps[d].values()]
-                    kappa, levels = ctx.kappa_value_set(d), list(carrier(lattice))
+                    kappa = [ctx._fails(d, c) for c in ctx._kappa_codes[d]]
+                    levels = list(carrier(lattice))
                     rng.shuffle(levels)
                     for lv in levels:
                         ctx.hdl_submodule(d, lv)
                         cached, sweeps = ctx._hdl_cache[d], ctx._sweeps[d]
                         assert all(chain[-1] not in cached for _, chain in sweeps.values())
-                        assert all(m in cached or m in sweeps for m in kappa)
+                        assert all(key in cached or key in sweeps for key in kappa)
                     assert ctx._sweeps[d] == {} and refs
                     assert all(ref() is None for ref in refs)
+
+    def test_levels_compare_no_quadratic_count_of_code_pairs(self):
+        """A 6-colour cloud has 64 codes and |L(kappa_d)| = 64, 60, 43: after
+        every eta value and every cut at a level of L(kappa_d), the lattice
+        order has been read on fewer than half of the code pairs, since a
+        level is keyed by the value groups it fails, not by a scan of
+        L(kappa_d) for the levels above it."""
+        rng = random.Random(3)
+        points, labels = [], []
+        for _ in range(40):
+            points.append((rng.randint(0, 12), rng.randint(0, 12)))
+            labels.append(f"c{rng.randrange(6)}")
+        _, mu = vietoris_rips(ChromaticDataset(tuple(points), tuple(labels)), 3, 2)
+        ctx = FuzzyHomologyContext(mu, ZZ)
+        assert [len(ctx.kappa_value_set(d)) for d in range(3)] == [64, 60, 43]
+        for d in range(3):
+            ctx.eta_values(d)
+            for lv in ctx.kappa_value_set(d):
+                ctx.eta_cut(d, lv).structure
+        codes = len(mu.coding.values)
+        assert codes == 64
+        assert mu.coding.leq.cache_info().currsize < codes * codes / 2
 
     @staticmethod
     def assert_matches_cut_images(ctx):
