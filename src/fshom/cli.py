@@ -36,11 +36,13 @@ class UsageError(ValueError):
     pass
 
 
-def _chain_map(complex, d: int, chain: dict) -> dict:
-    """The {simplex: coefficient} map of a sparse chain {index: coefficient},
-    in index order, keys like "0,1"."""
+def _chain_maps(complex, d: int, chains) -> list:
+    """The {simplex: coefficient} map of each sparse chain {index:
+    coefficient} of degree d, in index order, keys like "0,1". Each simplex
+    on a chain is named once."""
     simplices = complex.simplices(d)
-    return {",".join(map(str, simplices[i])): int(chain[i]) for i in sorted(chain)}
+    names = {i: ",".join(map(str, simplices[i])) for i in set().union(*chains)}
+    return [{names[i]: chain[i] for i in sorted(chain)} for chain in chains]
 
 
 def _chain_text(chain: dict) -> str:
@@ -126,13 +128,13 @@ def cmd_homology(args) -> int:
     degrees = []
     for d in _degrees(args, R.top):
         h = R.homology(d)
+        chains = _chain_maps(project.complex, d, h.torsion_generators + h.free_generators)
+        n_T = len(h.torsion_generators)
         degrees.append({
             "degree": d,
             **_structure_json(h.structure, project.ring),
-            "torsion_generators": [_chain_map(project.complex, d, g)
-                                   for g in h.torsion_generators],
-            "free_generators": [_chain_map(project.complex, d, g)
-                                for g in h.free_generators],
+            "torsion_generators": chains[:n_T],
+            "free_generators": chains[n_T:],
         })
     _write(args, {"ring": format_ring(project.ring), "degrees": degrees}, _homology_text)
     return 0
@@ -183,13 +185,12 @@ def cmd_eta(args) -> int:
         h = ctx.reduced.homology(d)
         torsion = h.structure.torsion
         generators = []
+        chains = _chain_maps(ctx.mu.complex, d, h.torsion_generators + h.free_generators)
         # unit class i: torsion coordinates first, then free, as homology lists them
-        for i, (chain, eta) in enumerate(zip(h.torsion_generators + h.free_generators,
-                                             ctx.eta_values(d))):
+        for i, (chain, eta) in enumerate(zip(chains, ctx.eta_values(d))):
             kind = ({"kind": "torsion", "order": int(torsion[i])}
                     if i < len(torsion) else {"kind": "free"})
-            generators.append({**kind, "chain": _chain_map(ctx.mu.complex, d, chain),
-                               "eta": format_value(eta)})
+            generators.append({**kind, "chain": chain, "eta": format_value(eta)})
         kv = ctx.kappa_value_set(d)
         reports.append({
             "degree": d,

@@ -417,6 +417,9 @@ class _Side:
     lines of T_inv, so P @ A @ Q == D and the inverse pairs stay exact at
     every step. A transform that is not kept is None and costs nothing.
     Each operation touches only the non-zeros of the lines it combines.
+    `clear` makes the operations that clear one pivot in a single loop, each
+    line updated in place; `addmul` makes one such operation, for the
+    divisibility sweep of `snf`.
     """
 
     def __init__(self, ring, lines: list, mirror: list, keep_T: bool, keep_T_inv: bool):
@@ -470,12 +473,55 @@ class _Side:
     def clear(self, t) -> bool:
         """Clear the entries at t of the lines past t, in order (clearing one
         changes no other line). True once a non-zero remainder, strictly
-        smaller than the pivot, has been swapped in as the new pivot."""
-        ring = self.ring
-        lines = self.lines
-        for i in sorted(i for i in self.mirror[t] if i > t):
-            self.addmul(i, t, -ring.quo(lines[i][t], lines[t][t]))
-            if t in lines[i]:
+        smaller than the pivot, has been swapped in as the new pivot.
+
+        Each line i is cleared by `addmul(i, t, c)` written out in one loop:
+        D's line with its mirror entries, T's line and T_inv's line. For a
+        unit pivot, c = -x * pivot^-1 (reduced mod p over Z/p, as `ring.quo`
+        gives it) leaves no remainder; otherwise c = -quo(x, pivot).
+        """
+        ring, lines, mirror, T, T_inv = self.ring, self.lines, self.mirror, self.T, self.T_inv
+        p = ring.p if ring.is_field else 0
+        source = lines[t]
+        pivot = source[t]
+        inv = ring.inv(pivot) if ring.is_unit(pivot) else None
+        for i in sorted(i for i in mirror[t] if i > t):
+            target = lines[i]
+            x = target[t]
+            if inv is None:
+                c = -ring.quo(x, pivot)
+            else:
+                c = -(x * inv % p) if p else -x * inv
+            for k, y in source.items():
+                v = target.get(k, 0) + c * y
+                if p:
+                    v %= p
+                if v:
+                    target[k] = mirror[k][i] = v
+                elif k in target:
+                    del target[k]
+                    del mirror[k][i]
+            if T is not None:
+                line = T[i]
+                for k, y in T[t].items():
+                    v = line.get(k, 0) + c * y
+                    if p:
+                        v %= p
+                    if v:
+                        line[k] = v
+                    elif k in line:
+                        del line[k]
+            if T_inv is not None:
+                line = T_inv[t]
+                for k, y in T_inv[i].items():
+                    v = line.get(k, 0) - c * y
+                    if p:
+                        v %= p
+                    if v:
+                        line[k] = v
+                    elif k in line:
+                        del line[k]
+            if inv is None and t in target:
                 self.swap(t, i)
                 return True
         return False

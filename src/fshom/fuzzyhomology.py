@@ -95,6 +95,7 @@ class FuzzyHomologyContext:
         self.reduced = ReducedChainComplex(self.mu.complex, ring)
         self._hdl_cache = {}
         self._sweeps = {}
+        self._fails_cache = {}
         self._groups = [_value_groups(self.mu, d) for d in range(self.reduced.top + 1)]
         self._kappa_codes = [_meet_closure(self.mu, groups) for groups in self._groups]
 
@@ -119,9 +120,14 @@ class FuzzyHomologyContext:
 
     def _fails(self, d: int, lc: int) -> frozenset:
         """The codes of the value groups of degree d not above code lc: the
-        key of the level's submodule, which determines its index set."""
-        leq = self.mu.coding.leq
-        return frozenset(c for c in self._groups[d] if not leq(lc, c))
+        key of the level's submodule, which determines its index set.
+        Computed once per (d, lc)."""
+        key = self._fails_cache.get((d, lc))
+        if key is None:
+            leq = self.mu.coding.leq
+            key = frozenset(c for c in self._groups[d] if not leq(lc, c))
+            self._fails_cache[d, lc] = key
+        return key
 
     def hdl_submodule(self, d: int, level: LatticeValue) -> SubmoduleOfHomology:
         """H_d(level): classes with a representative supported on the cut.

@@ -1,11 +1,12 @@
 """Simplicial homology over a PID via a compatible chain of Smith reductions.
 
 The boundary matrices are diagonalized from the top dimension downward so
-that the output bases are compatible across degrees: working down from
-D_{t+1} = M_{t+1} (a zero matrix), each step reuses the row transform of the
-previous degree, Smith-reduces the remaining columns, and records the change
-of basis. The resulting diagonal matrices satisfy D_d @ D_{d+1} = 0, and in
-each degree the new basis splits into four blocks in this order:
+that the output bases are compatible across degrees. The top boundary M_t is
+Smith-reduced as it is, since D_{t+1} = 0 leaves no row transform to apply;
+each step below reuses the row transform of the degree above, Smith-reduces
+the remaining columns, and records the change of basis. The resulting
+diagonal matrices satisfy D_d @ D_{d+1} = 0, and in each degree the new
+basis splits into four blocks in this order:
 
 - U: boundaries hit with a unit coefficient,
 - T: cycles hit with a non-unit torsion coefficient a_i,
@@ -24,8 +25,11 @@ only by the test oracles.
 No D_d is stored (it is `from_delta[d-1] @ M_d @ to_delta[d]`, whose
 entries `partition` and `torsion` give), nor any boundary matrix M_d or rank.
 The reduction keeps only what `to_delta` needs of each Smith form (P_inv and
-Q). `from_delta` is not part of it: its first read runs the Smith forms
-again with all four transforms, and builds every degree's inverse basis.
+Q): `to_delta[t]` is the top form's Q itself, and a degree whose form has
+rank 0 (degree 0 always has) made no column operation, so its `to_delta` is
+the P_inv of the degree above. `from_delta` is not part of it: its first
+read runs the Smith forms again with all four transforms, and builds every
+degree's inverse basis.
 """
 
 from __future__ import annotations
@@ -90,9 +94,14 @@ class ReducedChainComplex:
         factors_up = ()  # invariant factors of D_{d+1}; D_{t+1} is zero
         for d, r_up, P_inv, s in self._smith_forms(("P_inv", "Q")):
             n_d = self.complex.n(d)
-            # the column transform is diag(I_{r_up}, s.Q), composed block by block
-            kept, rest = range(r_up), range(r_up, n_d)
-            self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
+            if P_inv is None:  # the top degree: no row transform above
+                self.to_delta[d] = s.Q
+            elif not s.rank:  # no column operation ran: s.Q is the identity
+                self.to_delta[d] = P_inv
+            else:
+                # the column transform is diag(I_{r_up}, s.Q), composed block by block
+                kept, rest = range(r_up), range(r_up, n_d)
+                self.to_delta[d] = P_inv.column_block(kept).hstack(P_inv.column_block(rest) @ s.Q)
             # the unit factors of D_{d+1} come first, as each divides the next
             torsion = tuple(a for a in factors_up if not ring.is_unit(a))
             n_U, n_T, n_R = len(factors_up) - len(torsion), len(torsion), s.rank
@@ -105,19 +114,23 @@ class ReducedChainComplex:
 
     def _smith_forms(self, keep):
         """The Smith form of each degree, from the top down: yields (d, r_up,
-        P_inv, s), where r_up is the rank of D_{d+1}, P_inv the inverse row
-        transform of the degree above (the identity at the top) and s =
-        snf(N', keep) for N' the columns of M_d @ P_inv past r_up, M_d built
-        here. The columns before them vanish, as D_d @ D_{d+1} = 0. `keep`
-        must name P_inv.
+        P_inv, s), where r_up is the rank of D_{d+1} and P_inv the inverse
+        row transform of the degree above. At the top, D_{t+1} = 0: P_inv is
+        None, r_up is 0 and s = snf(M_t, keep). Below it, s = snf(N', keep)
+        for N' the columns of M_d @ P_inv past r_up; the columns before them
+        vanish, as D_d @ D_{d+1} = 0. Each M_d is built here. `keep` must
+        name P_inv.
         """
-        P_inv = ExactMatrix.identity(self.ring, self.complex.n(self.top))
-        r_up = 0
+        P_inv, r_up = None, 0
         for d in range(self.top, -1, -1):
-            N = _boundary(self.complex, self.ring, d) @ P_inv
-            if any(N.by_cols[:r_up]):
-                raise AssertionError("boundary columns expected to vanish did not")
-            s = snf(N.column_block(range(r_up, N.cols)), keep)
+            M = _boundary(self.complex, self.ring, d)
+            if P_inv is None:
+                s = snf(M, keep)
+            else:
+                N = M @ P_inv
+                if any(N.by_cols[:r_up]):
+                    raise AssertionError("boundary columns expected to vanish did not")
+                s = snf(N.column_block(range(r_up, N.cols)), keep)
             yield d, r_up, P_inv, s
             P_inv, r_up = s.P_inv, s.rank
 
@@ -125,9 +138,10 @@ class ReducedChainComplex:
     def from_delta(self) -> list:
         """The E^Delta -> E^H change of basis of each degree, the inverse of
         `to_delta[d]`: diag(I_{r_up}, s.Q_inv) @ P, for P the row transform
-        of the degree above. The reduction keeps neither factor, so the
-        first read runs the Smith forms again with all four transforms;
-        the pivot rule is deterministic, so they are the same forms."""
+        of the degree above (the identity at the top). The reduction keeps
+        neither factor, so the first read runs the Smith forms again with
+        all four transforms; the pivot rule is deterministic, so they are
+        the same forms."""
         from_delta = [None] * (self.top + 1)
         P = ExactMatrix.identity(self.ring, self.complex.n(self.top))
         for d, r_up, _, s in self._smith_forms(("P", "P_inv", "Q", "Q_inv")):

@@ -13,9 +13,10 @@ a valid simplex (strictly increasing non-negative ints) without checking it
 again, in one C-level call (`tuple.__new__` bound to `Simplex`); faces,
 boundaries, the `from_maximal` closure, the Rips cliques and the filtration
 union are built that way, as sub-tuples of a valid simplex and cliques grown
-in increasing vertex order are valid by construction. Where a face is only looked
-up (the face-closure check, `maximal_simplices`, `boundary_columns`), it stays
-the plain tuple that `itertools.combinations` yields.
+in increasing vertex order are valid by construction. Where a face is only
+looked up (the face-closure check, `maximal_simplices`, `boundary_columns`),
+it stays the plain tuple that `itertools.combinations` or an
+`operator.itemgetter` yields.
 
 The constructor checks that its simplices are `Simplex`es and face-closed
 (so without a dimension gap: a gap leaves some present dimension m >= 1
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, combinations, repeat
+from operator import itemgetter
 
 
 class Simplex(tuple):
@@ -209,12 +211,18 @@ class SimplicialComplex:
             return [{} for _ in range(self.n(0))]
         if d == self.dim + 1:
             return [{}]
-        # combinations() yields the face without the last vertex first; reversed,
-        # the face without vertex j comes j-th with sign (-1)^j, as in boundary()
+        # the rows of the faces without vertex j, j = 0..d, one pass over the
+        # group each (one index gives a bare vertex, so it is wrapped in a
+        # tuple); each column lists them in that order with sign (-1)^j, as
+        # in boundary()
+        group = self.simplices(d)
         row = self._index.__getitem__
+        faces = []
+        for j in range(d + 1):
+            get = itemgetter(*range(j), *range(j + 1, d + 1))
+            faces.append(map(row, map(get, group) if d > 1 else zip(map(get, group))))
         signs = [-1 if j % 2 else 1 for j in range(d + 1)]
-        return [dict(zip(map(row, tuple(combinations(s, d))[::-1]), signs))
-                for s in self.simplices(d)]
+        return [dict(zip(rows, signs)) for rows in zip(*faces)]
 
     def boundary_matrix(self, d: int) -> list:
         """The matrix of the boundary map in the lexicographic bases.

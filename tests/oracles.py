@@ -357,6 +357,23 @@ def block_diagonal(R, d) -> ExactMatrix:
     return ExactMatrix(R.ring, rows, cols, by_rows=lines)
 
 
+def composed_to_delta(R) -> list:
+    """`to_delta` of each degree as the composition with no shortcut builds
+    it: P_inv is the identity at the top, and every degree's basis is the
+    first r_up columns of P_inv next to its other columns times the Smith
+    form's Q, each product taken even where a factor is the identity."""
+    P_inv = ExactMatrix.identity(R.ring, R.complex.n(R.top))
+    r_up = 0
+    out = [None] * (R.top + 1)
+    for d in range(R.top, -1, -1):
+        N = chain_boundary(R, d) @ P_inv
+        s = snf(N.column_block(range(r_up, N.cols)), ("P_inv", "Q"))
+        rest = P_inv.column_block(range(r_up, N.cols)) @ s.Q
+        out[d] = P_inv.column_block(range(r_up)).hstack(rest)
+        P_inv, r_up = s.P_inv, s.rank
+    return out
+
+
 def brute_force_eta(ctx, d, h, cap=DEFAULT_BRUTE_FORCE_CAP):
     """eta_d of the class: the join of kappa over every representative.
 

@@ -171,7 +171,8 @@ class TestSparseSmithAgainstDenseOracle:
     """snf on sparse lines returns the very SmithDecomposition of the dense
     worker it replaced: same pivots, same operations, same transforms."""
 
-    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=["z", "gf2", "gf3"])
+    @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3), PrimeField(5)],
+                             ids=["z", "gf2", "gf3", "gf5"])
     def test_random_matrices(self, ring, monkeypatch):
         sweeps = []
         addmul = exact._Side.addmul

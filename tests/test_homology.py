@@ -12,7 +12,8 @@ from fshom.exact import ExactMatrix, PrimeField, ZZ, snf
 from fshom.homology import ReducedChainComplex
 from fshom.simplicial import SimplicialComplex
 from oracles import (
-    block_diagonal, chain_boundary, cycle_of_class, dense, dense_snf, derived_diagonal, rank_above,
+    block_diagonal, chain_boundary, composed_to_delta, cycle_of_class, dense, dense_snf,
+    derived_diagonal, rank_above,
 )
 from randgen import random_complex, random_torsion_complex, rips_complex
 
@@ -224,6 +225,28 @@ def eager_from_delta(R):
         out[d] = P.take_rows(range(r_up)).vstack(s.Q_inv @ P.take_rows(range(r_up, P.rows)))
         P, P_inv = s.P, s.P_inv
     return out
+
+
+SHORTCUT_COMPLEXES = {
+    "rips60": lambda: rips_complex(random.Random(0), 60),
+    **{f"torsion-{seed}": (lambda seed=seed: random_torsion_complex(random.Random(seed)))
+       for seed in range(4)},
+}
+
+
+class TestToDeltaWithoutIdentityProducts:
+    """`to_delta` takes the top Smith form's Q as it is and, where a Smith
+    form has rank 0, the P_inv of the degree above. At bench scale it
+    equals the full composition, which multiplies by the identity there."""
+
+    @pytest.mark.parametrize("ring_name", ["z", "gf3"])
+    @pytest.mark.parametrize("name", SHORTCUT_COMPLEXES)
+    def test_equals_the_full_composition(self, name, ring_name):
+        R = ReducedChainComplex(SHORTCUT_COMPLEXES[name](), ORACLE_RINGS[ring_name])
+        expected = composed_to_delta(R)
+        for got, want in zip(R.to_delta, expected, strict=True):
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.by_cols == want.by_cols
 
 
 class TestFromDeltaOnDemand:

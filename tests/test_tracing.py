@@ -144,13 +144,16 @@ def test_level_submodules_run_no_smith_form_or_kernel(split_mu):
 
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(3)], ids=["z", "gf3"])
-def test_reduction_makes_one_smith_form_and_two_products_per_degree(ring):
+def test_reduction_makes_one_smith_form_per_degree_and_no_identity_product(ring):
     """The shape of `ReducedChainComplex`: construction makes dim + 1
-    `exact.snf` spans and 2 * (dim + 1) `exact.matmul` spans (the product
-    that feeds each Smith form, and `to_delta`). The first read of
-    `from_delta` runs the Smith forms again: dim + 1 `exact.snf` spans and
-    2 * (dim + 1) `exact.matmul` spans more (the same feeding product, and
-    `from_delta`), and a second read runs nothing."""
+    `exact.snf` spans and 2 * dim - 1 `exact.matmul` spans: the product that
+    feeds each Smith form below the top (the top one reduces M_top as it is)
+    and the `to_delta` product of each degree between 0 and the top (the
+    top's is its Q, and degree 0, whose Smith form has rank 0, takes the
+    P_inv above). The first read of `from_delta` runs the Smith forms again:
+    dim + 1 `exact.snf` spans and 2 * dim + 1 `exact.matmul` spans more (the
+    dim feeding products again, and the `from_delta` product of each of the
+    dim + 1 degrees), and a second read runs nothing."""
     K = random_torsion_complex(random.Random(1))
     tracer = load_tracer()
     tracer.install()
@@ -166,9 +169,9 @@ def test_reduction_makes_one_smith_form_and_two_products_per_degree(ring):
     assert R.top == K.dim == 2
     assert built.count("homology.reduce") == 1
     assert built.count("exact.snf") == K.dim + 1
-    assert built.count("exact.matmul") == 2 * (K.dim + 1)
+    assert built.count("exact.matmul") == 2 * K.dim - 1
     assert read.count("exact.snf") == 2 * (K.dim + 1)
-    assert read.count("exact.matmul") == 4 * (K.dim + 1)
+    assert read.count("exact.matmul") == (2 * K.dim - 1) + (2 * K.dim + 1)
     assert again == read
 
 
